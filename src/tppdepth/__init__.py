@@ -10,6 +10,7 @@ from .analysis import (
     RankEntry,
     RankTable,
     contour_grid,
+    depth_breakdown,
     depth_values,
     near_boundary_comparison,
     rank,
@@ -52,6 +53,7 @@ __all__ = [
     "center_times",
     "conditional_depth",
     "contour_grid",
+    "depth_breakdown",
     "depth_values",
     "emit_results",
     "fit_mahalanobis",

@@ -10,21 +10,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .depth import (
+    BLOCK_ROWS,
+    PARAM_FIELDS,
     DepthParams,
-    conditional_depth,
-    hpp_conditional_depth,
-    mahalanobis_depth,
+    affine_fields,
+    cumulative_times,
+    depth_columns,
+    hpp_conditional_column,
+    mahalanobis_column,
     marginal_depth_d1,
-    marginal_factor,
-    product_depth,
 )
 from .errors import DataError
 from .estimation import fit_mahalanobis, fit_params
-from .sequences import EventSequence, SampleSet
+from .sequences import SampleSet
 
 METHODS = ("product", "marginal", "conditional", "hpp-conditional", "mahalanobis")
 
@@ -55,31 +58,43 @@ class RankEntry:
     rank: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankTable:
-    """Realizations ordered deepest first, with competition ranks."""
+    """Realizations ordered deepest first, with competition ranks.
+
+    ``order`` lists row indices deepest first; ``depths`` and ``ranks``
+    are indexed by row.
+    """
 
     method: str
-    entries: tuple[RankEntry, ...]
+    order: np.ndarray
+    depths: np.ndarray
+    ranks: np.ndarray
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return self.order.size
+
+    @property
+    def entries(self) -> tuple[RankEntry, ...]:
+        return self.top(self.n)
 
     def ranks_by_index(self) -> np.ndarray:
-        out = np.empty(self.n, dtype=int)
-        for e in self.entries:
-            out[e.index] = e.rank
-        return out
+        return self.ranks.copy()
 
     def depths_by_index(self) -> np.ndarray:
-        out = np.empty(self.n, dtype=float)
-        for e in self.entries:
-            out[e.index] = e.depth
-        return out
+        return self.depths.copy()
 
     def top(self, count: int) -> tuple[RankEntry, ...]:
-        return self.entries[:count]
+        return tuple(RankEntry(index=int(i), depth=float(self.depths[i]), rank=int(self.ranks[i]))
+                     for i in self.order[:count])
+
+    def __eq__(self, other):
+        if not isinstance(other, RankTable):
+            return NotImplemented
+        return self.method == other.method and all(
+            np.array_equal(getattr(self, f), getattr(other, f)) for f in ("order", "depths", "ranks")
+        )
 
 
 @dataclass(frozen=True)
@@ -151,18 +166,51 @@ class PropertyReport:
         raise KeyError(name)
 
 
-def _competition_ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(-values, kind="stable")
+def _competition_ranks(values: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
+    # Each row takes the 1-based position where its run of equal values
+    # starts in ``order`` (deepest first; computed when not given).
+    if order is None:
+        order = np.argsort(-values, kind="stable")
+    ordered = values[order]
+    run_start = np.ones(values.size, dtype=bool)
+    run_start[1:] = ordered[1:] != ordered[:-1]
     ranks = np.empty(values.size, dtype=int)
-    current = 1
-    previous = None
-    for position, idx in enumerate(order, start=1):
-        v = values[idx]
-        if previous is None or v != previous:
-            current = position
-            previous = v
-        ranks[idx] = current
+    ranks[order] = np.maximum.accumulate(np.where(run_start, np.arange(1, values.size + 1), 0))
     return ranks
+
+
+_COLUMNS = {"product": "product", "marginal": "marginal_factor", "conditional": "conditional"}
+
+
+def _values(method: str, times: np.ndarray, start: float, params, baseline) -> np.ndarray:
+    if method == "mahalanobis":
+        return mahalanobis_column(times, *baseline)
+    if method == "hpp-conditional":
+        return hpp_conditional_column(times, start)
+    return depth_columns(times, params)[_COLUMNS[method]]
+
+
+def _require_params(sample: SampleSet, params: DepthParams | None, method: str) -> None:
+    if params is None:
+        raise DataError(f"method {method!r} needs fitted parameters")
+    if sample.k != params.k:
+        raise DataError(f"sample has k={sample.k} but parameters expect k={params.k}")
+    if sample.start != params.start:
+        raise DataError(f"sample start {sample.start} differs from parameter start {params.start}")
+
+
+def depth_breakdown(
+    sample: SampleSet,
+    params: DepthParams,
+    baseline: tuple | None = None,
+) -> dict[str, np.ndarray]:
+    """Product-depth breakdown columns (``BREAKDOWN_FIELDS``) of every
+    realization, plus ``baseline_mahalanobis`` when a baseline is given."""
+    _require_params(sample, params, "product")
+    columns = depth_columns(sample.times, params)
+    if baseline is not None:
+        columns["baseline_mahalanobis"] = mahalanobis_column(sample.times, *baseline)
+    return columns
 
 
 def depth_values(
@@ -182,21 +230,10 @@ def depth_values(
     if method not in METHODS:
         raise DataError(f"unknown method {method!r}; expected one of {METHODS}")
     if method == "mahalanobis":
-        mean, cov = baseline if baseline is not None else fit_mahalanobis(sample)
-        return np.array([mahalanobis_depth(row, mean, cov) for row in sample.times])
-    if method == "hpp-conditional":
-        return np.array([hpp_conditional_depth(seq) for seq in sample])
-    if params is None:
-        raise DataError(f"method {method!r} needs fitted parameters")
-    if sample.k != params.k:
-        raise DataError(f"sample has k={sample.k} but parameters expect k={params.k}")
-    if sample.start != params.start:
-        raise DataError(f"sample start {sample.start} differs from parameter start {params.start}")
-    if method == "product":
-        return np.array([product_depth(seq, params).product for seq in sample])
-    if method == "marginal":
-        return np.array([marginal_factor(seq.last, params) for seq in sample])
-    return np.array([conditional_depth(seq, params) for seq in sample])
+        baseline = baseline if baseline is not None else fit_mahalanobis(sample)
+    elif method != "hpp-conditional":
+        _require_params(sample, params, method)
+    return _values(method, sample.times, sample.start, params, baseline)
 
 
 def rank(
@@ -207,12 +244,8 @@ def rank(
 ) -> RankTable:
     """Rank the sample deepest first under the chosen method."""
     values = depth_values(sample, params, method, baseline)
-    ranks = _competition_ranks(values)
     order = np.argsort(-values, kind="stable")
-    entries = tuple(
-        RankEntry(index=int(i), depth=float(values[i]), rank=int(ranks[i])) for i in order
-    )
-    return RankTable(method=method, entries=entries)
+    return RankTable(method, order, values, _competition_ranks(values, order))
 
 
 def contour_grid(
@@ -236,33 +269,18 @@ def contour_grid(
         raise DataError(f"bad s2 range ({ymin}, {ymax})")
     axis1 = np.linspace(xmin, xmax, resolution)
     axis2 = np.linspace(ymin, ymax, resolution)
-    values = np.zeros((resolution, resolution))
+    s1, s2 = np.meshgrid(axis1, axis2, indexing="ij")
     if method == "mahalanobis":
         if baseline is None:
             raise DataError("mahalanobis contours need a fitted (mean, covariance) baseline")
-        mean, cov = baseline
-        if np.asarray(mean).reshape(-1).size != 2:
-            raise DataError("contour grids are two-dimensional; the baseline mean must have length 2")
-        for i, x in enumerate(axis1):
-            for j, y in enumerate(axis2):
-                values[i, j] = mahalanobis_depth((x, y), mean, cov)
-        return ContourGrid(method=method, axis1=axis1, axis2=axis2, values=values)
-    if params.k != 2:
+        inside = np.ones_like(s1, dtype=bool)
+    elif params.k != 2:
         raise DataError(f"contour grids for method {method!r} need k=2 parameters, got k={params.k}")
-    start = params.start
-    for i, x in enumerate(axis1):
-        for j, y in enumerate(axis2):
-            if not (start <= x <= y):
-                continue
-            seq = EventSequence(start, (x, y))
-            if method == "product":
-                values[i, j] = product_depth(seq, params).product
-            elif method == "marginal":
-                values[i, j] = marginal_factor(y, params)
-            elif method == "conditional":
-                values[i, j] = conditional_depth(seq, params)
-            else:
-                values[i, j] = hpp_conditional_depth(seq)
+    else:
+        inside = (params.start <= s1) & (s1 <= s2)
+    values = np.zeros((resolution, resolution))
+    nodes = np.stack([s1[inside], s2[inside]], axis=1)
+    values[inside] = _values(method, nodes, params.start, params, baseline)
     return ContourGrid(method=method, axis1=axis1, axis2=axis2, values=values)
 
 
@@ -335,147 +353,91 @@ def weighted_fraction_gap(a, b, alpha) -> np.ndarray:
     return lhs - rhs
 
 
-def _dirichlet_proportions(rng: np.random.Generator, k: int) -> np.ndarray:
-    # Uniform on the simplex via normalized exponentials.
-    e = rng.exponential(1.0, size=k)
-    total = e.sum()
-    if total == 0.0:
-        e[:] = 1.0
-        total = float(k)
-    return e / total
-
-
-def _moderated_proportions(rng: np.random.Generator, k: int) -> np.ndarray:
-    # Bounded away from the simplex boundary, for identity checks where a
-    # vanishing gap would amplify cancellation far beyond the tolerance.
-    e = rng.exponential(1.0, size=k) + 0.5
-    return e / e.sum()
-
-
-def _times_from(params: DepthParams, duration: float, proportions: np.ndarray) -> tuple[float, ...]:
-    cum = np.cumsum(proportions)
-    cum[-1] = 1.0
-    return tuple(float(params.start + duration * c) for c in cum)
-
-
-def _interior_sequence(rng: np.random.Generator, params: DepthParams, moderate: bool = False) -> EventSequence:
+def _proportions(rng: np.random.Generator, shape, moderate: bool = False) -> np.ndarray:
+    # Uniform on the simplex via normalized exponentials. The moderate form
+    # is bounded away from the simplex boundary, for identity checks where
+    # a vanishing gap would amplify cancellation far beyond the tolerance.
+    e = rng.exponential(1.0, size=shape)
     if moderate:
-        proportions = _moderated_proportions(rng, params.k)
-        duration = params.mu_last * rng.uniform(0.3, 3.0)
+        e += 0.5
     else:
-        proportions = _dirichlet_proportions(rng, params.k)
-        duration = params.mu_last * rng.uniform(0.05, 5.0)
-    return EventSequence(params.start, _times_from(params, duration, proportions))
+        e[e.sum(axis=-1) == 0.0] = 1.0
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def _boundary_sequence(rng: np.random.Generator, params: DepthParams) -> EventSequence:
-    times = list(_interior_sequence(rng, params).times)
-    j = int(rng.integers(0, params.k))
-    if j == 0:
-        times[0] = params.start
-    else:
-        times[j] = times[j - 1]
-    return EventSequence(params.start, tuple(times))
+def _interior_times(rng, params: DepthParams, trials: int, moderate: bool = False) -> np.ndarray:
+    proportions = _proportions(rng, (trials, params.k), moderate)
+    low, high = (0.3, 3.0) if moderate else (0.05, 5.0)
+    durations = params.mu_last * rng.uniform(low, high, size=trials)
+    return cumulative_times(params.start, durations, proportions)
+
+
+def _boundary_times(rng, params: DepthParams, trials: int, every: int = 1) -> np.ndarray:
+    # Interior rows, with rows 0, every, 2*every, ... moved onto the
+    # boundary by setting one gap to exactly 0.
+    times = _interior_times(rng, params, trials)
+    rows = np.arange(0, trials, every)
+    j = rng.integers(0, params.k, size=rows.size)
+    times[rows, j] = np.where(j > 0, times[rows, np.maximum(j - 1, 0)], params.start)
+    return times
+
+
+def _tally(name: str, trials: int, margins: np.ndarray) -> PropertyCheck:
+    return PropertyCheck(name, trials, int(np.count_nonzero(margins > 0)), float(np.max(margins)))
+
+
+def _product(times: np.ndarray, params) -> np.ndarray:
+    return depth_columns(times, params)["product"]
 
 
 def _check_boundary_vanishing(rng, params, trials) -> PropertyCheck:
-    worst = -math.inf
-    violations = 0
-    for _ in range(trials):
-        depth = product_depth(_boundary_sequence(rng, params), params).product
-        worst = max(worst, depth)
-        if depth != 0.0:
-            violations += 1
-    return PropertyCheck("P1-boundary", trials, violations, worst)
+    return _tally("P1-boundary", trials, _product(_boundary_times(rng, params, trials), params))
 
 
 def _check_vanishing_at_infinity(rng, params, trials) -> PropertyCheck:
     far_duration = params.mu_last + 100.0 * math.sqrt(params.var_last)
-    worst = -math.inf
-    violations = 0
-    for _ in range(trials):
-        proportions = _dirichlet_proportions(rng, params.k)
-        seq = EventSequence(params.start, _times_from(params, far_duration, proportions))
-        margin = product_depth(seq, params).product - INFINITY_DEPTH_TOL
-        worst = max(worst, margin)
-        if margin > 0:
-            violations += 1
-    return PropertyCheck("P1-infinity", trials, violations, worst)
+    times = cumulative_times(params.start, far_duration, _proportions(rng, (trials, params.k)))
+    return _tally("P1-infinity", trials, _product(times, params) - INFINITY_DEPTH_TOL)
 
 
 def _check_maximality(rng, params, trials) -> PropertyCheck:
-    center_depth = product_depth(params.center_sequence, params).product
-    worst = abs(center_depth - 1.0)
-    violations = 0 if center_depth == 1.0 else 1
+    center_depth = _product(np.array([params.center]), params)[0]
     # The marginal depth must peak at exactly 1 at eta, which is what
     # licenses the unit normalizer.
     peak = marginal_depth_d1(params.eta, params)
-    worst = max(worst, abs(peak - 1.0))
-    if peak != 1.0:
-        violations += 1
-    for i in range(trials):
-        if i % 10 == 0:
-            seq = _boundary_sequence(rng, params)
-        else:
-            seq = _interior_sequence(rng, params)
-        margin = product_depth(seq, params).product - center_depth
-        worst = max(worst, margin)
-        if margin > 0:
-            violations += 1
-    return PropertyCheck("P2", trials, violations, worst)
+    margins = _product(_boundary_times(rng, params, trials, every=10), params) - center_depth
+    return _tally("P2", trials, np.concatenate([[abs(center_depth - 1.0), abs(peak - 1.0)], margins]))
 
 
 def _check_scale_shift(rng, params, trials, sample) -> PropertyCheck:
-    worst = -math.inf
-    violations = 0
-    for _ in range(trials):
-        a = rng.uniform(0.1, 10.0)
-        b = rng.uniform(-10.0, 10.0)
-        seq = _interior_sequence(rng, params, moderate=True)
-        reference = product_depth(seq, params).product
-        if sample is not None:
-            transformed_params = fit_params(sample.affine(a, b))
-        else:
-            transformed_params = params.affine(a, b)
-        moved = product_depth(seq.affine(a, b), transformed_params).product
-        margin = abs(moved - reference) / reference - SCALE_SHIFT_RTOL
-        worst = max(worst, margin)
-        if margin > 0:
-            violations += 1
-    return PropertyCheck("P3", trials, violations, worst)
+    a = rng.uniform(0.1, 10.0, size=trials)
+    b = rng.uniform(-10.0, 10.0, size=trials)
+    times = _interior_times(rng, params, trials, moderate=True)
+    reference = _product(times, params)
+    if sample is None:
+        moved_params = affine_fields(params, a, b)
+    else:
+        fitted = [fit_params(sample.affine(x, y)) for x, y in zip(a, b)]
+        moved_params = SimpleNamespace(**{f: np.array([getattr(p, f) for p in fitted]) for f in PARAM_FIELDS})
+    moved = _product(a[:, None] * times + b[:, None], moved_params)
+    return _tally("P3", trials, np.abs(moved - reference) / reference - SCALE_SHIFT_RTOL)
 
 
 def _check_ray_monotonicity(rng, params, rays) -> PropertyCheck:
-    center = params.center
-    start = params.start
-    alphas = np.linspace(0.0, 1.0, ALPHA_GRID_POINTS)
-    worst = -math.inf
-    violations = 0
-    for i in range(rays):
-        if i % 10 == 0:
-            target = _boundary_sequence(rng, params).times
-        else:
-            target = _interior_sequence(rng, params).times
-        previous = math.inf
-        smallest = math.inf
-        last_value = math.nan
-        ray_margin = -math.inf
-        for alpha in alphas:
-            # Convex form: rounding is monotone, so ordering survives.
-            times = tuple(
-                max(start, (1.0 - alpha) * c + alpha * t) for c, t in zip(center, target)
-            )
-            value = product_depth(EventSequence(start, times), params).product
-            ray_margin = max(ray_margin, value - previous - RAY_SLACK)
-            previous = value
-            smallest = min(smallest, value)
-            last_value = value
-        # The ray minimum must sit at the far end (alpha = 1).
-        ray_margin = max(ray_margin, last_value - smallest - RAY_SLACK)
-        worst = max(worst, ray_margin)
-        if ray_margin > 0:
-            violations += 1
-    return PropertyCheck("P4", rays, violations, worst)
+    targets = _boundary_times(rng, params, rays, every=10)
+    alphas = np.linspace(0.0, 1.0, ALPHA_GRID_POINTS)[:, None]
+    center = np.asarray(params.center)
+    margins = np.empty(rays)
+    chunk = max(1, BLOCK_ROWS // ALPHA_GRID_POINTS)
+    for lo in range(0, rays, chunk):
+        target = targets[lo:lo + chunk, None, :]
+        # Convex form: rounding is monotone, so ordering survives.
+        times = np.maximum(params.start, (1.0 - alphas) * center + alphas * target)
+        values = _product(times.reshape(-1, params.k), params).reshape(-1, ALPHA_GRID_POINTS)
+        # Nonincreasing along the ray, with the minimum at the far end (alpha = 1).
+        rises = np.max(np.diff(values, axis=1) - RAY_SLACK, axis=1)
+        margins[lo:lo + chunk] = np.maximum(rises, values[:, -1] - values.min(axis=1) - RAY_SLACK)
+    return _tally("P4", rays, margins)
 
 
 def _check_hpp_consistency(rng, params, trials) -> PropertyCheck:
@@ -486,37 +448,21 @@ def _check_hpp_consistency(rng, params, trials) -> PropertyCheck:
         var_last=params.var_last,
         u_bar=(1.0 / k,) * k,
     )
-    worst = -math.inf
-    violations = 0
-    for _ in range(trials):
-        seq = _interior_sequence(rng, params)
-        closed_form = hpp_conditional_depth(seq)
-        general = conditional_depth(seq, uniform)
-        scale = max(closed_form, general)
-        relative = abs(closed_form - general) / scale if scale > 0 else 0.0
-        margin = relative - HPP_CONSISTENCY_RTOL
-        worst = max(worst, margin)
-        if margin > 0:
-            violations += 1
-    return PropertyCheck("hpp-consistency", trials, violations, worst)
+    times = _interior_times(rng, params, trials)
+    closed_form = hpp_conditional_column(times, params.start)
+    general = depth_columns(times, uniform)["conditional"]
+    scale = np.maximum(closed_form, general)
+    with np.errstate(invalid="ignore"):
+        relative = np.where(scale > 0, np.abs(closed_form - general) / scale, 0.0)
+    return _tally("hpp-consistency", trials, relative - HPP_CONSISTENCY_RTOL)
 
 
 def _check_young_range(rng, params, trials) -> PropertyCheck:
-    worst = -math.inf
-    violations = 0
-    for i in range(trials):
-        if i % 10 == 0:
-            seq = _boundary_sequence(rng, params)
-        else:
-            seq = _interior_sequence(rng, params)
-        breakdown = product_depth(seq, params)
-        cond = breakdown.conditional
-        prod = breakdown.product
-        margin = max(cond - 1.0, -cond, prod - 1.0, -prod)
-        worst = max(worst, margin)
-        if margin > 0:
-            violations += 1
-    return PropertyCheck("young-range", trials, violations, worst)
+    columns = depth_columns(_boundary_times(rng, params, trials, every=10), params)
+    cond = columns["conditional"]
+    prod = columns["product"]
+    margins = np.max([cond - 1.0, -cond, prod - 1.0, -prod], axis=0)
+    return _tally("young-range", trials, margins)
 
 
 def _check_weighted_fraction(rng, trials) -> PropertyCheck:

@@ -24,12 +24,12 @@ from .analysis import (
     DEFAULT_RAYS,
     METHODS,
     contour_grid,
+    depth_breakdown,
     depth_values,
     near_boundary_comparison,
     rank,
     verify_properties,
 )
-from .depth import product_depth
 from .errors import DataError
 from .estimation import fit_mahalanobis, fit_params
 from .simulate import SimConfig, simulate
@@ -151,10 +151,7 @@ def _cmd_depth(args) -> int:
     sample = tio.load_csv(args.input, t0=t0)
     out = _out_path(args.out)
     if args.method == "product":
-        breakdowns = [
-            (i, product_depth(seq, params, baseline=baseline)) for i, seq in enumerate(sample)
-        ]
-        tio.save_breakdowns(breakdowns, out, args.format)
+        tio.save_breakdowns(depth_breakdown(sample, params, baseline), out, args.format)
     else:
         values = depth_values(sample, params, args.method, baseline=baseline)
         tio.save_values(range(sample.n), values, args.method, out, args.format)

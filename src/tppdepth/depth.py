@@ -12,12 +12,18 @@ Both factors live in [0, 1]; their product is 1 exactly at the central
 event-time vector and 0 on the boundary (any zero gap). A multivariate
 Mahalanobis depth on the raw event-time vector is included as the
 comparison baseline.
+
+Each formula is written once, in an array kernel over an (n, k) matrix of
+event times: :func:`depth_columns`, :func:`hpp_conditional_column` and
+:func:`mahalanobis_column`. The scalar functions are batches of one, so
+scalar and batch results agree bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -27,6 +33,23 @@ from .sequences import EventSequence
 U_BAR_SUM_TOL = 1e-12
 _PARAM_CONSISTENCY_TOL = 1e-9
 _RIDGE = 1e-10
+# Rows per kernel block: bounds the kernels' temporaries independently of n.
+BLOCK_ROWS = 4096
+PARAM_FIELDS = ("start", "mu_last", "var_last", "u_bar", "eta", "big_m", "center")
+BREAKDOWN_FIELDS = ("omega", "exponent", "marginal_factor", "conditional", "product")
+
+
+def cumulative_times(start, duration, proportions) -> np.ndarray:
+    """Event times ``start + duration * cumsum(proportions)``.
+
+    The last cumulative proportion is pinned to exactly 1, so the last
+    time is ``start + duration`` bitwise. ``start`` and ``duration`` may
+    be scalars or per-row arrays, ``proportions`` a (k,) vector or one row
+    per realization.
+    """
+    cum = np.cumsum(np.asarray(proportions, dtype=float), axis=-1)
+    cum[..., -1] = 1.0
+    return np.expand_dims(start, -1) + np.expand_dims(duration, -1) * cum
 
 
 def center_times(start: float, mu_last: float, u_bar) -> tuple[float, ...]:
@@ -46,12 +69,31 @@ def center_times(start: float, mu_last: float, u_bar) -> tuple[float, ...]:
         raise DataError(f"gap proportions must sum to 1 within {U_BAR_SUM_TOL}, got {u.sum()!r}")
     if not (mu_last > 0) or not math.isfinite(mu_last):
         raise DataError("mean duration must be positive and finite")
-    cum = np.cumsum(u)
-    cum[-1] = 1.0
-    center = start + mu_last * cum
+    center = cumulative_times(start, mu_last, u)
     if np.any(np.diff(center) <= 0) or not center[0] > start:
         raise DataError("central event times must be strictly increasing")
     return tuple(float(c) for c in center)
+
+
+def _fields(start, mu_last, var_last, u_bar, big_m=None) -> SimpleNamespace:
+    # Every DepthParams field from the moments; eta and the center derived.
+    eta = start + mu_last
+    return SimpleNamespace(
+        start=start, mu_last=mu_last, var_last=var_last, u_bar=u_bar, eta=eta,
+        big_m=eta if big_m is None else big_m, center=cumulative_times(start, mu_last, u_bar),
+    )
+
+
+def affine_fields(params, a, b) -> SimpleNamespace:
+    """Parameter fields of the population transformed by t -> a*t + b, a > 0.
+
+    Matches what refitting on the transformed sample produces: mu scales
+    by a, the variance by a**2, the proportions are untouched, and every
+    time-valued field maps through a*t + b. ``a`` and ``b`` may be arrays,
+    one transform per row, for :func:`depth_columns`.
+    """
+    return _fields(a * params.start + b, a * params.mu_last, a * a * params.var_last,
+                   params.u_bar, a * params.big_m + b)
 
 
 @dataclass(frozen=True)
@@ -114,40 +156,18 @@ class DepthParams:
     ) -> "DepthParams":
         """Build params from the fitted moments, deriving eta and the center."""
         u = tuple(float(v) for v in u_bar)
-        eta = float(start) + float(mu_last)
-        if big_m is None:
-            big_m = eta
-        return cls(
-            k=len(u),
-            start=start,
-            mu_last=mu_last,
-            var_last=var_last,
-            u_bar=u,
-            eta=eta,
-            big_m=big_m,
-            center=center_times(float(start), float(mu_last), u),
-        )
+        return cls(k=len(u), **vars(_fields(float(start), float(mu_last), var_last, u, big_m)))
 
     @property
     def center_sequence(self) -> EventSequence:
         return EventSequence(self.start, self.center)
 
     def affine(self, a: float, b: float) -> "DepthParams":
-        """Parameters of the population transformed by t -> a*t + b, a > 0.
-
-        Matches what refitting on the transformed sample produces:
-        mu scales by a, the variance by a**2, the proportions are
-        untouched, and every time-valued field maps through a*t + b.
-        """
+        """Parameters of the population transformed by t -> a*t + b, a > 0
+        (see :func:`affine_fields`)."""
         if a <= 0:
             raise DataError("scale factor must be positive")
-        return DepthParams.from_moments(
-            start=a * self.start + b,
-            mu_last=a * self.mu_last,
-            var_last=a * a * self.var_last,
-            u_bar=self.u_bar,
-            big_m=a * self.big_m + b,
-        )
+        return DepthParams(k=self.k, **vars(affine_fields(self, a, b)))
 
 
 @dataclass(frozen=True)
@@ -167,16 +187,133 @@ class DepthBreakdown:
     baseline_mahalanobis: float | None = None
 
 
+@np.errstate(all="ignore")
+def _marginal(last, p):
+    # omega, the distance exponent and the marginal factor; an exponent of
+    # 0 gives a factor of 1 regardless of the base (continuity at eta).
+    dev = last - p.start - p.mu_last
+    w = 1.0 / (1.0 + (dev * dev) / p.var_last)
+    exponent = np.abs(last - p.eta) / (p.big_m - p.start)
+    return w, exponent, np.where(exponent == 0.0, 1.0, np.minimum(w**exponent, 1.0))
+
+
+def _blocks(n: int):
+    return [slice(lo, lo + BLOCK_ROWS) for lo in range(0, n, BLOCK_ROWS)]
+
+
+def _gaps(t: np.ndarray, start) -> np.ndarray:
+    # Inter-event gaps of each row, the first measured from the start.
+    gaps = t.copy()
+    gaps[:, 1:] -= t[:, :-1]
+    gaps[:, 0] -= start
+    return gaps
+
+
+@np.errstate(all="ignore")
+def depth_columns(times, params) -> dict[str, np.ndarray]:
+    """Depth breakdown of every row of an (n, k) event-time matrix.
+
+    Returns one array per name in ``BREAKDOWN_FIELDS``. ``params`` is a
+    :class:`DepthParams` or any object with its fields (``PARAM_FIELDS``);
+    each field is shared by all rows or holds one entry per row. The
+    conditional factor is a log-space weighted sum masked to exactly 0 on
+    any row with a zero gap, and a row equal to the center has every depth
+    field exactly 1 (exponent 0), so rounding in the fitted cumulative
+    proportions cannot push the maximum below 1. Rows are evaluated in
+    blocks of ``BLOCK_ROWS``.
+    """
+    times = np.asarray(times, dtype=float)
+    n = times.shape[0]
+    fields = {name: np.asarray(getattr(params, name), dtype=float) for name in PARAM_FIELDS}
+    # A per-row field has one more dimension than its shared form.
+    per_row = [name for name, v in fields.items() if v.ndim == 1 + (name in ("u_bar", "center"))]
+    out = {name: np.empty(n) for name in BREAKDOWN_FIELDS}
+    for rows in _blocks(n):
+        t = times[rows]
+        p = SimpleNamespace(**{**fields, **{name: fields[name][rows] for name in per_row}})
+        w, exponent, factor = _marginal(t[:, -1], p)
+        gaps = _gaps(t, p.start)
+        total = (t[:, -1] - p.start)[:, None]
+        log_sum = (p.u_bar * (np.log(gaps) - np.log(total * p.u_bar))).sum(axis=1)
+        conditional = np.where((gaps > 0.0).all(axis=1), np.minimum(np.exp(log_sum), 1.0), 0.0)
+        block = dict(zip(BREAKDOWN_FIELDS, (w, exponent, factor, conditional, factor * conditional)))
+        center = (t == p.center).all(axis=1)
+        for name, value in block.items():
+            value[center] = 0.0 if name == "exponent" else 1.0
+            out[name][rows] = value
+    return out
+
+
+@np.errstate(all="ignore")
+def hpp_conditional_column(times, start: float) -> np.ndarray:
+    """Uniform-proportion conditional depth of every row of an (n, k) matrix.
+
+    ``k * prod(((s_i - s_{i-1}) / (s_k - s_0)) ** (1/k))``, the closed
+    form the general conditional depth reduces to when every expected
+    proportion is 1/k; exactly 0 on any row with a zero gap.
+    """
+    times = np.asarray(times, dtype=float)
+    n, k = times.shape
+    out = np.empty(n)
+    for rows in _blocks(n):
+        t = times[rows]
+        gaps = _gaps(t, start)
+        value = np.exp(np.log(k) + np.log(gaps).sum(axis=1) / k - np.log(t[:, -1] - start))
+        out[rows] = np.where((gaps > 0.0).all(axis=1), np.minimum(value, 1.0), 0.0)
+    return out
+
+
+def mahalanobis_column(times, mean, covariance) -> np.ndarray:
+    """Multivariate Mahalanobis depth ``1 / (1 + (s-m)' C^-1 (s-m))`` per row.
+
+    The mean and covariance must be finite and match the k columns. The
+    covariance is symmetrized and, if its Cholesky factorization fails,
+    ridged once with ``1e-10 * trace(C)/k`` on the diagonal; if it is
+    still not positive definite a :class:`DataError` is raised. One
+    Cholesky factor and one solve serve every row.
+    """
+    times = np.asarray(times, dtype=float)
+    n, k = times.shape
+    m = np.asarray(mean, dtype=float).reshape(-1)
+    c = np.asarray(covariance, dtype=float)
+    if m.size != k or c.shape != (k, k):
+        raise DataError(f"shape mismatch: times {times.shape}, mean {m.shape}, covariance {c.shape}")
+    if not (np.all(np.isfinite(m)) and np.all(np.isfinite(c))):
+        raise DataError("the Mahalanobis mean and covariance must be finite")
+    c = 0.5 * (c + c.T)
+    try:
+        chol = np.linalg.cholesky(c)
+    except np.linalg.LinAlgError:
+        ridge = _RIDGE * float(np.trace(c)) / k
+        try:
+            chol = np.linalg.cholesky(c + ridge * np.eye(k))
+        except np.linalg.LinAlgError:
+            raise DataError("covariance matrix is singular even after ridge regularization") from None
+    # Whitening by the inverse factor, elementwise, keeps each row's value
+    # independent of how many rows share the call.
+    whiten = np.linalg.solve(chol, np.eye(k))
+    out = np.empty(n)
+    for rows in _blocks(n):
+        y = ((times[rows] - m)[:, None, :] * whiten).sum(axis=2)
+        out[rows] = 1.0 / (1.0 + (y * y).sum(axis=1))
+    return out
+
+
+def _row(seq: EventSequence, params: DepthParams) -> np.ndarray:
+    if seq.k != params.k:
+        raise DataError(f"realization has {seq.k} events but parameters expect {params.k}")
+    if seq.start != params.start:
+        raise DataError(f"realization start {seq.start} differs from parameter start {params.start}")
+    return np.array([seq.times])
+
+
 def marginal_depth_d1(last_time: float, params: DepthParams) -> float:
     """One-dimensional Mahalanobis depth of the last event time.
 
     ``1 / (1 + (last_time - start - mu_last)**2 / var_last)``; equals 1
     exactly when the duration matches the mean duration.
     """
-    if not params.var_last > 0:
-        raise DataError(f"degenerate variance: {params.var_last}")
-    dev = last_time - params.start - params.mu_last
-    return 1.0 / (1.0 + (dev * dev) / params.var_last)
+    return float(_marginal(np.array([last_time], dtype=float), params)[0][0])
 
 
 def omega(last_time: float, params: DepthParams) -> float:
@@ -195,28 +332,7 @@ def marginal_factor(last_time: float, params: DepthParams) -> float:
     The exponent is computed first; when it is 0 the factor is 1
     regardless of the base, which keeps the factor continuous at eta.
     """
-    horizon = params.big_m - params.start
-    if not horizon > 0:
-        raise DataError(f"degenerate horizon: big_m {params.big_m} does not exceed start {params.start}")
-    exponent = abs(last_time - params.eta) / horizon
-    if exponent == 0.0:
-        return 1.0
-    w = omega(last_time, params)
-    if w == 0.0:
-        return 0.0
-    return min(math.pow(w, exponent), 1.0)
-
-
-def _conditional_from_gaps(gaps, total: float, u_bar) -> float:
-    # Log-space product with an exact early-exit zero on the boundary.
-    if total <= 0.0:
-        return 0.0
-    log_sum = 0.0
-    for g, u in zip(gaps, u_bar):
-        if g <= 0.0:
-            return 0.0
-        log_sum += u * (math.log(g) - math.log(total * u))
-    return min(math.exp(log_sum), 1.0)
+    return float(_marginal(np.array([last_time], dtype=float), params)[2][0])
 
 
 def conditional_depth(seq: EventSequence, params: DepthParams) -> float:
@@ -227,30 +343,16 @@ def conditional_depth(seq: EventSequence, params: DepthParams) -> float:
     the weighted AM-GM bound, with equality only when the normalized gaps
     match ``u_bar``.
     """
-    if seq.k != params.k:
-        raise DataError(f"realization has {seq.k} events but parameters expect {params.k}")
-    return _conditional_from_gaps(seq.gaps, seq.duration, params.u_bar)
+    return float(depth_columns(_row(seq, params), params)["conditional"][0])
 
 
 def hpp_conditional_depth(seq: EventSequence) -> float:
     """Conditional depth under uniform expected proportions.
 
-    ``k * prod(((s_i - s_{i-1}) / (s_k - s_0)) ** (1/k))``, the closed
-    form the general conditional depth reduces to when every expected
-    proportion is 1/k (constant-rate gaps). Agrees with
+    The batch of one of :func:`hpp_conditional_column`. Agrees with
     :func:`conditional_depth` at uniform ``u_bar`` to rounding error.
     """
-    total = seq.duration
-    if total <= 0.0:
-        return 0.0
-    k = seq.k
-    log_sum = 0.0
-    for g in seq.gaps:
-        if g <= 0.0:
-            return 0.0
-        log_sum += math.log(g)
-    value = math.exp(math.log(k) + log_sum / k - math.log(total))
-    return min(value, 1.0)
+    return float(hpp_conditional_column(np.array([seq.times]), seq.start)[0])
 
 
 def product_depth(
@@ -262,73 +364,17 @@ def product_depth(
 
     When ``baseline`` (mean vector, covariance matrix) is given, the
     multivariate Mahalanobis depth of the raw event-time vector is filled
-    in for comparison.
-
-    The central event-time vector is the unique maximizer with depth
-    exactly 1; it is recognized by equality so rounding in the fitted
-    cumulative proportions cannot push the maximum below 1.
+    in for comparison. The central event-time vector is the unique
+    maximizer with depth exactly 1 (see :func:`depth_columns`).
     """
-    if seq.k != params.k:
-        raise DataError(f"realization has {seq.k} events but parameters expect {params.k}")
-    if seq.start != params.start:
-        raise DataError(f"realization start {seq.start} differs from parameter start {params.start}")
-    base = None
-    if baseline is not None:
-        base = mahalanobis_depth(seq.times, baseline[0], baseline[1])
-    if seq.times == params.center:
-        return DepthBreakdown(
-            omega=1.0,
-            exponent=0.0,
-            marginal_factor=1.0,
-            conditional=1.0,
-            product=1.0,
-            baseline_mahalanobis=base,
-        )
-    w = omega(seq.last, params)
-    horizon = params.big_m - params.start
-    exponent = abs(seq.last - params.eta) / horizon
-    if exponent == 0.0:
-        factor = 1.0
-    elif w == 0.0:
-        factor = 0.0
-    else:
-        factor = min(math.pow(w, exponent), 1.0)
-    cond = _conditional_from_gaps(seq.gaps, seq.duration, params.u_bar)
-    return DepthBreakdown(
-        omega=w,
-        exponent=exponent,
-        marginal_factor=factor,
-        conditional=cond,
-        product=factor * cond,
-        baseline_mahalanobis=base,
-    )
+    row = _row(seq, params)
+    base = None if baseline is None else float(mahalanobis_column(row, *baseline)[0])
+    columns = depth_columns(row, params)
+    return DepthBreakdown(**{name: float(v[0]) for name, v in columns.items()},
+                          baseline_mahalanobis=base)
 
 
 def mahalanobis_depth(times, mean, covariance) -> float:
-    """Multivariate Mahalanobis depth ``1 / (1 + (s-m)' C^-1 (s-m))``.
-
-    The covariance is symmetrized and, if its Cholesky factorization
-    fails, ridged once with ``1e-10 * trace(C)/k`` on the diagonal; if it
-    is still not positive definite a :class:`DataError` is raised.
-    """
-    x = np.asarray(times, dtype=float).reshape(-1)
-    m = np.asarray(mean, dtype=float).reshape(-1)
-    c = np.asarray(covariance, dtype=float)
-    k = x.size
-    if m.size != k or c.shape != (k, k):
-        raise DataError(
-            f"shape mismatch: times {x.shape}, mean {m.shape}, covariance {c.shape}"
-        )
-    c = 0.5 * (c + c.T)
-    try:
-        chol = np.linalg.cholesky(c)
-    except np.linalg.LinAlgError:
-        ridge = _RIDGE * float(np.trace(c)) / k
-        try:
-            chol = np.linalg.cholesky(c + ridge * np.eye(k))
-        except np.linalg.LinAlgError:
-            raise DataError("covariance matrix is singular even after ridge regularization") from None
-    dev = x - m
-    y = np.linalg.solve(chol, dev)
-    d2 = float(y @ y)
-    return 1.0 / (1.0 + d2)
+    """Multivariate Mahalanobis depth of one event-time vector; the batch of
+    one of :func:`mahalanobis_column`."""
+    return float(mahalanobis_column(np.reshape(np.asarray(times, dtype=float), (1, -1)), mean, covariance)[0])

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import ContourGrid, NearBoundarySummary, PropertyReport, RankEntry, RankTable
-from .depth import DepthBreakdown, DepthParams
+from .analysis import ContourGrid, NearBoundarySummary, PropertyReport, RankTable
+from .depth import BREAKDOWN_FIELDS, DepthParams
 from .errors import DataError
 from .sequences import SampleSet
 
@@ -154,19 +154,18 @@ def load_params_json(path) -> tuple[DepthParams, tuple | None]:
 
 def save_rank_table(table: RankTable, path, fmt: str = "csv") -> None:
     path = Path(path)
+    rows = zip(table.order.tolist(), table.depths[table.order].tolist(), table.ranks[table.order].tolist())
     if fmt == "csv":
         with path.open("w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["index", "depth", "rank", "method"])
-            for e in table.entries:
-                writer.writerow([e.index, _fmt(e.depth), e.rank, table.method])
+            for index, depth, rank in rows:
+                writer.writerow([index, _fmt(depth), rank, table.method])
     elif fmt == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
             "method": table.method,
-            "entries": [
-                {"index": e.index, "depth": e.depth, "rank": e.rank} for e in table.entries
-            ],
+            "entries": [{"index": i, "depth": d, "rank": r} for i, d, r in rows],
         }
         path.write_text(json.dumps(doc, indent=2) + "\n")
     else:
@@ -180,16 +179,17 @@ def load_rank_table_csv(path) -> RankTable:
         header = next(reader, None)
         if header != ["index", "depth", "rank", "method"]:
             raise DataError(f"{path}: not a rank table (header {header})")
-        entries = []
-        method = None
-        for row in reader:
-            if not row:
-                continue
-            entries.append(RankEntry(index=int(row[0]), depth=float(row[1]), rank=int(row[2])))
-            method = row[3]
-    if not entries:
+        rows = [row for row in reader if row]
+    if not rows:
         raise DataError(f"{path}: empty rank table")
-    return RankTable(method=method, entries=tuple(entries))
+    order = np.array([int(row[0]) for row in rows])
+    if not np.array_equal(np.sort(order), np.arange(order.size)):
+        raise DataError(f"{path}: indices are not a permutation of the rows")
+    depths = np.empty(order.size)
+    ranks = np.empty(order.size, dtype=int)
+    depths[order] = [float(row[1]) for row in rows]
+    ranks[order] = [int(row[2]) for row in rows]
+    return RankTable(method=rows[-1][3], order=order, depths=depths, ranks=ranks)
 
 
 def save_contour(grid: ContourGrid, path, fmt: str = "csv") -> None:
@@ -248,35 +248,28 @@ def save_report(report: PropertyReport, path, fmt: str = "json") -> None:
         raise DataError(f"unknown format {fmt!r}")
 
 
-BREAKDOWN_FIELDS = ("omega", "exponent", "marginal_factor", "conditional", "product")
+def save_breakdowns(columns: dict, path, fmt: str = "csv") -> None:
+    """Write per-realization depth decompositions, indexed by row.
 
-
-def save_breakdowns(breakdowns: list[tuple[int, DepthBreakdown]], path, fmt: str = "csv") -> None:
-    """Write per-realization depth decompositions, indexed by row."""
+    ``columns`` maps each name in ``BREAKDOWN_FIELDS``, and optionally
+    ``baseline_mahalanobis``, to one value per realization (as returned by
+    :func:`tppdepth.analysis.depth_breakdown`).
+    """
     path = Path(path)
-    with_baseline = any(b.baseline_mahalanobis is not None for _, b in breakdowns)
+    names = [name for name in (*BREAKDOWN_FIELDS, "baseline_mahalanobis") if name in columns]
+    rows = list(zip(*(np.asarray(columns[name]).tolist() for name in names)))
     if fmt == "csv":
         with path.open("w", newline="") as handle:
             writer = csv.writer(handle)
-            header = ["index", *BREAKDOWN_FIELDS]
-            if with_baseline:
-                header.append("baseline_mahalanobis")
-            writer.writerow(header)
-            for index, b in breakdowns:
-                row = [index] + [_fmt(getattr(b, f)) for f in BREAKDOWN_FIELDS]
-                if with_baseline:
-                    row.append("" if b.baseline_mahalanobis is None else _fmt(b.baseline_mahalanobis))
-                writer.writerow(row)
+            writer.writerow(["index", *names])
+            for index, row in enumerate(rows):
+                writer.writerow([index, *(_fmt(v) for v in row)])
     elif fmt == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
             "entries": [
-                {
-                    "index": index,
-                    **{f: getattr(b, f) for f in BREAKDOWN_FIELDS},
-                    "baseline_mahalanobis": b.baseline_mahalanobis,
-                }
-                for index, b in breakdowns
+                {"index": index, **entry, "baseline_mahalanobis": entry.get("baseline_mahalanobis")}
+                for index, entry in enumerate(dict(zip(names, row)) for row in rows)
             ],
         }
         path.write_text(json.dumps(doc, indent=2) + "\n")

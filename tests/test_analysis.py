@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from tppdepth import (
     DataError,
@@ -43,6 +44,26 @@ class TestCompetitionRanks:
 
     def test_tie_block_skips(self):
         assert list(_competition_ranks(np.array([0.9, 0.5, 0.5, 0.1]))) == [1, 2, 2, 4]
+
+    def test_tie_heavy_matches_rankdata(self):
+        # Repeated values in several runs, then a trailing block of exact
+        # zeros (boundary realizations), as competition ranks see them.
+        rng = np.random.Generator(np.random.Philox(key=31))
+        values = np.concatenate([
+            rng.choice([0.9, 0.5, 0.25, 0.125], size=300),
+            rng.random(100),
+            np.zeros(40),
+        ])
+        ranks = _competition_ranks(values)
+        assert np.array_equal(ranks, rankdata(-values, method="min"))
+        assert np.all(ranks[-40:] == values.size - 39)
+
+    @given(st.lists(st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(min_value=0, max_value=1)),
+                    min_size=1, max_size=60))
+    @settings(max_examples=200)
+    def test_matches_rankdata(self, values):
+        values = np.asarray(values)
+        assert np.array_equal(_competition_ranks(values), rankdata(-values, method="min"))
 
     @given(st.lists(st.floats(min_value=0, max_value=1), min_size=1, max_size=30))
     @settings(max_examples=200)

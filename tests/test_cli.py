@@ -120,6 +120,24 @@ class TestFitDepthRank:
             lines = out.read_text().strip().splitlines()
             assert len(lines) == 101
 
+    @pytest.mark.parametrize("command, method", [("rank", "mahalanobis"), ("depth", "product")])
+    @pytest.mark.parametrize("corrupt", ["nan_cov", "inf_mean"])
+    def test_nonfinite_baseline_is_data_error(self, tmp_path, sample_csv, params_json, capsys,
+                                              command, method, corrupt):
+        doc = json.loads(params_json.read_text())
+        if corrupt == "nan_cov":
+            doc["mahalanobis_cov"][0][1] = float("nan")
+        else:
+            doc["mahalanobis_mean"][0] = float("inf")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))  # written as NaN / Infinity, which json reads back
+        out = tmp_path / "out.csv"
+        code = run(command, "--in", sample_csv, "--params", bad, "--method", method, "--out", out)
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "finite" in err[0]
+        assert not out.exists()
+
     def test_method_typo_is_usage_error(self, tmp_path, sample_csv, params_json, capsys):
         code = run("rank", "--in", sample_csv, "--params", params_json,
                    "--method", "produkt", "--out", tmp_path / "r.csv")

@@ -9,6 +9,7 @@ from tppdepth import (
     DataError,
     DepthParams,
     EventSequence,
+    SampleSet,
     center_times,
     conditional_depth,
     hpp_conditional_depth,
@@ -17,6 +18,16 @@ from tppdepth import (
     marginal_factor,
     omega,
     product_depth,
+)
+from tppdepth.analysis import METHODS, depth_values
+from tppdepth.depth import (
+    BLOCK_ROWS,
+    BREAKDOWN_FIELDS,
+    PARAM_FIELDS,
+    affine_fields,
+    depth_columns,
+    hpp_conditional_column,
+    mahalanobis_column,
 )
 
 from _oracles import (
@@ -32,6 +43,11 @@ from _oracles import (
 @pytest.fixture
 def params():
     return DepthParams.from_moments(start=0.0, mu_last=1.0, var_last=0.25, u_bar=(0.5, 0.5))
+
+
+def bits(values):
+    """The IEEE-754 bit patterns of float64 values, for bitwise comparison."""
+    return np.asarray(values, dtype=np.float64).view(np.int64)
 
 
 def interior_sequences(k=2):
@@ -318,6 +334,20 @@ class TestDepthParams:
         assert q.eta == pytest.approx(2.0 * p.eta + 3.0, rel=1e-15)
         assert q.center == pytest.approx(tuple(2.0 * c + 3.0 for c in p.center), rel=1e-15)
 
+    def test_affine_fields_match_affine_per_row(self):
+        # The per-row map the scale-shift check uses is the same formula
+        # as DepthParams.affine, bit for bit.
+        p = DepthParams.from_moments(start=0.5, mu_last=1.5, var_last=0.4, u_bar=(0.25, 0.75))
+        a = np.array([0.1, 0.5, 2.0, 7.25])
+        b = np.array([9.5, -3.0, 0.0, 4.5])
+        fields = affine_fields(p, a, b)
+        for i in range(a.size):
+            q = p.affine(float(a[i]), float(b[i]))
+            for name in PARAM_FIELDS:
+                expected = np.asarray(getattr(q, name))
+                row = np.broadcast_to(getattr(fields, name), (a.size, *expected.shape))[i]
+                assert np.array_equal(bits(row), bits(expected)), name
+
     def test_identity_transform_is_exact(self):
         # a=1, b=0 must reproduce parameters and depths bitwise: the
         # scale-shift check has exactly zero margin there.
@@ -362,3 +392,69 @@ class TestMahalanobisDepth:
     def test_shape_mismatch(self):
         with pytest.raises(DataError):
             mahalanobis_depth((1.0, 2.0), (1.0,), np.eye(2))
+
+    def test_nonfinite_baseline_rejected(self):
+        # np.linalg.cholesky does not raise on NaN, so this is checked up front.
+        with pytest.raises(DataError, match="finite"):
+            mahalanobis_column(np.ones((3, 2)), (1.0, 2.0), [[1.0, math.nan], [math.nan, 1.0]])
+        with pytest.raises(DataError, match="finite"):
+            mahalanobis_depth((1.0, 2.0), (math.inf, 2.0), np.eye(2))
+
+
+@st.composite
+def samples_with_params(draw):
+    """Small samples with exact zero gaps in some rows, the center as the
+    last row, and parameters with random proportions."""
+    k = draw(st.integers(min_value=1, max_value=6))
+    gap = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=10.0))
+    rows = draw(st.lists(st.lists(gap, min_size=k, max_size=k), min_size=1, max_size=20))
+    weights = np.array(draw(st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=k, max_size=k)))
+    params = DepthParams.from_moments(
+        start=0.0,
+        mu_last=draw(st.floats(min_value=0.1, max_value=10.0)),
+        var_last=draw(st.floats(min_value=0.01, max_value=10.0)),
+        u_bar=weights / weights.sum(),
+    )
+    return SampleSet(0.0, np.vstack([np.cumsum(rows, axis=1), params.center])), params
+
+
+class TestBatchKernel:
+    @given(samples_with_params())
+    @settings(max_examples=100, deadline=None)
+    def test_scalar_is_kernel_row_bit_for_bit(self, case):
+        sample, params = case
+        columns = depth_columns(sample.times, params)
+        for i in range(sample.n):
+            breakdown = product_depth(sample.sequence(i), params)
+            for name in BREAKDOWN_FIELDS:
+                assert bits(getattr(breakdown, name)) == bits(columns[name][i]), (i, name)
+        on_boundary = np.any(sample.gaps() == 0.0, axis=1)
+        assert np.all(columns["conditional"][on_boundary] == 0.0)
+        assert np.all(columns["product"][on_boundary] == 0.0)
+        center = {name: columns[name][-1] for name in BREAKDOWN_FIELDS}
+        assert center == {"omega": 1.0, "exponent": 0.0, "marginal_factor": 1.0,
+                          "conditional": 1.0, "product": 1.0}
+
+    @pytest.mark.parametrize("n", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+    def test_depth_values_unchanged_across_block_size(self, n):
+        rng = np.random.Generator(np.random.Philox(key=17))
+        gaps = rng.exponential(1.0, size=(BLOCK_ROWS + 1, 3))
+        gaps[rng.integers(0, BLOCK_ROWS + 1, size=40), rng.integers(0, 3, size=40)] = 0.0
+        full = SampleSet(0.0, np.cumsum(gaps, axis=1))
+        params = DepthParams.from_moments(start=0.0, mu_last=3.0, var_last=3.0, u_bar=(0.2, 0.3, 0.5))
+        baseline = (full.times.mean(axis=0), np.cov(full.times, rowvar=False))
+        sample = SampleSet(0.0, full.times[:n])
+        last = sample.sequence(n - 1)
+        scalar = {
+            "product": product_depth(last, params).product,
+            "marginal": marginal_factor(last.last, params),
+            "conditional": conditional_depth(last, params),
+            "hpp-conditional": hpp_conditional_depth(last),
+            "mahalanobis": mahalanobis_depth(last.times, *baseline),
+        }
+        for method in METHODS:
+            reference = depth_values(full, params, method, baseline=baseline)
+            values = depth_values(sample, params, method, baseline=baseline)
+            assert np.array_equal(bits(values), bits(reference[:n])), method
+            assert bits(values[-1]) == bits(scalar[method]), method
+        assert np.all(hpp_conditional_column(full.times, 0.0)[np.any(gaps == 0.0, axis=1)] == 0.0)

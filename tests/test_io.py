@@ -165,6 +165,12 @@ class TestRankTableIO:
         loaded = load_rank_table_csv(path)
         assert loaded == table
 
+    def test_csv_indices_must_be_a_permutation(self, tmp_path):
+        path = tmp_path / "rank.csv"
+        path.write_text("index,depth,rank,method\n0,0.5,1,product\n0,0.25,2,product\n")
+        with pytest.raises(DataError, match="permutation"):
+            load_rank_table_csv(path)
+
     def test_json_shape(self, tmp_path, sample):
         params = fit_params(sample)
         table = rank(sample, params, "marginal")
@@ -219,10 +225,10 @@ class TestReportIO:
 
 class TestOtherWriters:
     def test_breakdowns_csv(self, tmp_path, sample):
-        from tppdepth import product_depth
+        from tppdepth import depth_breakdown
 
         params = fit_params(sample)
-        breakdowns = [(i, product_depth(seq, params)) for i, seq in enumerate(sample)]
+        breakdowns = depth_breakdown(sample, params)
         path = tmp_path / "breakdowns.csv"
         save_breakdowns(breakdowns, path, "csv")
         with path.open() as handle:
