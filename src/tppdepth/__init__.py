@@ -26,12 +26,11 @@ from .depth import (
     mahalanobis_depth,
     marginal_depth_d1,
     marginal_factor,
-    omega,
     product_depth,
 )
 from .errors import DataError
 from .estimation import fit_mahalanobis, fit_params
-from .io import emit_results, load_csv, load_params_json, save_params_json, save_sample_csv
+from .io import load_csv, load_params_json, save_params_json, save_sample_csv
 from .sequences import EventSequence, SampleSet
 from .simulate import SimConfig, simulate, simulate_hpp, simulate_state_dependent
 
@@ -55,7 +54,6 @@ __all__ = [
     "contour_grid",
     "depth_breakdown",
     "depth_values",
-    "emit_results",
     "fit_mahalanobis",
     "fit_params",
     "hpp_conditional_depth",
@@ -65,7 +63,6 @@ __all__ = [
     "marginal_depth_d1",
     "marginal_factor",
     "near_boundary_comparison",
-    "omega",
     "product_depth",
     "rank",
     "save_params_json",

@@ -24,6 +24,7 @@ from .depth import (
     hpp_conditional_column,
     mahalanobis_column,
     marginal_depth_d1,
+    require_match,
 )
 from .errors import DataError
 from .estimation import fit_mahalanobis, fit_params
@@ -193,10 +194,7 @@ def _values(method: str, times: np.ndarray, start: float, params, baseline) -> n
 def _require_params(sample: SampleSet, params: DepthParams | None, method: str) -> None:
     if params is None:
         raise DataError(f"method {method!r} needs fitted parameters")
-    if sample.k != params.k:
-        raise DataError(f"sample has k={sample.k} but parameters expect k={params.k}")
-    if sample.start != params.start:
-        raise DataError(f"sample start {sample.start} differs from parameter start {params.start}")
+    require_match(sample, params)
 
 
 def depth_breakdown(
@@ -502,11 +500,8 @@ def verify_properties(
         raise DataError("trials must be at least 1")
     if rays < 1:
         raise DataError("rays must be at least 1")
-    if sample is not None and (sample.k != params.k or sample.start != params.start):
-        raise DataError(
-            f"sample (k={sample.k}, start={sample.start}) does not match "
-            f"parameters (k={params.k}, start={params.start})"
-        )
+    if sample is not None:
+        require_match(sample, params)
     rng = np.random.Generator(np.random.Philox(key=seed))
     checks = (
         _check_boundary_vanishing(rng, params, trials),

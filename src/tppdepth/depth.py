@@ -299,11 +299,17 @@ def mahalanobis_column(times, mean, covariance) -> np.ndarray:
     return out
 
 
+def require_match(data, params: DepthParams) -> None:
+    """Raise a DataError unless ``data`` (an EventSequence or a SampleSet)
+    has the event count and the start time of ``params``."""
+    if data.k != params.k or data.start != params.start:
+        what = "realization" if isinstance(data, EventSequence) else "sample"
+        raise DataError(f"{what} (k={data.k}, start={data.start}) does not match "
+                        f"parameters (k={params.k}, start={params.start})")
+
+
 def _row(seq: EventSequence, params: DepthParams) -> np.ndarray:
-    if seq.k != params.k:
-        raise DataError(f"realization has {seq.k} events but parameters expect {params.k}")
-    if seq.start != params.start:
-        raise DataError(f"realization start {seq.start} differs from parameter start {params.start}")
+    require_match(seq, params)
     return np.array([seq.times])
 
 
@@ -316,18 +322,8 @@ def marginal_depth_d1(last_time: float, params: DepthParams) -> float:
     return float(_marginal(np.array([last_time], dtype=float), params)[0][0])
 
 
-def omega(last_time: float, params: DepthParams) -> float:
-    """Marginal depth normalized by its maximum.
-
-    The one-dimensional Mahalanobis depth peaks at exactly 1, so the
-    normalizer is 1 and this coincides with :func:`marginal_depth_d1`.
-    The function exists to keep the normalization contract explicit.
-    """
-    return marginal_depth_d1(last_time, params)
-
-
 def marginal_factor(last_time: float, params: DepthParams) -> float:
-    """``omega(last_time) ** (|last_time - eta| / (big_m - start))``.
+    """``marginal_depth_d1(last_time) ** (|last_time - eta| / (big_m - start))``.
 
     The exponent is computed first; when it is 0 the factor is 1
     regardless of the base, which keeps the factor continuous at eta.

@@ -2,250 +2,210 @@
 
 Samples are plain CSV matrices, one realization per row, event-time
 columns only; the start time travels out-of-band (a flag or argument)
-because it is shared by the whole dataset. All floating values are
-written with 17 significant digits so files round-trip bit for bit.
+because it is shared by the whole dataset. CSV floats are written with 17
+significant digits and JSON floats as their ``repr``, so files round-trip
+bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import ContourGrid, NearBoundarySummary, PropertyReport, RankTable
-from .depth import BREAKDOWN_FIELDS, DepthParams
+from .depth import BLOCK_ROWS, BREAKDOWN_FIELDS, PARAM_FIELDS, DepthParams
 from .errors import DataError
-from .sequences import SampleSet
+from .sequences import EventTimeError, SampleSet
 
 SCHEMA_VERSION = 1
+# Generator settings a config file may hold, each with its conversion.
+_SIM_SETTINGS = {
+    "kind": str,
+    "rates": lambda rates: tuple(float(r) for r in rates),
+    "k": int,
+    "n": int,
+    "start": float,
+    "seed": int,
+}
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+def _cells(column) -> list:
+    # Cells of a float array carry 17 significant digits; any other cell is
+    # written as the csv module writes it (str).
+    if not isinstance(column, np.ndarray):
+        return column
+    values = column.tolist()
+    return [format(v, ".17g") for v in values] if column.dtype.kind == "f" else values
+
+
+def _write(path, fmt: str, header=None, columns=(), document=None) -> None:
+    """Write one output file; the only code that knows the file formats.
+
+    ``csv``: the ``header`` row (none when it is ``None``), then one row
+    per entry of the equal-length ``columns``, in the csv module's default
+    dialect (``\\r\\n`` line ends); see :func:`_cells`. Rows are written in
+    blocks of ``BLOCK_ROWS``, which bounds the text held at once.
+    ``json``: ``schema_version``, then the fields that ``document()``
+    returns, indented by 2, with a trailing newline; ``document`` is called
+    only for this format.
+    """
+    path = Path(path)
+    if fmt == "csv":
+        with path.open("w", newline="") as handle:
+            writer = csv.writer(handle)
+            if header is not None:
+                writer.writerow(header)
+            for lo in range(0, len(columns[0]), BLOCK_ROWS):
+                writer.writerows(zip(*(_cells(c[lo:lo + BLOCK_ROWS]) for c in columns)))
+    elif fmt == "json":
+        doc = {"schema_version": SCHEMA_VERSION, **document()}
+        path.write_text(json.dumps(doc, indent=2) + "\n")
+    else:
+        raise DataError(f"unknown format {fmt!r}")
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
 
 def load_csv(path, t0: float = 0.0) -> SampleSet:
-    """Read a sample from CSV; an optional header row is skipped.
+    """Read a sample from CSV.
 
-    Rows must be rectangular, numeric, finite, and nondecreasing from t0;
-    errors name the offending row (1-based file line) and column.
+    Blank lines are skipped, and a first row in which no cell is a number
+    is a header. This function only parses cells: :class:`SampleSet`
+    checks the event times, and its errors are reported here with the
+    file's own line number and the column.
     """
     path = Path(path)
+    rows, lines, header = [], [], False
     with path.open(newline="") as handle:
-        raw_rows = [row for row in csv.reader(handle) if row and any(cell.strip() for cell in row)]
-    if not raw_rows:
-        raise DataError(f"{path}: no data rows")
-    first_line = 1
-    try:
-        [float(cell) for cell in raw_rows[0]]
-    except ValueError:
-        raw_rows = raw_rows[1:]
-        first_line = 2
-        if not raw_rows:
-            raise DataError(f"{path}: no data rows after the header") from None
-    k = len(raw_rows[0])
-    rows = []
-    for offset, row in enumerate(raw_rows):
-        line = first_line + offset
-        if len(row) != k:
-            raise DataError(f"{path}: row at line {line} has {len(row)} columns, expected {k}")
-        parsed = []
-        for col, cell in enumerate(row, start=1):
-            try:
-                value = float(cell)
-            except ValueError:
+        reader = csv.reader(handle)
+        for cells in reader:
+            if not any(cell.strip() for cell in cells):
+                continue
+            line = reader.line_num
+            if rows and len(cells) != len(rows[0]):
                 raise DataError(
-                    f"{path}: row at line {line}, column {col}: {cell!r} is not a number"
-                ) from None
-            if not math.isfinite(value):
-                raise DataError(f"{path}: row at line {line}, column {col}: value is not finite")
-            parsed.append(value)
-        previous = float(t0)
-        for col, value in enumerate(parsed, start=1):
-            if value < previous:
-                raise DataError(
-                    f"{path}: row at line {line} is not nondecreasing from t0={t0} at column {col}"
+                    f"{path}: row at line {line} has {len(cells)} columns, expected {len(rows[0])}"
                 )
-            previous = value
-        rows.append(parsed)
-    return SampleSet(float(t0), rows)
+            try:
+                rows.append([float(cell) for cell in cells])
+            except ValueError:
+                numeric = [_is_number(cell) for cell in cells]
+                if not (rows or header or any(numeric)):
+                    header = True
+                    continue
+                col = numeric.index(False)
+                raise DataError(
+                    f"{path}: row at line {line}, column {col + 1}: {cells[col]!r} is not a number"
+                ) from None
+            lines.append(line)
+    if not rows:
+        raise DataError(f"{path}: no data rows" + (" after the header" if header else ""))
+    try:
+        return SampleSet(t0, rows)
+    except EventTimeError as exc:
+        raise DataError(f"{path}: row at line {lines[exc.row]}, column {exc.column}: {exc.reason}") from None
 
 
 def save_sample_csv(sample: SampleSet, path) -> None:
     """Write the sample matrix as headerless CSV (one realization per row)."""
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        for row in sample.times:
-            writer.writerow([_fmt(v) for v in row])
+    _write(path, "csv", columns=list(sample.times.T))
+
+
+def _read_json(path) -> dict:
+    # A JSON object with a schema_version (if any) that this version reads.
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: expected a JSON object")
+    version = doc.get("schema_version", SCHEMA_VERSION)
+    if not isinstance(version, int) or version > SCHEMA_VERSION:
+        raise DataError(f"{path}: schema_version {version!r} is newer than {SCHEMA_VERSION} or not a number")
+    return doc
 
 
 def load_sim_config_json(path) -> dict:
     """Read generator settings from JSON: kind, rates, k, n, start, seed."""
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise DataError(f"{path}: expected a JSON object of generator settings")
-    known = {"kind", "rates", "k", "n", "start", "seed"}
-    unknown = set(doc) - known
+    doc = _read_json(path)
+    unknown = set(doc) - {*_SIM_SETTINGS, "schema_version"}
     if unknown:
         raise DataError(f"{path}: unknown generator settings {sorted(unknown)}")
-    return doc
-
-
-def params_to_dict(params: DepthParams, baseline: tuple | None = None) -> dict:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "k": params.k,
-        "start": params.start,
-        "mu_last": params.mu_last,
-        "var_last": params.var_last,
-        "u_bar": list(params.u_bar),
-        "eta": params.eta,
-        "big_m": params.big_m,
-        "center": list(params.center),
-    }
-    if baseline is not None:
-        mean, cov = baseline
-        doc["mahalanobis_mean"] = [float(v) for v in np.asarray(mean).reshape(-1)]
-        doc["mahalanobis_cov"] = [[float(v) for v in row] for row in np.asarray(cov)]
-    return doc
+    try:
+        return {key: convert(doc[key]) for key, convert in _SIM_SETTINGS.items() if key in doc}
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"{path}: bad generator setting ({exc})") from None
 
 
 def save_params_json(params: DepthParams, path, baseline: tuple | None = None) -> None:
     """Write fitted parameters (and, optionally, the baseline moments)."""
-    Path(path).write_text(json.dumps(params_to_dict(params, baseline), indent=2) + "\n")
+
+    def document():
+        doc = dict(vars(params))
+        if baseline is not None:
+            mean, cov = baseline
+            doc["mahalanobis_mean"] = np.asarray(mean, dtype=float).reshape(-1).tolist()
+            doc["mahalanobis_cov"] = np.asarray(cov, dtype=float).tolist()
+        return doc
+
+    _write(path, "json", document=document)
 
 
 def load_params_json(path) -> tuple[DepthParams, tuple | None]:
     """Read fitted parameters; returns (params, baseline-or-None)."""
-    path = Path(path)
+    doc = _read_json(path)
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: not valid JSON ({exc})") from None
-    try:
-        params = DepthParams(
-            k=doc["k"],
-            start=doc["start"],
-            mu_last=doc["mu_last"],
-            var_last=doc["var_last"],
-            u_bar=tuple(doc["u_bar"]),
-            eta=doc["eta"],
-            big_m=doc["big_m"],
-            center=tuple(doc["center"]),
-        )
+        params = DepthParams(**{field: doc[field] for field in ("k", *PARAM_FIELDS)})
+        baseline = None
+        if "mahalanobis_mean" in doc and "mahalanobis_cov" in doc:
+            baseline = (
+                np.asarray(doc["mahalanobis_mean"], dtype=float),
+                np.asarray(doc["mahalanobis_cov"], dtype=float),
+            )
     except KeyError as exc:
         raise DataError(f"{path}: missing field {exc}") from None
-    baseline = None
-    if "mahalanobis_mean" in doc and "mahalanobis_cov" in doc:
-        baseline = (
-            np.asarray(doc["mahalanobis_mean"], dtype=float),
-            np.asarray(doc["mahalanobis_cov"], dtype=float),
-        )
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"{path}: bad parameters ({exc})") from None
     return params, baseline
 
 
 def save_rank_table(table: RankTable, path, fmt: str = "csv") -> None:
-    path = Path(path)
-    rows = zip(table.order.tolist(), table.depths[table.order].tolist(), table.ranks[table.order].tolist())
-    if fmt == "csv":
-        with path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["index", "depth", "rank", "method"])
-            for index, depth, rank in rows:
-                writer.writerow([index, _fmt(depth), rank, table.method])
-    elif fmt == "json":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "method": table.method,
-            "entries": [{"index": i, "depth": d, "rank": r} for i, d, r in rows],
-        }
-        path.write_text(json.dumps(doc, indent=2) + "\n")
-    else:
-        raise DataError(f"unknown format {fmt!r}")
-
-
-def load_rank_table_csv(path) -> RankTable:
-    path = Path(path)
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["index", "depth", "rank", "method"]:
-            raise DataError(f"{path}: not a rank table (header {header})")
-        rows = [row for row in reader if row]
-    if not rows:
-        raise DataError(f"{path}: empty rank table")
-    order = np.array([int(row[0]) for row in rows])
-    if not np.array_equal(np.sort(order), np.arange(order.size)):
-        raise DataError(f"{path}: indices are not a permutation of the rows")
-    depths = np.empty(order.size)
-    ranks = np.empty(order.size, dtype=int)
-    depths[order] = [float(row[1]) for row in rows]
-    ranks[order] = [int(row[2]) for row in rows]
-    return RankTable(method=rows[-1][3], order=order, depths=depths, ranks=ranks)
+    order = table.order
+    columns = [order, table.depths[order], table.ranks[order], [table.method] * order.size]
+    _write(path, fmt, ["index", "depth", "rank", "method"], columns, lambda: {
+        "method": table.method,
+        "entries": [{"index": i, "depth": d, "rank": r}
+                    for i, d, r in zip(*(c.tolist() for c in columns[:3]))],
+    })
 
 
 def save_contour(grid: ContourGrid, path, fmt: str = "csv") -> None:
-    path = Path(path)
-    if fmt == "csv":
-        # Long form: one node per row.
-        with path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["s1", "s2", "method", "value"])
-            for i, x in enumerate(grid.axis1):
-                for j, y in enumerate(grid.axis2):
-                    writer.writerow([_fmt(x), _fmt(y), grid.method, _fmt(grid.values[i, j])])
-    elif fmt == "json":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "method": grid.method,
-            "axis1": [float(v) for v in grid.axis1],
-            "axis2": [float(v) for v in grid.axis2],
-            "values": [[float(v) for v in row] for row in grid.values],
-        }
-        path.write_text(json.dumps(doc, indent=2) + "\n")
-    else:
-        raise DataError(f"unknown format {fmt!r}")
-
-
-def report_to_dict(report: PropertyReport) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "seed": report.seed,
-        "trials": report.trials,
-        "rays": report.rays,
-        "passed": report.passed,
-        "properties": [
-            {
-                "name": c.name,
-                "trials": c.trials,
-                "violations": c.violations,
-                "worst_margin": c.worst_margin,
-            }
-            for c in report.checks
-        ],
-    }
+    """Write a contour grid: long form in CSV (one node per row), axes and
+    the value matrix in JSON."""
+    axis1, axis2, values = (np.asarray(a, dtype=float) for a in (grid.axis1, grid.axis2, grid.values))
+    columns = [np.repeat(axis1, axis2.size), np.tile(axis2, axis1.size), [grid.method] * values.size,
+               values.ravel()]
+    _write(path, fmt, ["s1", "s2", "method", "value"], columns, lambda: {
+        "method": grid.method, "axis1": axis1.tolist(), "axis2": axis2.tolist(), "values": values.tolist(),
+    })
 
 
 def save_report(report: PropertyReport, path, fmt: str = "json") -> None:
-    path = Path(path)
-    if fmt == "json":
-        path.write_text(json.dumps(report_to_dict(report), indent=2) + "\n")
-    elif fmt == "csv":
-        with path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["name", "trials", "violations", "worst_margin"])
-            for c in report.checks:
-                writer.writerow([c.name, c.trials, c.violations, _fmt(c.worst_margin)])
-    else:
-        raise DataError(f"unknown format {fmt!r}")
+    fields = ("name", "trials", "violations", "worst_margin")
+    names, trials, violations, margins = ([getattr(c, f) for c in report.checks] for f in fields)
+    _write(path, fmt, fields, [names, trials, violations, np.array(margins, dtype=float)], lambda: {
+        "seed": report.seed, "trials": report.trials, "rays": report.rays, "passed": report.passed,
+        "properties": [{f: getattr(c, f) for f in fields} for c in report.checks],
+    })
 
 
 def save_breakdowns(columns: dict, path, fmt: str = "csv") -> None:
@@ -253,48 +213,26 @@ def save_breakdowns(columns: dict, path, fmt: str = "csv") -> None:
 
     ``columns`` maps each name in ``BREAKDOWN_FIELDS``, and optionally
     ``baseline_mahalanobis``, to one value per realization (as returned by
-    :func:`tppdepth.analysis.depth_breakdown`).
+    :func:`tppdepth.analysis.depth_breakdown`). Without a baseline the CSV
+    has no ``baseline_mahalanobis`` column and the JSON holds ``null``.
     """
-    path = Path(path)
     names = [name for name in (*BREAKDOWN_FIELDS, "baseline_mahalanobis") if name in columns]
-    rows = list(zip(*(np.asarray(columns[name]).tolist() for name in names)))
-    if fmt == "csv":
-        with path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["index", *names])
-            for index, row in enumerate(rows):
-                writer.writerow([index, *(_fmt(v) for v in row)])
-    elif fmt == "json":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "entries": [
-                {"index": index, **entry, "baseline_mahalanobis": entry.get("baseline_mahalanobis")}
-                for index, entry in enumerate(dict(zip(names, row)) for row in rows)
-            ],
-        }
-        path.write_text(json.dumps(doc, indent=2) + "\n")
-    else:
-        raise DataError(f"unknown format {fmt!r}")
+    values = [np.asarray(columns[name], dtype=float) for name in names]
+    index = np.arange(len(values[0]))
+    _write(path, fmt, ["index", *names], [index, *values], lambda: {"entries": [
+        {"index": i, **entry, "baseline_mahalanobis": entry.get("baseline_mahalanobis")}
+        for i, entry in enumerate(dict(zip(names, row)) for row in zip(*(v.tolist() for v in values)))
+    ]})
 
 
 def save_values(indices, values, method: str, path, fmt: str = "csv") -> None:
     """Write a plain per-realization value table for one method."""
-    path = Path(path)
-    if fmt == "csv":
-        with path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["index", "method", "value"])
-            for i, v in zip(indices, values):
-                writer.writerow([int(i), method, _fmt(v)])
-    elif fmt == "json":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "method": method,
-            "entries": [{"index": int(i), "value": float(v)} for i, v in zip(indices, values)],
-        }
-        path.write_text(json.dumps(doc, indent=2) + "\n")
-    else:
-        raise DataError(f"unknown format {fmt!r}")
+    index = np.array([int(i) for i in indices])
+    values = np.asarray(values, dtype=float)
+    _write(path, fmt, ["index", "method", "value"], [index, [method] * index.size, values], lambda: {
+        "method": method,
+        "entries": [{"index": i, "value": v} for i, v in zip(index.tolist(), values.tolist())],
+    })
 
 
 def summary_to_dict(summary: NearBoundarySummary) -> dict:
@@ -307,23 +245,3 @@ def summary_to_dict(summary: NearBoundarySummary) -> dict:
         "mean_product_rank": summary.mean_product_rank,
         "mean_mahalanobis_rank": summary.mean_mahalanobis_rank,
     }
-
-
-def emit_results(result, fmt: str, path) -> None:
-    """Write any supported result object to disk in the chosen format."""
-    if isinstance(result, SampleSet):
-        if fmt != "csv":
-            raise DataError("samples are emitted as CSV")
-        save_sample_csv(result, path)
-    elif isinstance(result, RankTable):
-        save_rank_table(result, path, fmt)
-    elif isinstance(result, ContourGrid):
-        save_contour(result, path, fmt)
-    elif isinstance(result, PropertyReport):
-        save_report(result, path, fmt)
-    elif isinstance(result, NearBoundarySummary):
-        if fmt != "json":
-            raise DataError("near-boundary summaries are emitted as JSON")
-        Path(path).write_text(json.dumps(summary_to_dict(result), indent=2) + "\n")
-    else:
-        raise DataError(f"cannot emit object of type {type(result).__name__}")

@@ -15,6 +15,43 @@ import numpy as np
 from .errors import DataError
 
 
+class EventTimeError(DataError):
+    """An event time that is not finite or precedes the time before it.
+
+    ``row`` is the 0-based realization and ``column`` the 1-based event.
+    """
+
+    def __init__(self, row: int, column: int, reason: str):
+        super().__init__(f"realization {row}, column {column}: {reason}")
+        self.row, self.column, self.reason = row, column, reason
+
+
+def check_times(start: float, times: np.ndarray) -> None:
+    """The one check of event times: a nonempty (n, k) matrix, finite and
+    nondecreasing along each row from ``start``.
+
+    A few whole-array reductions decide. Only after a failure is the first
+    bad cell (in row-major order) located; it is raised as an
+    :class:`EventTimeError`.
+    """
+    if times.ndim != 2 or times.shape[0] < 1 or times.shape[1] < 1:
+        raise DataError(f"event times must form a nonempty (n, k) matrix, got shape {times.shape}")
+    if not math.isfinite(start):
+        raise DataError(f"the start time {start} is not finite")
+    if np.isfinite(times).all() and (times[:, 0] >= start).all() and (times[:, 1:] >= times[:, :-1]).all():
+        return
+    previous = np.concatenate([np.full((times.shape[0], 1), start), times[:, :-1]], axis=1)
+    row, col = divmod(int(np.argmax(~(np.isfinite(times) & (times >= previous)))), times.shape[1])
+    value = times[row, col]
+    if not math.isfinite(value):
+        reason = "value is not finite"
+    elif col == 0:
+        reason = f"first event {value} precedes the start t0={start}"
+    else:
+        reason = f"event time {value} precedes the previous event {previous[row, col]}"
+    raise EventTimeError(row, col + 1, reason)
+
+
 @dataclass(frozen=True)
 class EventSequence:
     """One realization: start time and k nondecreasing event times."""
@@ -25,18 +62,7 @@ class EventSequence:
     def __post_init__(self):
         object.__setattr__(self, "start", float(self.start))
         object.__setattr__(self, "times", tuple(float(t) for t in self.times))
-        if len(self.times) == 0:
-            raise DataError("an event sequence needs at least one event")
-        if not math.isfinite(self.start) or not all(math.isfinite(t) for t in self.times):
-            raise DataError("event times must be finite")
-        prev = self.start
-        for i, t in enumerate(self.times):
-            if t < prev:
-                raise DataError(
-                    f"event times must be nondecreasing from the start: "
-                    f"position {i + 1} has {t} after {prev}"
-                )
-            prev = t
+        check_times(self.start, np.array([self.times]))
 
     @property
     def k(self) -> int:
@@ -83,19 +109,7 @@ class SampleSet:
     def __init__(self, start: float, times):
         self.start = float(start)
         arr = np.array(times, dtype=float)
-        if arr.ndim != 2:
-            raise DataError(f"sample times must form an (n, k) matrix, got shape {arr.shape}")
-        n, k = arr.shape
-        if n < 1 or k < 1:
-            raise DataError(f"sample must contain at least one realization and one event, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)) or not math.isfinite(self.start):
-            raise DataError("sample times must be finite")
-        if np.any(arr[:, 0] < self.start):
-            row = int(np.nonzero(arr[:, 0] < self.start)[0][0])
-            raise DataError(f"realization {row}: first event {arr[row, 0]} precedes start {self.start}")
-        if k > 1 and np.any(np.diff(arr, axis=1) < 0):
-            row = int(np.nonzero(np.any(np.diff(arr, axis=1) < 0, axis=1))[0][0])
-            raise DataError(f"realization {row}: event times decrease")
+        check_times(self.start, arr)
         arr.setflags(write=False)
         self.times = arr
 
@@ -126,10 +140,6 @@ class SampleSet:
 
     def sequence(self, i: int) -> EventSequence:
         return EventSequence(self.start, tuple(self.times[i]))
-
-    def __iter__(self):
-        for i in range(self.n):
-            yield self.sequence(i)
 
     def durations(self) -> np.ndarray:
         """Last event time minus start, per realization."""

@@ -85,6 +85,48 @@ class TestSimulate:
         assert run("simulate", "--config", config, "--out", tmp_path / "x.csv") == 2
 
 
+def _single_error_line(capsys, name):
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    return "Traceback" not in err and len(lines) == 1 and lines[0].startswith("error:") and name in lines[0]
+
+
+PARAMS = {"schema_version": 1, "k": 2, "start": 0.0, "mu_last": 1.0, "var_last": 0.25,
+          "u_bar": [0.5, 0.5], "eta": 1.0, "big_m": 1.0, "center": [0.5, 1.0]}
+SIM = {"kind": "hpp", "rates": [2.0], "k": 2, "n": 5}
+
+
+class TestMalformedInputs:
+    def test_mixed_first_row_is_not_a_header(self, tmp_path, capsys):
+        path = tmp_path / "data.csv"
+        path.write_text("0.5,abc\n1,2\n3,6\n2,5\n")
+        assert run("fit", "--in", path, "--params-out", tmp_path / "p.json") == 2
+        assert _single_error_line(capsys, "line 1, column 2")
+        assert not (tmp_path / "p.json").exists()
+
+    @pytest.mark.parametrize("command, doc", [
+        ("params", {**PARAMS, "u_bar": "ab"}),
+        ("params", {**PARAMS, "k": None}),
+        ("params", {**PARAMS, "eta": None}),
+        ("params", [PARAMS]),
+        ("params", {**PARAMS, "schema_version": 99}),
+        ("config", {**SIM, "k": "x"}),
+        ("config", {**SIM, "rates": 5}),
+        ("config", {**SIM, "start": "a"}),
+        ("config", {**SIM, "schema_version": 99}),
+    ], ids=["u_bar-string", "k-null", "eta-null", "top-level-list", "params-schema-99",
+            "k-string", "rates-number", "start-string", "config-schema-99"])
+    def test_bad_json_is_data_error(self, tmp_path, capsys, command, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        if command == "params":
+            argv = ("verify", "--params", path, "--trials", "10", "--rays", "2")
+        else:
+            argv = ("simulate", "--config", path, "--out", tmp_path / "x.csv")
+        assert run(*argv) == 2
+        assert _single_error_line(capsys, str(path))
+
+
 class TestFitDepthRank:
     def test_fit_writes_params_with_baseline(self, params_json):
         doc = json.loads(params_json.read_text())

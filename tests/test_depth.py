@@ -16,7 +16,6 @@ from tppdepth import (
     mahalanobis_depth,
     marginal_depth_d1,
     marginal_factor,
-    omega,
     product_depth,
 )
 from tppdepth.analysis import METHODS, depth_values
@@ -78,13 +77,9 @@ class TestMarginalDepth:
                 direct_marginal(last, 0.0, 1.0, 0.25), rel=1e-12
             )
 
-    def test_omega_equals_marginal(self, params):
-        for last in (0.2, 1.0, 3.0):
-            assert omega(last, params) == marginal_depth_d1(last, params)
-
     def test_omega_one_sigma(self):
         p = DepthParams.from_moments(start=0.0, mu_last=2.0, var_last=1.0, u_bar=(1.0,))
-        assert omega(3.0, p) == 0.5
+        assert marginal_depth_d1(3.0, p) == 0.5
 
 
 class TestMarginalFactor:

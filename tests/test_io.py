@@ -1,15 +1,16 @@
 import csv
 import json
 import math
+import textwrap
 
 import numpy as np
 import pytest
 
 from tppdepth import (
     DataError,
+    DepthParams,
     SampleSet,
     SimConfig,
-    emit_results,
     fit_mahalanobis,
     fit_params,
     load_csv,
@@ -21,8 +22,22 @@ from tppdepth import (
     simulate_hpp,
     verify_properties,
 )
-from tppdepth.analysis import PROPERTY_NAMES, contour_grid
-from tppdepth.io import load_rank_table_csv, save_breakdowns, save_values
+from tppdepth.analysis import (
+    PROPERTY_NAMES,
+    ContourGrid,
+    PropertyCheck,
+    PropertyReport,
+    RankTable,
+    contour_grid,
+)
+from tppdepth.io import (
+    save_breakdowns,
+    save_contour,
+    save_rank_table,
+    save_report,
+    save_values,
+    summary_to_dict,
+)
 
 
 @pytest.fixture
@@ -48,6 +63,12 @@ class TestLoadCsv:
         path = tmp_path / "data.csv"
         path.write_text("1,2\n2,1\n")
         with pytest.raises(DataError, match="line 2"):
+            load_csv(path)
+
+    def test_error_names_file_line_after_blank_lines(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("1,2\n\n\n2,1\n")
+        with pytest.raises(DataError, match="line 4, column 2"):
             load_csv(path)
 
     def test_t0_checked(self, tmp_path):
@@ -98,12 +119,10 @@ class TestSampleRoundTrip:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == sample.n
 
-    def test_emit_results_dispatch(self, tmp_path, sample):
+    def test_save_sample_csv_loads_back(self, tmp_path, sample):
         path = tmp_path / "sample.csv"
-        emit_results(sample, "csv", path)
+        save_sample_csv(sample, path)
         assert load_csv(path, t0=sample.start).n == sample.n
-        with pytest.raises(DataError):
-            emit_results(sample, "json", tmp_path / "sample.json")
 
 
 class TestParamsJson:
@@ -152,7 +171,7 @@ class TestRankTableIO:
         params = fit_params(sample)
         table = rank(sample, params, "product")
         path = tmp_path / "rank.csv"
-        emit_results(table, "csv", path)
+        save_rank_table(table, path, "csv")
         lines = path.read_text().strip().splitlines()
         assert len(lines) == sample.n + 1
         assert lines[0] == "index,depth,rank,method"
@@ -161,21 +180,35 @@ class TestRankTableIO:
         params = fit_params(sample)
         table = rank(sample, params, "conditional")
         path = tmp_path / "rank.csv"
-        emit_results(table, "csv", path)
-        loaded = load_rank_table_csv(path)
-        assert loaded == table
+        save_rank_table(table, path, "csv")
+        with path.open(newline="") as handle:
+            header, *rows = list(csv.reader(handle))
+        assert header == ["index", "depth", "rank", "method"]
+        order = np.array([int(row[0]) for row in rows])
+        depths = np.empty(order.size)
+        ranks = np.empty(order.size, dtype=int)
+        depths[order] = [float(row[1]) for row in rows]
+        ranks[order] = [int(row[2]) for row in rows]
+        assert {row[3] for row in rows} == {"conditional"}
+        assert RankTable("conditional", order, depths, ranks) == table
 
-    def test_csv_indices_must_be_a_permutation(self, tmp_path):
+    def test_csv_indices_must_be_a_permutation(self, tmp_path, sample):
+        # Tied rows (a zero first gap puts a row on the boundary) still get
+        # one line each, so the index column is a permutation of the rows.
+        times = np.array(sample.times)
+        times[::3, 0] = sample.start
+        tied = SampleSet(sample.start, times)
         path = tmp_path / "rank.csv"
-        path.write_text("index,depth,rank,method\n0,0.5,1,product\n0,0.25,2,product\n")
-        with pytest.raises(DataError, match="permutation"):
-            load_rank_table_csv(path)
+        save_rank_table(rank(tied, fit_params(sample), "product"), path, "csv")
+        with path.open(newline="") as handle:
+            rows = list(csv.reader(handle))[1:]
+        assert sorted(int(row[0]) for row in rows) == list(range(tied.n))
 
     def test_json_shape(self, tmp_path, sample):
         params = fit_params(sample)
         table = rank(sample, params, "marginal")
         path = tmp_path / "rank.json"
-        emit_results(table, "json", path)
+        save_rank_table(table, path, "json")
         doc = json.loads(path.read_text())
         assert doc["method"] == "marginal"
         assert len(doc["entries"]) == sample.n
@@ -186,7 +219,7 @@ class TestContourIO:
         params = fit_params(sample)
         grid = contour_grid(params, "product", (0.0, 2.0), (0.0, 2.0), 5)
         path = tmp_path / "contour.csv"
-        emit_results(grid, "csv", path)
+        save_contour(grid, path, "csv")
         with path.open() as handle:
             rows = list(csv.reader(handle))
         assert rows[0] == ["s1", "s2", "method", "value"]
@@ -198,7 +231,7 @@ class TestContourIO:
         params = fit_params(sample)
         grid = contour_grid(params, "conditional", (0.0, 2.0), (0.5, 2.5), 7)
         path = tmp_path / "contour.json"
-        emit_results(grid, "json", path)
+        save_contour(grid, path, "json")
         doc = json.loads(path.read_text())
         np.testing.assert_array_equal(np.array(doc["values"]), grid.values)
 
@@ -208,7 +241,7 @@ class TestReportIO:
         params = fit_params(sample)
         report = verify_properties(params, trials=50, seed=1, rays=5)
         path = tmp_path / "report.json"
-        emit_results(report, "json", path)
+        save_report(report, path, "json")
         doc = json.loads(path.read_text())
         assert [p["name"] for p in doc["properties"]] == list(PROPERTY_NAMES)
         assert doc["passed"] is True
@@ -218,7 +251,7 @@ class TestReportIO:
         params = fit_params(sample)
         report = verify_properties(params, trials=20, seed=1, rays=3)
         path = tmp_path / "report.csv"
-        emit_results(report, "csv", path)
+        save_report(report, path, "csv")
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1 + len(PROPERTY_NAMES)
 
@@ -243,18 +276,12 @@ class TestOtherWriters:
         assert lines[0] == "index,method,value"
         assert lines[1] == "0,marginal,0.25"
 
-    def test_summary_json(self, tmp_path, sample):
+    def test_summary_json(self, sample):
         params = fit_params(sample)
         summary = near_boundary_comparison(sample, params, 0.5)
-        path = tmp_path / "summary.json"
-        emit_results(summary, "json", path)
-        doc = json.loads(path.read_text())
+        doc = json.loads(json.dumps(summary_to_dict(summary)))
         assert doc["threshold"] == 0.5
         assert doc["subset_size"] == len(doc["indices"])
-
-    def test_unsupported_object(self, tmp_path):
-        with pytest.raises(DataError):
-            emit_results(object(), "csv", tmp_path / "x.csv")
 
 
 class TestSeventeenDigits:
@@ -265,3 +292,237 @@ class TestSeventeenDigits:
         save_sample_csv(sample, path)
         loaded = load_csv(path)
         assert np.array_equal(loaded.times, sample.times)
+
+
+def _json_text(body: str) -> str:
+    return textwrap.dedent(body).lstrip("\n")
+
+
+_COLUMNS = {
+    "omega": [0.5, 1.0],
+    "exponent": [0.25, 0.0],
+    "marginal_factor": [0.8408964152537145, 1.0],
+    "conditional": [1 / 3, 1.0],
+    "product": [0.2802988050845715, 1.0],
+}
+
+_BREAKDOWN_JSON = """
+    {
+      "schema_version": 1,
+      "entries": [
+        {
+          "index": 0,
+          "omega": 0.5,
+          "exponent": 0.25,
+          "marginal_factor": 0.8408964152537145,
+          "conditional": 0.3333333333333333,
+          "product": 0.2802988050845715,
+          "baseline_mahalanobis": %s
+        },
+        {
+          "index": 1,
+          "omega": 1.0,
+          "exponent": 0.0,
+          "marginal_factor": 1.0,
+          "conditional": 1.0,
+          "product": 1.0,
+          "baseline_mahalanobis": %s
+        }
+      ]
+    }
+"""
+
+
+def _write_rank_table(path, fmt):
+    table = RankTable("product", np.array([1, 0, 2]), np.array([0.5, 0.75, 0.0]), np.array([2, 1, 3]))
+    save_rank_table(table, path, fmt)
+
+
+def _write_values(path, fmt):
+    save_values([0, 1], [0.25, 1 / 3], "marginal", path, fmt)
+
+
+def _write_breakdowns(path, fmt):
+    save_breakdowns(_COLUMNS, path, fmt)
+
+
+def _write_breakdowns_with_baseline(path, fmt):
+    save_breakdowns({**_COLUMNS, "baseline_mahalanobis": [0.1, 0.9]}, path, fmt)
+
+
+def _write_contour(path, fmt):
+    values = np.array([[0.1, 0.0], [1 / 3, 1.0]])
+    save_contour(ContourGrid("conditional", np.array([0.0, 1.0]), np.array([0.5, 1.5]), values), path, fmt)
+
+
+def _write_report(path, fmt):
+    checks = (PropertyCheck("P1-boundary", 3, 0, 0.0), PropertyCheck("P2", 3, 1, 1e-9))
+    save_report(PropertyReport(seed=1, trials=3, rays=2, checks=checks), path, fmt)
+
+
+def _write_sample(path, fmt):
+    save_sample_csv(SampleSet(0.0, [[0.1, 1 / 3], [1.0, 2.0000000000000004]]), path)
+
+
+def _write_params(path, fmt):
+    params = DepthParams.from_moments(start=0.0, mu_last=2.0, var_last=1 / 3, u_bar=(0.25, 0.75))
+    baseline = (np.array([0.5, 2.0]), np.array([[1.0, 0.5], [0.5, 2.0]]))
+    save_params_json(params, path, baseline=baseline)
+
+
+EXACT_BYTES = [
+    (_write_rank_table, "csv",
+     "index,depth,rank,method\r\n1,0.75,1,product\r\n0,0.5,2,product\r\n2,0,3,product\r\n"),
+    (_write_rank_table, "json", _json_text("""
+        {
+          "schema_version": 1,
+          "method": "product",
+          "entries": [
+            {
+              "index": 1,
+              "depth": 0.75,
+              "rank": 1
+            },
+            {
+              "index": 0,
+              "depth": 0.5,
+              "rank": 2
+            },
+            {
+              "index": 2,
+              "depth": 0.0,
+              "rank": 3
+            }
+          ]
+        }
+    """)),
+    (_write_values, "csv", "index,method,value\r\n0,marginal,0.25\r\n1,marginal,0.33333333333333331\r\n"),
+    (_write_values, "json", _json_text("""
+        {
+          "schema_version": 1,
+          "method": "marginal",
+          "entries": [
+            {
+              "index": 0,
+              "value": 0.25
+            },
+            {
+              "index": 1,
+              "value": 0.3333333333333333
+            }
+          ]
+        }
+    """)),
+    (_write_breakdowns, "csv",
+     "index,omega,exponent,marginal_factor,conditional,product\r\n"
+     "0,0.5,0.25,0.8408964152537145,0.33333333333333331,0.2802988050845715\r\n"
+     "1,1,0,1,1,1\r\n"),
+    (_write_breakdowns, "json", _json_text(_BREAKDOWN_JSON % ("null", "null"))),
+    (_write_breakdowns_with_baseline, "csv",
+     "index,omega,exponent,marginal_factor,conditional,product,baseline_mahalanobis\r\n"
+     "0,0.5,0.25,0.8408964152537145,0.33333333333333331,0.2802988050845715,0.10000000000000001\r\n"
+     "1,1,0,1,1,1,0.90000000000000002\r\n"),
+    (_write_breakdowns_with_baseline, "json", _json_text(_BREAKDOWN_JSON % ("0.1", "0.9"))),
+    (_write_contour, "csv",
+     "s1,s2,method,value\r\n0,0.5,conditional,0.10000000000000001\r\n0,1.5,conditional,0\r\n"
+     "1,0.5,conditional,0.33333333333333331\r\n1,1.5,conditional,1\r\n"),
+    (_write_contour, "json", _json_text("""
+        {
+          "schema_version": 1,
+          "method": "conditional",
+          "axis1": [
+            0.0,
+            1.0
+          ],
+          "axis2": [
+            0.5,
+            1.5
+          ],
+          "values": [
+            [
+              0.1,
+              0.0
+            ],
+            [
+              0.3333333333333333,
+              1.0
+            ]
+          ]
+        }
+    """)),
+    (_write_report, "csv", "name,trials,violations,worst_margin\r\nP1-boundary,3,0,0\r\nP2,3,1,1.0000000000000001e-09\r\n"),
+    (_write_report, "json", _json_text("""
+        {
+          "schema_version": 1,
+          "seed": 1,
+          "trials": 3,
+          "rays": 2,
+          "passed": false,
+          "properties": [
+            {
+              "name": "P1-boundary",
+              "trials": 3,
+              "violations": 0,
+              "worst_margin": 0.0
+            },
+            {
+              "name": "P2",
+              "trials": 3,
+              "violations": 1,
+              "worst_margin": 1e-09
+            }
+          ]
+        }
+    """)),
+    (_write_sample, "csv", "0.10000000000000001,0.33333333333333331\r\n1,2.0000000000000004\r\n"),
+    (_write_params, "json", _json_text("""
+        {
+          "schema_version": 1,
+          "k": 2,
+          "start": 0.0,
+          "mu_last": 2.0,
+          "var_last": 0.3333333333333333,
+          "u_bar": [
+            0.25,
+            0.75
+          ],
+          "eta": 2.0,
+          "big_m": 2.0,
+          "center": [
+            0.5,
+            2.0
+          ],
+          "mahalanobis_mean": [
+            0.5,
+            2.0
+          ],
+          "mahalanobis_cov": [
+            [
+              1.0,
+              0.5
+            ],
+            [
+              0.5,
+              2.0
+            ]
+          ]
+        }
+    """)),
+]
+
+
+class TestExactBytes:
+    """Every writer's file, byte for byte, from literal inputs."""
+
+    @pytest.mark.parametrize("write, fmt, expected", EXACT_BYTES,
+                             ids=[f"{w.__name__[7:]}-{fmt}" for w, fmt, _ in EXACT_BYTES])
+    def test_file_bytes(self, tmp_path, write, fmt, expected):
+        path = tmp_path / f"out.{fmt}"
+        write(path, fmt)
+        assert path.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("write", [_write_rank_table, _write_values, _write_breakdowns,
+                                       _write_contour, _write_report])
+    def test_unknown_format(self, tmp_path, write):
+        with pytest.raises(DataError, match="unknown format 'xml'"):
+            write(tmp_path / "out.xml", "xml")

@@ -55,7 +55,7 @@ class TestSampleSet:
         seqs = [EventSequence(0.0, (1.0, 2.0)), EventSequence(0.0, (3.0, 6.0))]
         sample = SampleSet.from_sequences(seqs)
         assert sample.n == 2
-        assert list(sample)[0].times == (1.0, 2.0)
+        assert sample.sequence(0).times == (1.0, 2.0)
 
     def test_mixed_start_rejected(self):
         seqs = [EventSequence(0.0, (1.0,)), EventSequence(1.0, (2.0,))]
@@ -69,6 +69,15 @@ class TestSampleSet:
     def test_decreasing_row_rejected(self):
         with pytest.raises(DataError, match="realization 0"):
             SampleSet(0.0, [[2.0, 1.0]])
+
+    @pytest.mark.parametrize("times, where", [
+        ([[1.0, 2.0, 3.0], [1.0, 3.0, 2.0]], "realization 1, column 3"),
+        ([[1.0, 2.0], [float("nan"), 3.0], [2.0, 1.0]], "realization 1, column 1: value is not finite"),
+        ([[1.0, float("inf")]], "realization 0, column 2: value is not finite"),
+    ])
+    def test_error_names_first_bad_cell(self, times, where):
+        with pytest.raises(DataError, match=where):
+            SampleSet(0.0, times)
 
     def test_times_are_read_only(self):
         sample = SampleSet(0.0, [[1.0, 2.0]])
