@@ -10,7 +10,10 @@ bit for bit.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import warnings
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -21,24 +24,55 @@ from .errors import DataError
 from .sequences import EventTimeError, SampleSet
 
 SCHEMA_VERSION = 1
-# Generator settings a config file may hold, each with its conversion.
+
+
+def _json_number(value) -> bool:
+    # A JSON number; JSON true and false load as bool, a subclass of int.
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _json_integer(value) -> bool:
+    # A JSON integer, or a float with an integer value such as 1e5.
+    return _json_number(value) and (isinstance(value, int) or value.is_integer())
+
+
+# Generator settings a config file may hold: the JSON type each must have, a
+# test of it, and the conversion.
 _SIM_SETTINGS = {
-    "kind": str,
-    "rates": lambda rates: tuple(float(r) for r in rates),
-    "k": int,
-    "n": int,
-    "start": float,
-    "seed": int,
+    "kind": ("a string", lambda v: isinstance(v, str), str),
+    "rates": ("a list of numbers", lambda v: isinstance(v, list) and all(map(_json_number, v)),
+              lambda v: tuple(map(float, v))),
+    "k": ("an integer", _json_integer, int),
+    "n": ("an integer", _json_integer, int),
+    "start": ("a number", _json_number, float),
+    "seed": ("an integer", _json_integer, int),
 }
 
 
-def _cells(column) -> list:
-    # Cells of a float array carry 17 significant digits; any other cell is
-    # written as the csv module writes it (str).
-    if not isinstance(column, np.ndarray):
-        return column
-    values = column.tolist()
-    return [format(v, ".17g") for v in values] if column.dtype.kind == "f" else values
+# Cell formats of numeric array columns; any other column is written as the
+# csv module writes it (see _cell_text).
+_CELL_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d"}
+
+
+def _cell_text(cell, lone: bool) -> str:
+    # The csv module's text for one cell, quoted where it needs quotes. A row
+    # made of one empty cell is written as "", so a lone column is rendered
+    # alone and any other with an empty neighbour.
+    buffer = StringIO()
+    csv.writer(buffer).writerow([cell] if lone else [cell, None])
+    return buffer.getvalue()[:-2 if lone else -3]
+
+
+def _cells(column, lone: bool) -> tuple[str, list]:
+    # The format of one cell of ``column`` and the values it formats.
+    if isinstance(column, np.ndarray) and column.dtype.kind in _CELL_FORMATS:
+        return _CELL_FORMATS[column.dtype.kind], column.tolist()
+    values = column.tolist() if isinstance(column, np.ndarray) else list(column)
+    # Keyed by identity: equal cells such as 0.0 and -0.0, or 1 and True,
+    # may be written differently.
+    distinct = {id(cell): cell for cell in values}
+    texts = {key: _cell_text(cell, lone) for key, cell in distinct.items()}
+    return "%s", [texts[id(cell)] for cell in values]
 
 
 def _write(path, fmt: str, header=None, columns=(), document=None) -> None:
@@ -46,20 +80,28 @@ def _write(path, fmt: str, header=None, columns=(), document=None) -> None:
 
     ``csv``: the ``header`` row (none when it is ``None``), then one row
     per entry of the equal-length ``columns``, in the csv module's default
-    dialect (``\\r\\n`` line ends); see :func:`_cells`. Rows are written in
-    blocks of ``BLOCK_ROWS``, which bounds the text held at once.
+    dialect (``\\r\\n`` line ends). Float arrays are written as ``%.17g``,
+    integer arrays as ``%d``, and the cells of any other column exactly as
+    the csv module writes them. Each block of ``BLOCK_ROWS`` rows becomes
+    text in one ``%`` format over its cells, which also bounds the text
+    held at once.
     ``json``: ``schema_version``, then the fields that ``document()``
     returns, indented by 2, with a trailing newline; ``document`` is called
     only for this format.
     """
     path = Path(path)
     if fmt == "csv":
+        width = len(columns)
         with path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
             if header is not None:
-                writer.writerow(header)
+                csv.writer(handle).writerow(header)
             for lo in range(0, len(columns[0]), BLOCK_ROWS):
-                writer.writerows(zip(*(_cells(c[lo:lo + BLOCK_ROWS]) for c in columns)))
+                formats, cells = zip(*(_cells(c[lo:lo + BLOCK_ROWS], width == 1) for c in columns))
+                rows = len(cells[0])
+                flat = [None] * (rows * width)
+                for j, column in enumerate(cells):
+                    flat[j::width] = column
+                handle.write((",".join(formats) + "\r\n") * rows % tuple(flat))
     elif fmt == "json":
         doc = {"schema_version": SCHEMA_VERSION, **document()}
         path.write_text(json.dumps(doc, indent=2) + "\n")
@@ -75,15 +117,30 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def load_csv(path, t0: float = 0.0) -> SampleSet:
-    """Read a sample from CSV.
+def _read_matrix(handle) -> np.ndarray:
+    # The sample matrix by numpy's C parser, after the header rule of
+    # load_csv. Raises ValueError (or loadtxt's empty-input UserWarning) on
+    # any file it might not read as the row parser does: a quote in the
+    # first row, and whatever loadtxt refuses.
+    lines = iter(handle)
+    for line in lines:
+        cells = line.split(",")
+        if any(cell.strip() for cell in cells):
+            break
+    else:
+        raise ValueError("no data rows")
+    if '"' in line:
+        raise ValueError("a quoted first row")
+    rows = itertools.chain([line], lines) if any(map(_is_number, cells)) else lines
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, dtype=float)
 
-    Blank lines are skipped, and a first row in which no cell is a number
-    is a header. This function only parses cells: :class:`SampleSet`
-    checks the event times, and its errors are reported here with the
-    file's own line number and the column.
-    """
-    path = Path(path)
+
+def _load_csv_rows(path: Path, t0: float) -> SampleSet:
+    # The row parser: the csv module and float() cell by cell. It reads what
+    # the C parser refuses (such as 1_000 or quoted cells) and names the
+    # file's line and column of every error.
     rows, lines, header = [], [], False
     with path.open(newline="") as handle:
         reader = csv.reader(handle)
@@ -115,6 +172,23 @@ def load_csv(path, t0: float = 0.0) -> SampleSet:
         raise DataError(f"{path}: row at line {lines[exc.row]}, column {exc.column}: {exc.reason}") from None
 
 
+def load_csv(path, t0: float = 0.0) -> SampleSet:
+    """Read a sample from CSV.
+
+    Blank lines are skipped, and a first row in which no cell is a number
+    is a header. numpy's C parser reads the matrix. When it refuses the
+    file, or :class:`SampleSet` rejects the event times, the row parser
+    reads the file again: it accepts what ``float()`` accepts, and its
+    errors name the file's own line number and the column.
+    """
+    path = Path(path)
+    try:
+        with path.open(newline="") as handle:
+            return SampleSet(t0, _read_matrix(handle))
+    except (ValueError, UserWarning):
+        return _load_csv_rows(path, t0)
+
+
 def save_sample_csv(sample: SampleSet, path) -> None:
     """Write the sample matrix as headerless CSV (one realization per row)."""
     _write(path, "csv", columns=list(sample.times.T))
@@ -135,15 +209,25 @@ def _read_json(path) -> dict:
 
 
 def load_sim_config_json(path) -> dict:
-    """Read generator settings from JSON: kind, rates, k, n, start, seed."""
+    """Read generator settings from JSON: ``kind`` (a string), ``rates`` (a
+    list of numbers), ``k``, ``n`` and ``seed`` (integers, or floats with an
+    integer value such as ``1e5``) and ``start`` (a number)."""
     doc = _read_json(path)
     unknown = set(doc) - {*_SIM_SETTINGS, "schema_version"}
     if unknown:
         raise DataError(f"{path}: unknown generator settings {sorted(unknown)}")
+    return {key: _sim_setting(path, key, value) for key, value in doc.items() if key != "schema_version"}
+
+
+def _sim_setting(path, key: str, value):
+    # One generator setting of a config file, checked against its JSON type.
+    expected, valid, convert = _SIM_SETTINGS[key]
     try:
-        return {key: convert(doc[key]) for key, convert in _SIM_SETTINGS.items() if key in doc}
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"{path}: bad generator setting ({exc})") from None
+        if valid(value):
+            return convert(value)
+    except OverflowError:  # an integer too large for a float
+        pass
+    raise DataError(f"{path}: generator setting {key!r} must be {expected}, got {value!r}")
 
 
 def save_params_json(params: DepthParams, path, baseline: tuple | None = None) -> None:
@@ -161,8 +245,16 @@ def save_params_json(params: DepthParams, path, baseline: tuple | None = None) -
 
 
 def load_params_json(path) -> tuple[DepthParams, tuple | None]:
-    """Read fitted parameters; returns (params, baseline-or-None)."""
+    """Read fitted parameters; returns (params, baseline-or-None).
+
+    The file holds ``k``, the fields ``PARAM_FIELDS``, and optionally
+    ``schema_version`` and the baseline (``mahalanobis_mean`` with
+    ``mahalanobis_cov``); any other key is an error.
+    """
     doc = _read_json(path)
+    unknown = set(doc) - {"schema_version", "k", *PARAM_FIELDS, "mahalanobis_mean", "mahalanobis_cov"}
+    if unknown:
+        raise DataError(f"{path}: unknown params keys {sorted(unknown)}")
     try:
         params = DepthParams(**{field: doc[field] for field in ("k", *PARAM_FIELDS)})
         baseline = None

@@ -108,7 +108,10 @@ class SampleSet:
 
     def __init__(self, start: float, times):
         self.start = float(start)
-        arr = np.array(times, dtype=float)
+        try:
+            arr = np.array(times, dtype=float)
+        except ValueError as exc:  # ragged rows, or a cell that is not a number
+            raise DataError(f"event times must form an (n, k) matrix of numbers ({exc})") from None
         check_times(self.start, arr)
         arr.setflags(write=False)
         self.times = arr

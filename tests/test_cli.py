@@ -110,11 +110,12 @@ class TestMalformedInputs:
         ("params", {**PARAMS, "eta": None}),
         ("params", [PARAMS]),
         ("params", {**PARAMS, "schema_version": 99}),
+        ("params", {**PARAMS, "provenance": {"n": 5}}),
         ("config", {**SIM, "k": "x"}),
         ("config", {**SIM, "rates": 5}),
         ("config", {**SIM, "start": "a"}),
         ("config", {**SIM, "schema_version": 99}),
-    ], ids=["u_bar-string", "k-null", "eta-null", "top-level-list", "params-schema-99",
+    ], ids=["u_bar-string", "k-null", "eta-null", "top-level-list", "params-schema-99", "params-unknown-key",
             "k-string", "rates-number", "start-string", "config-schema-99"])
     def test_bad_json_is_data_error(self, tmp_path, capsys, command, doc):
         path = tmp_path / "bad.json"
@@ -125,6 +126,34 @@ class TestMalformedInputs:
             argv = ("simulate", "--config", path, "--out", tmp_path / "x.csv")
         assert run(*argv) == 2
         assert _single_error_line(capsys, str(path))
+
+
+class TestConfigTypes:
+    """A --config value must have its JSON type; nothing is converted."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("k", 2.7), ("k", True), ("k", "2"), ("n", "5"), ("n", None), ("seed", 1.9), ("seed", False),
+        ("rates", "12"), ("rates", [2.0, "3"]), ("rates", [True]), ("rates", {"a": 2.0}),
+        ("kind", 1), ("start", True), ("start", "0"), ("start", 10 ** 400),
+    ], ids=["k-float", "k-bool", "k-string", "n-string", "n-null", "seed-float", "seed-bool", "rates-string",
+            "rates-mixed-list", "rates-bool-list", "rates-object", "kind-number", "start-bool", "start-string",
+            "start-huge-int"])
+    def test_wrong_type_is_data_error(self, tmp_path, capsys, key, value):
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps({**SIM, key: value}))
+        assert run("simulate", "--config", path, "--out", tmp_path / "x.csv") == 2
+        assert _single_error_line(capsys, f"{path}: generator setting {key!r}")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_integral_floats_load(self, tmp_path):
+        path = tmp_path / "sim.json"
+        path.write_text('{"kind": "hpp", "rates": [2], "k": 2.0, "n": 3e1, "seed": 7.0, "start": 0}')
+        from_config = tmp_path / "a.csv"
+        assert run("simulate", "--config", path, "--out", from_config) == 0
+        from_flags = tmp_path / "b.csv"
+        assert run("simulate", "--kind", "hpp", "--rates", "2", "--k", "2",
+                   "--n", "30", "--seed", "7", "--out", from_flags) == 0
+        assert from_config.read_bytes() == from_flags.read_bytes()
 
 
 class TestFitDepthRank:

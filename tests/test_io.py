@@ -1,10 +1,13 @@
 import csv
 import json
 import math
+import re
 import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from tppdepth import (
     DataError,
@@ -30,7 +33,11 @@ from tppdepth.analysis import (
     RankTable,
     contour_grid,
 )
+from tppdepth.depth import BLOCK_ROWS
 from tppdepth.io import (
+    _load_csv_rows,
+    _read_matrix,
+    _write,
     save_breakdowns,
     save_contour,
     save_rank_table,
@@ -106,6 +113,91 @@ class TestLoadCsv:
             load_csv(tmp_path / "nope.csv")
 
 
+# Exact messages of load_csv for malformed files, recorded before numpy's
+# parser was added; "{path}" stands for the file.
+MALFORMED_CSV = [
+    ("mixed-first-row", "0.5,abc\n1,2\n3,6\n", 0.0, "{path}: row at line 1, column 2: 'abc' is not a number"),
+    ("text-then-number-first-row", "abc,0.5\n1,2\n", 0.0, "{path}: row at line 1, column 1: 'abc' is not a number"),
+    ("quoted-first-row", '"1",x\n2,3\n', 0.0, "{path}: row at line 1, column 2: 'x' is not a number"),
+    ("ragged-row", "1,2\n3,4\n5,6,7\n", 0.0, "{path}: row at line 3 has 3 columns, expected 2"),
+    ("ragged-row-cr", "1,2\r3\r", 0.0, "{path}: row at line 2 has 1 columns, expected 2"),
+    ("empty-cell", "1,2\n3,\n", 0.0, "{path}: row at line 2, column 2: '' is not a number"),
+    ("trailing-comma", "1,2,\n3,4,\n", 0.0, "{path}: row at line 1, column 3: '' is not a number"),
+    ("quoted-cell", '1,2\n"3,4",5\n', 0.0, "{path}: row at line 2, column 1: '3,4' is not a number"),
+    ("underscore", "1_000,2\n", 0.0,
+     "{path}: row at line 1, column 2: event time 2.0 precedes the previous event 1000.0"),
+    ("whitespace-line", "1,2\n   \n2,1\n", 0.0,
+     "{path}: row at line 3, column 2: event time 1.0 precedes the previous event 2.0"),
+    ("nan", "1,2\n1,nan\n", 0.0, "{path}: row at line 2, column 2: value is not finite"),
+    ("decreasing-crlf", "1,2\r\n\r\n2,1\r\n", 0.0,
+     "{path}: row at line 3, column 2: event time 1.0 precedes the previous event 2.0"),
+    ("before-t0", "s1,s2\n2,3\n1,2\n", 1.5, "{path}: row at line 3, column 1: first event 1.0 precedes the start t0=1.5"),
+    ("header-only", "s1,s2\n\n", 0.0, "{path}: no data rows after the header"),
+    ("open-quote", '"1,2\n3,4\n', 0.0, "{path}: no data rows after the header"),
+    ("blank-only", "\n \n,\n", 0.0, "{path}: no data rows"),
+    ("empty", "", 0.0, "{path}: no data rows"),
+]
+
+# Files numpy's parser refuses but the row parser reads, as it always has.
+ROW_PARSER_ONLY = [
+    ("1_000,2_000\n", [[1000.0, 2000.0]]),
+    ('"1","2"\n3,4\n', [[1.0, 2.0], [3.0, 4.0]]),
+    ('"s1","s2"\n1,2\n', [[1.0, 2.0]]),
+    ("1,2\n   \n,\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    ("١,٢\n", [[1.0, 2.0]]),
+]
+
+
+@st.composite
+def csv_texts(draw):
+    """Text of a valid sample file for the start time -1."""
+    n, k = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    values = draw(st.lists(st.floats(-1.0, 1e300), min_size=n * k, max_size=n * k))
+    times = np.sort(np.array(values).reshape(n, k), axis=1)
+    text_of = draw(st.sampled_from(["%.17g", "%r", "%.6g", "%.3e"]))
+    left, right = draw(st.sampled_from(["", " ", "  "])), draw(st.sampled_from(["", " ", "\t"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [",".join(left + text_of % v + right for v in row) for row in times.tolist()]
+    for at in draw(st.lists(st.integers(0, n), max_size=3)):
+        lines.insert(at, "")
+    if draw(st.booleans()):
+        leading_blanks = next(i for i, line in enumerate(lines) if line)
+        lines.insert(draw(st.integers(0, leading_blanks)), ",".join(f"s{j}" for j in range(1, k + 1)))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+class TestCsvReader:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=csv_texts())
+    def test_fast_reader_matches_row_parser(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        with path.open(newline="") as handle:
+            fast = _read_matrix(handle)
+        slow = _load_csv_rows(path, -1.0).times
+        assert fast.shape == slow.shape
+        assert fast.tobytes() == slow.tobytes()
+        assert load_csv(path, t0=-1.0).times.tobytes() == slow.tobytes()
+
+    @pytest.mark.parametrize("text, t0, expected", [case[1:] for case in MALFORMED_CSV],
+                             ids=[case[0] for case in MALFORMED_CSV])
+    def test_error_messages_unchanged(self, tmp_path, recwarn, text, t0, expected):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(DataError) as info:
+            load_csv(path, t0=t0)
+        assert str(info.value) == expected.replace("{path}", str(path))
+        assert not recwarn.list  # the error is the only output
+
+    @pytest.mark.parametrize("text, expected", ROW_PARSER_ONLY)
+    def test_row_parser_reads_what_numpy_refuses(self, tmp_path, text, expected):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        with path.open(newline="") as handle, pytest.raises(ValueError):
+            _read_matrix(handle)
+        np.testing.assert_array_equal(load_csv(path).times, expected)
+
+
 class TestSampleRoundTrip:
     def test_bit_for_bit(self, tmp_path, sample):
         path = tmp_path / "sample.csv"
@@ -157,6 +249,15 @@ class TestParamsJson:
         path = tmp_path / "params.json"
         path.write_text(json.dumps({"schema_version": 1, "k": 2}))
         with pytest.raises(DataError, match="missing field"):
+            load_params_json(path)
+
+    @pytest.mark.parametrize("key", ["provenance", "eta_", "baseline"])
+    def test_unknown_key_rejected(self, tmp_path, sample, key):
+        path = tmp_path / "params.json"
+        save_params_json(fit_params(sample), path)
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, key: 1}))
+        with pytest.raises(DataError, match=re.escape(f"{path}: unknown params keys ['{key}']")):
             load_params_json(path)
 
     def test_invalid_json(self, tmp_path):
@@ -292,6 +393,57 @@ class TestSeventeenDigits:
         save_sample_csv(sample, path)
         loaded = load_csv(path)
         assert np.array_equal(loaded.times, sample.times)
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072009e-308, 1e308, -1e308, math.inf, -math.inf,
+                  math.nan, 0.1, 1 / 3]
+CELL_TEXT = st.text(alphabet=["a", ",", '"', "\n", "\r", " ", "%", "1"], max_size=4)
+
+
+@st.composite
+def csv_tables(draw):
+    """A header (or None) and equal-length columns of every kind _write takes."""
+    rows = draw(st.sampled_from([1, 2, 5, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1]))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["float", "int", "bool", "cells"]))
+        if kind == "float":
+            pool = draw(st.lists(st.sampled_from(SPECIAL_FLOATS) | st.floats(), min_size=1, max_size=8))
+            columns.append(np.resize(np.array(pool, dtype=float), rows))
+        elif kind == "int":
+            pool = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=8))
+            columns.append(np.resize(np.array(pool, dtype=np.int64), rows))
+        elif kind == "bool":
+            columns.append(np.resize(np.array(draw(st.lists(st.booleans(), min_size=1, max_size=3))), rows))
+        else:
+            pool = draw(st.lists(CELL_TEXT | st.none() | st.integers() | st.booleans()
+                                 | st.sampled_from([0.0, -0.0, 1.0]), min_size=1, max_size=6))
+            columns.append([pool[i % len(pool)] for i in range(rows)])
+    header = draw(st.none() | st.lists(CELL_TEXT, min_size=len(columns), max_size=len(columns)))
+    return header, columns
+
+
+def _reference_csv(path, header, columns):
+    # The csv module writes every row, float-array cells as format(v, ".17g").
+    cells = [[format(v, ".17g") for v in c.tolist()] if isinstance(c, np.ndarray) and c.dtype.kind == "f"
+             else c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    with path.open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows(zip(*cells))
+
+
+class TestCsvWriter:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(table=csv_tables())
+    @example(table=(None, [["", None, "a"]]))
+    @example(table=(["x"], [[0.0, -0.0, 1, True, 1.0]]))
+    def test_matches_csv_module(self, tmp_path, table):
+        header, columns = table
+        _write(tmp_path / "out.csv", "csv", header, columns)
+        _reference_csv(tmp_path / "ref.csv", header, columns)
+        assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def _json_text(body: str) -> str:

@@ -79,6 +79,11 @@ class TestSampleSet:
         with pytest.raises(DataError, match=where):
             SampleSet(0.0, times)
 
+    @pytest.mark.parametrize("times", [[[1.0, 2.0], [1.0]], [[1.0, "x"]]], ids=["ragged", "text"])
+    def test_not_a_matrix_of_numbers(self, times):
+        with pytest.raises(DataError, match=r"\(n, k\) matrix of numbers"):
+            SampleSet(0.0, times)
+
     def test_times_are_read_only(self):
         sample = SampleSet(0.0, [[1.0, 2.0]])
         with pytest.raises(ValueError):
