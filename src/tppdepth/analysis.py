@@ -440,7 +440,7 @@ def _check_ray_monotonicity(rng, params, rays) -> PropertyCheck:
 
 def _check_hpp_consistency(rng, params, trials) -> PropertyCheck:
     k = params.k
-    uniform = DepthParams.from_moments(
+    uniform = DepthParams(
         start=params.start,
         mu_last=params.mu_last,
         var_last=params.var_last,

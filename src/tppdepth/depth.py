@@ -28,14 +28,14 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import DataError
-from .sequences import EventSequence
+from .sequences import EventSequence, gap_matrix
 
 U_BAR_SUM_TOL = 1e-12
-_PARAM_CONSISTENCY_TOL = 1e-9
 _RIDGE = 1e-10
 # Rows per kernel block: bounds the kernels' temporaries independently of n.
 BLOCK_ROWS = 4096
-PARAM_FIELDS = ("start", "mu_last", "var_last", "u_bar", "eta", "big_m", "center")
+# The fitted fields of DepthParams; k, eta and the center derive from them.
+PARAM_FIELDS = ("start", "mu_last", "var_last", "u_bar", "big_m")
 BREAKDOWN_FIELDS = ("omega", "exponent", "marginal_factor", "conditional", "product")
 
 
@@ -75,62 +75,44 @@ def center_times(start: float, mu_last: float, u_bar) -> tuple[float, ...]:
     return tuple(float(c) for c in center)
 
 
-def _fields(start, mu_last, var_last, u_bar, big_m=None) -> SimpleNamespace:
-    # Every DepthParams field from the moments; eta and the center derived.
-    eta = start + mu_last
-    return SimpleNamespace(
-        start=start, mu_last=mu_last, var_last=var_last, u_bar=u_bar, eta=eta,
-        big_m=eta if big_m is None else big_m, center=cumulative_times(start, mu_last, u_bar),
-    )
-
-
 def affine_fields(params, a, b) -> SimpleNamespace:
-    """Parameter fields of the population transformed by t -> a*t + b, a > 0.
+    """Fitted fields of the population transformed by t -> a*t + b, a > 0.
 
     Matches what refitting on the transformed sample produces: mu scales
-    by a, the variance by a**2, the proportions are untouched, and every
-    time-valued field maps through a*t + b. ``a`` and ``b`` may be arrays,
-    one transform per row, for :func:`depth_columns`.
+    by a, the variance by a**2, the proportions are untouched, and the
+    time-valued fields map through a*t + b (so do eta and the center,
+    which derive from them). ``a`` and ``b`` may be arrays, one transform
+    per row, for :func:`depth_columns`.
     """
-    return _fields(a * params.start + b, a * params.mu_last, a * a * params.var_last,
-                   params.u_bar, a * params.big_m + b)
+    return SimpleNamespace(start=a * params.start + b, mu_last=a * params.mu_last,
+                           var_last=a * a * params.var_last, u_bar=params.u_bar, big_m=a * params.big_m + b)
 
 
 @dataclass(frozen=True)
 class DepthParams:
     """Fitted quantities needed to evaluate depths for one population.
 
-    ``eta`` is where the marginal depth peaks (the mean last event time,
-    because the one-dimensional Mahalanobis depth is maximal at the mean,
-    with maximum 1, so no numerical normalization is needed). ``big_m``
-    sets the horizon of the marginal exponent and defaults to the mean
-    last event time as well.
+    Only the fitted moments are stored. ``k``, ``eta`` and ``center`` are
+    derived: ``eta`` is where the marginal depth peaks (the mean last
+    event time, because the one-dimensional Mahalanobis depth is maximal
+    at the mean, with maximum 1, so no numerical normalization is
+    needed). ``big_m`` sets the horizon of the marginal exponent and
+    defaults to ``eta``.
     """
 
-    k: int
     start: float
     mu_last: float
     var_last: float
     u_bar: tuple[float, ...]
-    eta: float
-    big_m: float
-    center: tuple[float, ...]
+    big_m: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "k", int(self.k))
         object.__setattr__(self, "start", float(self.start))
         object.__setattr__(self, "mu_last", float(self.mu_last))
         object.__setattr__(self, "var_last", float(self.var_last))
         object.__setattr__(self, "u_bar", tuple(float(u) for u in self.u_bar))
-        object.__setattr__(self, "eta", float(self.eta))
-        object.__setattr__(self, "big_m", float(self.big_m))
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        if self.k < 1:
-            raise DataError("event count must be at least 1")
-        if len(self.u_bar) != self.k or len(self.center) != self.k:
-            raise DataError("gap proportions and center must have one entry per event")
-        values = (self.start, self.mu_last, self.var_last, self.eta, self.big_m)
-        if not all(math.isfinite(v) for v in values):
+        object.__setattr__(self, "big_m", self.eta if self.big_m is None else float(self.big_m))
+        if not all(math.isfinite(v) for v in (self.start, self.mu_last, self.var_last, self.big_m)):
             raise DataError("parameters must be finite")
         if not self.var_last > 0:
             raise DataError(f"degenerate variance of the last event time: {self.var_last}")
@@ -138,25 +120,21 @@ class DepthParams:
             raise DataError(f"mean duration must be positive, got {self.mu_last}")
         if not self.big_m - self.start > 0:
             raise DataError(f"degenerate horizon: big_m {self.big_m} does not exceed start {self.start}")
-        scale = max(1.0, abs(self.start) + self.mu_last)
-        if abs(self.eta - (self.start + self.mu_last)) > _PARAM_CONSISTENCY_TOL * scale:
-            raise DataError("eta must equal start + mu_last (the marginal depth peaks at the mean)")
-        expected = center_times(self.start, self.mu_last, self.u_bar)
-        if max(abs(c - e) for c, e in zip(self.center, expected)) > _PARAM_CONSISTENCY_TOL * scale:
-            raise DataError("center is inconsistent with start, mu_last and u_bar")
+        center_times(self.start, self.mu_last, self.u_bar)  # checks the proportions
 
-    @classmethod
-    def from_moments(
-        cls,
-        start: float,
-        mu_last: float,
-        var_last: float,
-        u_bar,
-        big_m: float | None = None,
-    ) -> "DepthParams":
-        """Build params from the fitted moments, deriving eta and the center."""
-        u = tuple(float(v) for v in u_bar)
-        return cls(k=len(u), **vars(_fields(float(start), float(mu_last), var_last, u, big_m)))
+    @property
+    def k(self) -> int:
+        return len(self.u_bar)
+
+    @property
+    def eta(self) -> float:
+        """``start + mu_last``; bitwise the last entry of the center."""
+        return self.start + self.mu_last
+
+    @property
+    def center(self) -> tuple[float, ...]:
+        """The central event-time vector (see :func:`center_times`)."""
+        return center_times(self.start, self.mu_last, self.u_bar)
 
     @property
     def center_sequence(self) -> EventSequence:
@@ -167,7 +145,7 @@ class DepthParams:
         (see :func:`affine_fields`)."""
         if a <= 0:
             raise DataError("scale factor must be positive")
-        return DepthParams(k=self.k, **vars(affine_fields(self, a, b)))
+        return DepthParams(**vars(affine_fields(self, a, b)))
 
 
 @dataclass(frozen=True)
@@ -201,21 +179,15 @@ def _blocks(n: int):
     return [slice(lo, lo + BLOCK_ROWS) for lo in range(0, n, BLOCK_ROWS)]
 
 
-def _gaps(t: np.ndarray, start) -> np.ndarray:
-    # Inter-event gaps of each row, the first measured from the start.
-    gaps = t.copy()
-    gaps[:, 1:] -= t[:, :-1]
-    gaps[:, 0] -= start
-    return gaps
-
-
 @np.errstate(all="ignore")
 def depth_columns(times, params) -> dict[str, np.ndarray]:
     """Depth breakdown of every row of an (n, k) event-time matrix.
 
     Returns one array per name in ``BREAKDOWN_FIELDS``. ``params`` is a
-    :class:`DepthParams` or any object with its fields (``PARAM_FIELDS``);
-    each field is shared by all rows or holds one entry per row. The
+    :class:`DepthParams` or any object with its fitted fields
+    (``PARAM_FIELDS``); each field is shared by all rows or holds one entry
+    per row. Each block derives its center with :func:`cumulative_times`,
+    and eta as the center's last entry. The
     conditional factor is a log-space weighted sum masked to exactly 0 on
     any row with a zero gap, and a row equal to the center has every depth
     field exactly 1 (exponent 0), so rounding in the fitted cumulative
@@ -226,13 +198,15 @@ def depth_columns(times, params) -> dict[str, np.ndarray]:
     n = times.shape[0]
     fields = {name: np.asarray(getattr(params, name), dtype=float) for name in PARAM_FIELDS}
     # A per-row field has one more dimension than its shared form.
-    per_row = [name for name, v in fields.items() if v.ndim == 1 + (name in ("u_bar", "center"))]
+    per_row = [name for name, v in fields.items() if v.ndim == 1 + (name == "u_bar")]
     out = {name: np.empty(n) for name in BREAKDOWN_FIELDS}
     for rows in _blocks(n):
         t = times[rows]
         p = SimpleNamespace(**{**fields, **{name: fields[name][rows] for name in per_row}})
+        p.center = cumulative_times(p.start, p.mu_last, p.u_bar)
+        p.eta = p.center[..., -1]
         w, exponent, factor = _marginal(t[:, -1], p)
-        gaps = _gaps(t, p.start)
+        gaps = gap_matrix(t, p.start)
         total = (t[:, -1] - p.start)[:, None]
         log_sum = (p.u_bar * (np.log(gaps) - np.log(total * p.u_bar))).sum(axis=1)
         conditional = np.where((gaps > 0.0).all(axis=1), np.minimum(np.exp(log_sum), 1.0), 0.0)
@@ -257,7 +231,7 @@ def hpp_conditional_column(times, start: float) -> np.ndarray:
     out = np.empty(n)
     for rows in _blocks(n):
         t = times[rows]
-        gaps = _gaps(t, start)
+        gaps = gap_matrix(t, start)
         value = np.exp(np.log(k) + np.log(gaps).sum(axis=1) / k - np.log(t[:, -1] - start))
         out[rows] = np.where((gaps > 0.0).all(axis=1), np.minimum(value, 1.0), 0.0)
     return out

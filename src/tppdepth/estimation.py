@@ -35,7 +35,7 @@ def fit_params(sample: SampleSet, big_m: float | None = None) -> DepthParams:
     if not var_last > 0:
         raise DataError("degenerate variance: all realizations share the same duration")
     u_bar = sample.gaps() / durations[:, None]
-    return DepthParams.from_moments(
+    return DepthParams(
         start=sample.start,
         mu_last=mu_last,
         var_last=var_last,

@@ -24,6 +24,10 @@ from .errors import DataError
 from .sequences import EventTimeError, SampleSet
 
 SCHEMA_VERSION = 1
+# Params file keys in written order: the fitted fields plus the derived k,
+# eta and center, kept as checked redundancy; then the optional baseline.
+_PARAMS_KEYS = ("k", "start", "mu_last", "var_last", "u_bar", "eta", "big_m", "center")
+_BASELINE_KEYS = ("mahalanobis_mean", "mahalanobis_cov")
 
 
 def _json_number(value) -> bool:
@@ -109,6 +113,15 @@ def _write(path, fmt: str, header=None, columns=(), document=None) -> None:
         raise DataError(f"unknown format {fmt!r}")
 
 
+def _lines(handle, path):
+    # The lines of a text file; a byte that is not UTF-8 is a DataError.
+    try:
+        yield from handle
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise DataError(f"{path}: not UTF-8 text (byte 0x{byte:02x}: {exc.reason})") from None
+
+
 def _is_number(cell: str) -> bool:
     try:
         float(cell)
@@ -142,8 +155,8 @@ def _load_csv_rows(path: Path, t0: float) -> SampleSet:
     # the C parser refuses (such as 1_000 or quoted cells) and names the
     # file's line and column of every error.
     rows, lines, header = [], [], False
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
+    with path.open(newline="", encoding="utf-8") as handle:
+        reader = csv.reader(_lines(handle, path))
         for cells in reader:
             if not any(cell.strip() for cell in cells):
                 continue
@@ -179,11 +192,11 @@ def load_csv(path, t0: float = 0.0) -> SampleSet:
     is a header. numpy's C parser reads the matrix. When it refuses the
     file, or :class:`SampleSet` rejects the event times, the row parser
     reads the file again: it accepts what ``float()`` accepts, and its
-    errors name the file's own line number and the column.
+    errors (text that is not UTF-8 too) name the file's line and column.
     """
     path = Path(path)
     try:
-        with path.open(newline="") as handle:
+        with path.open(newline="", encoding="utf-8") as handle:
             return SampleSet(t0, _read_matrix(handle))
     except (ValueError, UserWarning):
         return _load_csv_rows(path, t0)
@@ -197,7 +210,8 @@ def save_sample_csv(sample: SampleSet, path) -> None:
 def _read_json(path) -> dict:
     # A JSON object with a schema_version (if any) that this version reads.
     try:
-        doc = json.loads(Path(path).read_text())
+        with open(path, encoding="utf-8") as handle:
+            doc = json.loads("".join(_lines(handle, path)))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
@@ -234,7 +248,7 @@ def save_params_json(params: DepthParams, path, baseline: tuple | None = None) -
     """Write fitted parameters (and, optionally, the baseline moments)."""
 
     def document():
-        doc = dict(vars(params))
+        doc = {key: getattr(params, key) for key in _PARAMS_KEYS}
         if baseline is not None:
             mean, cov = baseline
             doc["mahalanobis_mean"] = np.asarray(mean, dtype=float).reshape(-1).tolist()
@@ -247,22 +261,29 @@ def save_params_json(params: DepthParams, path, baseline: tuple | None = None) -
 def load_params_json(path) -> tuple[DepthParams, tuple | None]:
     """Read fitted parameters; returns (params, baseline-or-None).
 
-    The file holds ``k``, the fields ``PARAM_FIELDS``, and optionally
-    ``schema_version`` and the baseline (``mahalanobis_mean`` with
-    ``mahalanobis_cov``); any other key is an error.
+    The file holds the keys ``save_params_json`` writes, the baseline pair
+    optional (but not half of it), and perhaps ``schema_version``. The
+    stored ``k``, ``eta`` and ``center`` must match the fitted fields.
     """
     doc = _read_json(path)
-    unknown = set(doc) - {"schema_version", "k", *PARAM_FIELDS, "mahalanobis_mean", "mahalanobis_cov"}
+    unknown = set(doc) - {"schema_version", *_PARAMS_KEYS, *_BASELINE_KEYS}
     if unknown:
         raise DataError(f"{path}: unknown params keys {sorted(unknown)}")
     try:
-        params = DepthParams(**{field: doc[field] for field in ("k", *PARAM_FIELDS)})
+        fields = {field: doc[field] for field in PARAM_FIELDS}
+        fields["big_m"] = float(fields["big_m"])  # stored, so null is not the default
+        params = DepthParams(**fields)
+        if int(doc["k"]) != params.k:
+            raise DataError(f"k is {doc['k']!r}, but u_bar has {params.k} entries")
+        tol = 1e-9 * max(1.0, abs(params.start) + params.mu_last)
+        if not abs(float(doc["eta"]) - params.eta) <= tol:
+            raise DataError("eta must equal start + mu_last (the marginal depth peaks at the mean)")
+        center = [float(c) for c in doc["center"]]
+        if len(center) != params.k or not all(abs(c - e) <= tol for c, e in zip(center, params.center)):
+            raise DataError("center is inconsistent with start, mu_last and u_bar")
         baseline = None
-        if "mahalanobis_mean" in doc and "mahalanobis_cov" in doc:
-            baseline = (
-                np.asarray(doc["mahalanobis_mean"], dtype=float),
-                np.asarray(doc["mahalanobis_cov"], dtype=float),
-            )
+        if not doc.keys().isdisjoint(_BASELINE_KEYS):
+            baseline = tuple(np.asarray(doc[key], dtype=float) for key in _BASELINE_KEYS)
     except KeyError as exc:
         raise DataError(f"{path}: missing field {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:

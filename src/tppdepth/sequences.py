@@ -52,6 +52,16 @@ def check_times(start: float, times: np.ndarray) -> None:
     raise EventTimeError(row, col + 1, reason)
 
 
+def gap_matrix(times: np.ndarray, start) -> np.ndarray:
+    """The one formula for inter-event gaps: row i of an (n, k) matrix
+    gives ``times[i, j] - times[i, j-1]``, the first gap measured from
+    ``start`` (shared, or one per row)."""
+    gaps = times.copy()
+    gaps[:, 1:] -= times[:, :-1]
+    gaps[:, 0] -= start
+    return gaps
+
+
 @dataclass(frozen=True)
 class EventSequence:
     """One realization: start time and k nondecreasing event times."""
@@ -80,12 +90,7 @@ class EventSequence:
     @property
     def gaps(self) -> tuple[float, ...]:
         """Inter-event gaps, the first one measured from the start."""
-        prev = self.start
-        out = []
-        for t in self.times:
-            out.append(t - prev)
-            prev = t
-        return tuple(out)
+        return tuple(gap_matrix(np.array([self.times]), self.start)[0].tolist())
 
     @property
     def on_boundary(self) -> bool:
@@ -150,8 +155,7 @@ class SampleSet:
 
     def gaps(self) -> np.ndarray:
         """(n, k) matrix of inter-event gaps, first column from the start."""
-        lead = np.full((self.n, 1), self.start)
-        return np.diff(np.concatenate([lead, self.times], axis=1), axis=1)
+        return gap_matrix(self.times, self.start)
 
     def affine(self, a: float, b: float) -> "SampleSet":
         """Return the sample under t -> a*t + b with a > 0."""

@@ -111,7 +111,7 @@ def test_criterion_3_conditional_forms_agree():
             gaps = rng.exponential(1.0, size=k) + 1e-12
             times = tuple(np.cumsum(gaps))
             seq = EventSequence(0.0, times)
-            uniform = DepthParams.from_moments(
+            uniform = DepthParams(
                 start=0.0, mu_last=1.0, var_last=0.5, u_bar=(1.0 / k,) * k
             )
             closed = hpp_conditional_depth(seq)
@@ -125,7 +125,7 @@ def test_criterion_3_conditional_forms_agree():
 
 def test_criterion_4_closed_form_spot_values():
     with criterion(4, "closed-form spot values"):
-        params = DepthParams.from_moments(
+        params = DepthParams(
             start=0.0, mu_last=1.0, var_last=0.25, u_bar=(0.5, 0.5)
         )
         # One standard deviation from the mean halves the marginal depth.

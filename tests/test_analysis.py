@@ -199,7 +199,7 @@ class TestContourGrid:
             contour_grid(hpp_params, "mahalanobis", (0.0, 2.0), (0.0, 2.0), 11)
 
     def test_unsupported_k(self):
-        params = DepthParams.from_moments(start=0.0, mu_last=1.0, var_last=0.2, u_bar=(0.2, 0.3, 0.5))
+        params = DepthParams(start=0.0, mu_last=1.0, var_last=0.2, u_bar=(0.2, 0.3, 0.5))
         with pytest.raises(DataError, match="k=2"):
             contour_grid(params, "product", (0.0, 2.0), (0.0, 2.0), 11)
 

@@ -108,6 +108,9 @@ class TestMalformedInputs:
         ("params", {**PARAMS, "u_bar": "ab"}),
         ("params", {**PARAMS, "k": None}),
         ("params", {**PARAMS, "eta": None}),
+        ("params", {**PARAMS, "big_m": None}),
+        ("params", {**PARAMS, "eta": float("nan")}),
+        ("params", {**PARAMS, "center": [0.5, float("nan")]}),
         ("params", [PARAMS]),
         ("params", {**PARAMS, "schema_version": 99}),
         ("params", {**PARAMS, "provenance": {"n": 5}}),
@@ -115,8 +118,9 @@ class TestMalformedInputs:
         ("config", {**SIM, "rates": 5}),
         ("config", {**SIM, "start": "a"}),
         ("config", {**SIM, "schema_version": 99}),
-    ], ids=["u_bar-string", "k-null", "eta-null", "top-level-list", "params-schema-99", "params-unknown-key",
-            "k-string", "rates-number", "start-string", "config-schema-99"])
+    ], ids=["u_bar-string", "k-null", "eta-null", "big_m-null", "eta-nan", "center-nan", "top-level-list",
+            "params-schema-99", "params-unknown-key", "k-string", "rates-number", "start-string",
+            "config-schema-99"])
     def test_bad_json_is_data_error(self, tmp_path, capsys, command, doc):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -126,6 +130,34 @@ class TestMalformedInputs:
             argv = ("simulate", "--config", path, "--out", tmp_path / "x.csv")
         assert run(*argv) == 2
         assert _single_error_line(capsys, str(path))
+
+    @pytest.mark.parametrize("name, data", [
+        ("bin.csv", b"\xff1,2\n3,4\n"),
+        # 1_000 sends the file to the row parser, which meets the bad byte.
+        ("late.csv", b"1_000,2000\n" + b"1,2\n" * 5000 + b"3,\xfe4\n"),
+        ("bad.json", json.dumps(PARAMS).encode().replace(b'"k"', b'"\xffk"')),
+    ], ids=["csv", "csv-row-parser", "params"])
+    def test_not_utf8_is_data_error(self, tmp_path, capsys, name, data):
+        path = tmp_path / name
+        path.write_bytes(data)
+        if name.endswith(".csv"):
+            argv = ("fit", "--in", path, "--params-out", tmp_path / "p.json")
+        else:
+            argv = ("verify", "--params", path, "--trials", "10", "--rays", "2")
+        assert run(*argv) == 2
+        assert _single_error_line(capsys, f"{path}: not UTF-8 text (byte 0x")
+        assert not (tmp_path / "p.json").exists()
+
+    @pytest.mark.parametrize("missing", ["mahalanobis_mean", "mahalanobis_cov"])
+    def test_half_baseline_is_data_error(self, tmp_path, sample_csv, params_json, capsys, missing):
+        doc = json.loads(params_json.read_text())
+        del doc[missing]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "rank.csv"
+        assert run("rank", "--in", sample_csv, "--params", bad, "--method", "mahalanobis", "--out", out) == 2
+        assert _single_error_line(capsys, f"{bad}: missing field {missing!r}")
+        assert not out.exists()
 
 
 class TestConfigTypes:

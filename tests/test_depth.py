@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,10 +26,12 @@ from tppdepth.depth import (
     BREAKDOWN_FIELDS,
     PARAM_FIELDS,
     affine_fields,
+    cumulative_times,
     depth_columns,
     hpp_conditional_column,
     mahalanobis_column,
 )
+from tppdepth.io import load_params_json
 
 from _oracles import (
     direct_conditional,
@@ -41,7 +45,14 @@ from _oracles import (
 
 @pytest.fixture
 def params():
-    return DepthParams.from_moments(start=0.0, mu_last=1.0, var_last=0.25, u_bar=(0.5, 0.5))
+    return DepthParams(start=0.0, mu_last=1.0, var_last=0.25, u_bar=(0.5, 0.5))
+
+
+def write_params(tmp_path, **doc):
+    """A params file holding exactly ``doc``."""
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(doc))
+    return path
 
 
 def bits(values):
@@ -78,7 +89,7 @@ class TestMarginalDepth:
             )
 
     def test_omega_one_sigma(self):
-        p = DepthParams.from_moments(start=0.0, mu_last=2.0, var_last=1.0, u_bar=(1.0,))
+        p = DepthParams(start=0.0, mu_last=2.0, var_last=1.0, u_bar=(1.0,))
         assert marginal_depth_d1(3.0, p) == 0.5
 
 
@@ -140,7 +151,7 @@ class TestConditionalDepth:
     @given(interior_sequences())
     @settings(max_examples=200)
     def test_young_bound(self, seq):
-        p = DepthParams.from_moments(start=0.0, mu_last=1.0, var_last=0.25, u_bar=(0.3, 0.7))
+        p = DepthParams(start=0.0, mu_last=1.0, var_last=0.25, u_bar=(0.3, 0.7))
         value = conditional_depth(seq, p)
         assert 0.0 <= value <= 1.0
 
@@ -148,7 +159,7 @@ class TestConditionalDepth:
     @settings(max_examples=200)
     def test_matches_oracle_everywhere(self, seq):
         u_bar = (0.3, 0.7)
-        p = DepthParams.from_moments(start=0.0, mu_last=1.0, var_last=0.25, u_bar=u_bar)
+        p = DepthParams(start=0.0, mu_last=1.0, var_last=0.25, u_bar=u_bar)
         assert conditional_depth(seq, p) == pytest.approx(
             direct_conditional(0.0, seq.times, u_bar), rel=1e-9, abs=1e-300
         )
@@ -162,7 +173,7 @@ class TestHppConditionalDepth:
     def test_single_event_is_unit_interior(self):
         # With one event the only gap is the whole duration, so every
         # interior realization scores 1 conditionally.
-        p = DepthParams.from_moments(start=0.0, mu_last=1.0, var_last=0.5, u_bar=(1.0,))
+        p = DepthParams(start=0.0, mu_last=1.0, var_last=0.5, u_bar=(1.0,))
         assert hpp_conditional_depth(EventSequence(0.0, (0.7,))) == 1.0
         assert conditional_depth(EventSequence(0.0, (0.7,)), p) == 1.0
         assert hpp_conditional_depth(EventSequence(0.0, (0.0,))) == 0.0
@@ -179,7 +190,7 @@ class TestHppConditionalDepth:
     @given(interior_sequences(k=3))
     @settings(max_examples=300)
     def test_agrees_with_general_form(self, seq):
-        uniform = DepthParams.from_moments(
+        uniform = DepthParams(
             start=0.0, mu_last=1.0, var_last=0.25, u_bar=(1 / 3, 1 / 3, 1 / 3)
         )
         closed = hpp_conditional_depth(seq)
@@ -238,7 +249,7 @@ class TestProductDepth:
     @given(interior_sequences())
     @settings(max_examples=300)
     def test_range_and_maximality(self, seq):
-        p = DepthParams.from_moments(start=0.0, mu_last=1.0, var_last=0.25, u_bar=(0.5, 0.5))
+        p = DepthParams(start=0.0, mu_last=1.0, var_last=0.25, u_bar=(0.5, 0.5))
         value = product_depth(seq, p).product
         assert 0.0 <= value <= 1.0
         assert value <= product_depth(p.center_sequence, p).product
@@ -283,44 +294,56 @@ class TestCenter:
 
 class TestDepthParams:
     def test_from_moments_defaults(self):
-        p = DepthParams.from_moments(start=1.0, mu_last=2.0, var_last=0.5, u_bar=(0.25, 0.75))
+        p = DepthParams(start=1.0, mu_last=2.0, var_last=0.5, u_bar=(0.25, 0.75))
         assert p.eta == 3.0
         assert p.big_m == 3.0
         assert p.center == (1.5, 3.0)
         assert p.k == 2
 
     def test_big_m_override(self):
-        p = DepthParams.from_moments(start=0.0, mu_last=2.0, var_last=0.5, u_bar=(1.0,), big_m=5.0)
+        p = DepthParams(start=0.0, mu_last=2.0, var_last=0.5, u_bar=(1.0,), big_m=5.0)
         assert p.big_m == 5.0
 
     def test_rejects_degenerate_variance(self):
         with pytest.raises(DataError, match="variance"):
-            DepthParams.from_moments(start=0.0, mu_last=1.0, var_last=0.0, u_bar=(1.0,))
+            DepthParams(start=0.0, mu_last=1.0, var_last=0.0, u_bar=(1.0,))
 
     def test_rejects_nonpositive_mu(self):
         with pytest.raises(DataError):
-            DepthParams.from_moments(start=0.0, mu_last=0.0, var_last=1.0, u_bar=(1.0,))
+            DepthParams(start=0.0, mu_last=0.0, var_last=1.0, u_bar=(1.0,))
 
     def test_rejects_degenerate_horizon(self):
         with pytest.raises(DataError, match="horizon"):
-            DepthParams.from_moments(start=0.0, mu_last=1.0, var_last=1.0, u_bar=(1.0,), big_m=0.0)
+            DepthParams(start=0.0, mu_last=1.0, var_last=1.0, u_bar=(1.0,), big_m=0.0)
 
-    def test_rejects_inconsistent_eta(self):
+    # k, eta and the center are derived; a params file stores them as
+    # checked redundancy, so a wrong stored value fails at load.
+    def test_rejects_inconsistent_eta(self, tmp_path):
         with pytest.raises(DataError, match="eta"):
-            DepthParams(
-                k=1, start=0.0, mu_last=1.0, var_last=1.0, u_bar=(1.0,),
+            load_params_json(write_params(
+                tmp_path, k=1, start=0.0, mu_last=1.0, var_last=1.0, u_bar=(1.0,),
                 eta=2.0, big_m=1.0, center=(1.0,),
-            )
+            ))
 
-    def test_rejects_inconsistent_center(self):
+    def test_rejects_inconsistent_center(self, tmp_path):
         with pytest.raises(DataError, match="center"):
-            DepthParams(
-                k=2, start=0.0, mu_last=1.0, var_last=1.0, u_bar=(0.5, 0.5),
+            load_params_json(write_params(
+                tmp_path, k=2, start=0.0, mu_last=1.0, var_last=1.0, u_bar=(0.5, 0.5),
                 eta=1.0, big_m=1.0, center=(0.9, 1.0),
-            )
+            ))
+
+    def test_rejects_inconsistent_k(self, tmp_path):
+        path = write_params(tmp_path, k=3, start=0.0, mu_last=1.0, var_last=1.0, u_bar=(0.5, 0.5),
+                            eta=1.0, big_m=1.0, center=(0.5, 1.0))
+        with pytest.raises(DataError, match=re.escape(f"{path}: bad parameters (k is 3, but u_bar has 2")):
+            load_params_json(path)
+
+    def test_derived_fields_are_not_stored(self):
+        p = DepthParams(start=1.0, mu_last=2.0, var_last=0.5, u_bar=(0.25, 0.75))
+        assert PARAM_FIELDS == tuple(vars(p)) == ("start", "mu_last", "var_last", "u_bar", "big_m")
 
     def test_affine_matches_refit_identities(self):
-        p = DepthParams.from_moments(start=1.0, mu_last=2.0, var_last=0.5, u_bar=(0.3, 0.7))
+        p = DepthParams(start=1.0, mu_last=2.0, var_last=0.5, u_bar=(0.3, 0.7))
         q = p.affine(2.0, 3.0)
         assert q.start == 5.0
         assert q.mu_last == 4.0
@@ -332,21 +355,26 @@ class TestDepthParams:
     def test_affine_fields_match_affine_per_row(self):
         # The per-row map the scale-shift check uses is the same formula
         # as DepthParams.affine, bit for bit.
-        p = DepthParams.from_moments(start=0.5, mu_last=1.5, var_last=0.4, u_bar=(0.25, 0.75))
+        p = DepthParams(start=0.5, mu_last=1.5, var_last=0.4, u_bar=(0.25, 0.75))
         a = np.array([0.1, 0.5, 2.0, 7.25])
         b = np.array([9.5, -3.0, 0.0, 4.5])
         fields = affine_fields(p, a, b)
+        # eta and the center as depth_columns derives them from the fields.
+        center = cumulative_times(fields.start, fields.mu_last, fields.u_bar)
+        derived = {"eta": center[:, -1], "center": center}
         for i in range(a.size):
             q = p.affine(float(a[i]), float(b[i]))
             for name in PARAM_FIELDS:
                 expected = np.asarray(getattr(q, name))
                 row = np.broadcast_to(getattr(fields, name), (a.size, *expected.shape))[i]
                 assert np.array_equal(bits(row), bits(expected)), name
+            for name, values in derived.items():
+                assert np.array_equal(bits(values[i]), bits(getattr(q, name))), name
 
     def test_identity_transform_is_exact(self):
         # a=1, b=0 must reproduce parameters and depths bitwise: the
         # scale-shift check has exactly zero margin there.
-        p = DepthParams.from_moments(start=0.5, mu_last=1.5, var_last=0.4, u_bar=(0.25, 0.75))
+        p = DepthParams(start=0.5, mu_last=1.5, var_last=0.4, u_bar=(0.25, 0.75))
         assert p.affine(1.0, 0.0) == p
         seq = EventSequence(0.5, (1.0, 2.5))
         assert (
@@ -404,7 +432,7 @@ def samples_with_params(draw):
     gap = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=10.0))
     rows = draw(st.lists(st.lists(gap, min_size=k, max_size=k), min_size=1, max_size=20))
     weights = np.array(draw(st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=k, max_size=k)))
-    params = DepthParams.from_moments(
+    params = DepthParams(
         start=0.0,
         mu_last=draw(st.floats(min_value=0.1, max_value=10.0)),
         var_last=draw(st.floats(min_value=0.01, max_value=10.0)),
@@ -436,7 +464,7 @@ class TestBatchKernel:
         gaps = rng.exponential(1.0, size=(BLOCK_ROWS + 1, 3))
         gaps[rng.integers(0, BLOCK_ROWS + 1, size=40), rng.integers(0, 3, size=40)] = 0.0
         full = SampleSet(0.0, np.cumsum(gaps, axis=1))
-        params = DepthParams.from_moments(start=0.0, mu_last=3.0, var_last=3.0, u_bar=(0.2, 0.3, 0.5))
+        params = DepthParams(start=0.0, mu_last=3.0, var_last=3.0, u_bar=(0.2, 0.3, 0.5))
         baseline = (full.times.mean(axis=0), np.cov(full.times, rowvar=False))
         sample = SampleSet(0.0, full.times[:n])
         last = sample.sequence(n - 1)

@@ -517,7 +517,7 @@ def _write_sample(path, fmt):
 
 
 def _write_params(path, fmt):
-    params = DepthParams.from_moments(start=0.0, mu_last=2.0, var_last=1 / 3, u_bar=(0.25, 0.75))
+    params = DepthParams(start=0.0, mu_last=2.0, var_last=1 / 3, u_bar=(0.25, 0.75))
     baseline = (np.array([0.5, 2.0]), np.array([[1.0, 0.5], [0.5, 2.0]]))
     save_params_json(params, path, baseline=baseline)
 

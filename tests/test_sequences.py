@@ -1,7 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tppdepth import DataError, EventSequence, SampleSet
+from tppdepth import DataError, EventSequence, SampleSet, depth
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+@st.composite
+def samples(draw):
+    """(n, k) samples whose rows often repeat a time (zero gaps), with the
+    start at or below the earliest time."""
+    k = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.integers(min_value=1, max_value=12))
+    value = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(min_value=-1e6, max_value=1e6))
+    times = np.sort(np.array(draw(st.lists(st.lists(value, min_size=k, max_size=k), min_size=n, max_size=n))),
+                    axis=1)
+    low = float(times.min())
+    start = draw(st.one_of(st.just(low), st.floats(min_value=low - 1e6, max_value=low)))
+    return SampleSet(start, times)
 
 
 class TestEventSequence:
@@ -94,3 +114,19 @@ class TestSampleSet:
         moved = sample.affine(2.0, 1.0)
         assert moved.start == 1.0
         np.testing.assert_allclose(moved.times, [[3.0, 5.0], [7.0, 13.0]])
+
+
+class TestGaps:
+    @given(samples())
+    @settings(max_examples=200, deadline=None)
+    def test_one_formula_bit_for_bit(self, sample):
+        # The sample, each realization and the depth kernels all get their
+        # gaps from one function; np.diff is the independent reference.
+        gaps = sample.gaps()
+        reference = np.diff(sample.times, axis=1, prepend=sample.start)
+        assert np.array_equal(bits(gaps), bits(reference))
+        assert np.array_equal(bits(depth.gap_matrix(sample.times, sample.start)), bits(gaps))
+        for i in range(sample.n):
+            seq = sample.sequence(i)
+            assert np.array_equal(bits(seq.gaps), bits(gaps[i])), i
+            assert seq.on_boundary == bool(np.any(gaps[i] == 0.0)), i
