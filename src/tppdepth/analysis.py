@@ -9,7 +9,7 @@ interior realization present they form the trailing tied block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,6 +29,7 @@ from .depth import (
 from .errors import DataError
 from .estimation import fit_mahalanobis, fit_params
 from .sequences import SampleSet
+from .simulate import check_seed
 
 METHODS = ("product", "marginal", "conditional", "hpp-conditional", "mahalanobis")
 
@@ -367,7 +368,7 @@ def _interior_times(rng, params: DepthParams, trials: int, moderate: bool = Fals
     proportions = _proportions(rng, (trials, params.k), moderate)
     low, high = (0.3, 3.0) if moderate else (0.05, 5.0)
     durations = params.mu_last * rng.uniform(low, high, size=trials)
-    return cumulative_times(params.start, durations, proportions)
+    return cumulative_times(durations, proportions)
 
 
 def _boundary_times(rng, params: DepthParams, trials: int, every: int = 1) -> np.ndarray:
@@ -376,7 +377,7 @@ def _boundary_times(rng, params: DepthParams, trials: int, every: int = 1) -> np
     times = _interior_times(rng, params, trials)
     rows = np.arange(0, trials, every)
     j = rng.integers(0, params.k, size=rows.size)
-    times[rows, j] = np.where(j > 0, times[rows, np.maximum(j - 1, 0)], params.start)
+    times[rows, j] = np.where(j > 0, times[rows, np.maximum(j - 1, 0)], 0.0)
     return times
 
 
@@ -394,7 +395,7 @@ def _check_boundary_vanishing(rng, params, trials) -> PropertyCheck:
 
 def _check_vanishing_at_infinity(rng, params, trials) -> PropertyCheck:
     far_duration = params.mu_last + 100.0 * math.sqrt(params.var_last)
-    times = cumulative_times(params.start, far_duration, _proportions(rng, (trials, params.k)))
+    times = cumulative_times(far_duration, _proportions(rng, (trials, params.k)))
     return _tally("P1-infinity", trials, _product(times, params) - INFINITY_DEPTH_TOL)
 
 
@@ -429,8 +430,8 @@ def _check_ray_monotonicity(rng, params, rays) -> PropertyCheck:
     chunk = max(1, BLOCK_ROWS // ALPHA_GRID_POINTS)
     for lo in range(0, rays, chunk):
         target = targets[lo:lo + chunk, None, :]
-        # Convex form: rounding is monotone, so ordering survives.
-        times = np.maximum(params.start, (1.0 - alphas) * center + alphas * target)
+        # Convex form of offsets: rounding is monotone and nothing falls below 0.
+        times = (1.0 - alphas) * center + alphas * target
         values = _product(times.reshape(-1, params.k), params).reshape(-1, ALPHA_GRID_POINTS)
         # Nonincreasing along the ray, with the minimum at the far end (alpha = 1).
         rises = np.max(np.diff(values, axis=1) - RAY_SLACK, axis=1)
@@ -440,14 +441,9 @@ def _check_ray_monotonicity(rng, params, rays) -> PropertyCheck:
 
 def _check_hpp_consistency(rng, params, trials) -> PropertyCheck:
     k = params.k
-    uniform = DepthParams(
-        start=params.start,
-        mu_last=params.mu_last,
-        var_last=params.var_last,
-        u_bar=(1.0 / k,) * k,
-    )
+    uniform = replace(params, u_bar=(1.0 / k,) * k)
     times = _interior_times(rng, params, trials)
-    closed_form = hpp_conditional_column(times, params.start)
+    closed_form = hpp_conditional_column(times, 0.0)
     general = depth_columns(times, uniform)["conditional"]
     scale = np.maximum(closed_form, general)
     with np.errstate(invalid="ignore"):
@@ -494,14 +490,19 @@ def verify_properties(
     worst margins; the report is a pure function of the inputs. When
     ``sample`` is given, the scale-shift check refits on the transformed
     sample; otherwise it transforms the fitted parameters directly, which
-    is the same mapping the estimator applies.
+    is the same mapping the estimator applies. The depth is shift-invariant,
+    so the checks run on params and sample moved to start 0, and every
+    draw is an offset from that start.
     """
+    check_seed(seed)
     if trials < 1:
         raise DataError("trials must be at least 1")
     if rays < 1:
         raise DataError("rays must be at least 1")
     if sample is not None:
         require_match(sample, params)
+        sample = SampleSet(0.0, sample.times - sample.start)
+    params = replace(params, start=0.0)
     rng = np.random.Generator(np.random.Philox(key=seed))
     checks = (
         _check_boundary_vanishing(rng, params, trials),

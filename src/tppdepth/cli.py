@@ -3,6 +3,8 @@
 Subcommands compose through files: ``simulate`` writes a sample CSV,
 ``fit`` turns a sample into a params JSON, and ``depth``/``rank``/
 ``contour``/``compare-boundary``/``verify`` consume one or both.
+Only ``simulate``, ``fit`` and ``compare-boundary`` take a start time
+(``--t0``); the other commands use the one stored in the params file.
 
 Exit codes: 0 success, 1 usage error, 2 data or file error, 3 property
 violations found by ``verify``.
@@ -78,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--in", dest="input", required=True)
         p.add_argument("--params", required=True)
         p.add_argument("--method", required=True, choices=list(METHODS))
-        p.add_argument("--t0", type=float, default=None, help="defaults to the params start time")
         p.add_argument("--out", required=True)
         p.add_argument("--format", choices=["csv", "json"], default="csv")
 
@@ -105,7 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rays", type=int, default=DEFAULT_RAYS)
     p.add_argument("--in", dest="input", default=None,
                    help="optional sample CSV; scale-shift checks then refit on it")
-    p.add_argument("--t0", type=float, default=None)
     p.add_argument("--out", default=None, help="optional report JSON path")
     return parser
 
@@ -147,8 +147,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_depth(args) -> int:
     params, baseline = tio.load_params_json(args.params)
-    t0 = params.start if args.t0 is None else args.t0
-    sample = tio.load_csv(args.input, t0=t0)
+    sample = tio.load_csv(args.input, t0=params.start)
     out = _out_path(args.out)
     if args.method == "product":
         tio.save_breakdowns(depth_breakdown(sample, params, baseline), out, args.format)
@@ -160,8 +159,7 @@ def _cmd_depth(args) -> int:
 
 def _cmd_rank(args) -> int:
     params, baseline = tio.load_params_json(args.params)
-    t0 = params.start if args.t0 is None else args.t0
-    sample = tio.load_csv(args.input, t0=t0)
+    sample = tio.load_csv(args.input, t0=params.start)
     table = rank(sample, params, args.method, baseline=baseline)
     tio.save_rank_table(table, _out_path(args.out), args.format)
     return 0
@@ -191,10 +189,7 @@ def _cmd_compare_boundary(args) -> int:
 
 def _cmd_verify(args) -> int:
     params, _ = tio.load_params_json(args.params)
-    sample = None
-    if args.input is not None:
-        t0 = params.start if args.t0 is None else args.t0
-        sample = tio.load_csv(args.input, t0=t0)
+    sample = None if args.input is None else tio.load_csv(args.input, t0=params.start)
     report = verify_properties(params, trials=args.trials, seed=args.seed,
                                rays=args.rays, sample=sample)
     for c in report.checks:

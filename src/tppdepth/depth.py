@@ -2,8 +2,8 @@
 
 The depth of a realization factors into two pieces:
 
-* a marginal factor ``omega(s_k) ** (|s_k - eta| / (big_m - start))`` built
-  from the normalized one-dimensional Mahalanobis depth of the last event
+* a marginal factor ``omega(s_k) ** (|s_k - eta| / horizon)`` built from
+  the normalized one-dimensional Mahalanobis depth of the last event
   time, and
 * a conditional factor, the weighted geometric mean of the realization's
   normalized gaps measured against their expected proportions ``u_bar``.
@@ -16,7 +16,8 @@ comparison baseline.
 Each formula is written once, in an array kernel over an (n, k) matrix of
 event times: :func:`depth_columns`, :func:`hpp_conditional_column` and
 :func:`mahalanobis_column`. The scalar functions are batches of one, so
-scalar and batch results agree bit for bit.
+scalar and batch results agree bit for bit. The kernels subtract the start
+once and read only offsets from it, so the depth is shift-invariant.
 """
 
 from __future__ import annotations
@@ -34,22 +35,22 @@ U_BAR_SUM_TOL = 1e-12
 _RIDGE = 1e-10
 # Rows per kernel block: bounds the kernels' temporaries independently of n.
 BLOCK_ROWS = 4096
-# The fitted fields of DepthParams; k, eta and the center derive from them.
-PARAM_FIELDS = ("start", "mu_last", "var_last", "u_bar", "big_m")
+# The fitted fields of DepthParams; k, eta, big_m and the center derive from them.
+PARAM_FIELDS = ("start", "mu_last", "var_last", "u_bar", "horizon")
 BREAKDOWN_FIELDS = ("omega", "exponent", "marginal_factor", "conditional", "product")
 
 
-def cumulative_times(start, duration, proportions) -> np.ndarray:
-    """Event times ``start + duration * cumsum(proportions)``.
+def cumulative_times(duration, proportions) -> np.ndarray:
+    """Offsets from the start ``duration * cumsum(proportions)``.
 
     The last cumulative proportion is pinned to exactly 1, so the last
-    time is ``start + duration`` bitwise. ``start`` and ``duration`` may
-    be scalars or per-row arrays, ``proportions`` a (k,) vector or one row
-    per realization.
+    offset is ``duration`` bitwise. ``duration`` may be a scalar or a
+    per-row array, ``proportions`` a (k,) vector or one row per
+    realization.
     """
     cum = np.cumsum(np.asarray(proportions, dtype=float), axis=-1)
     cum[..., -1] = 1.0
-    return np.expand_dims(start, -1) + np.expand_dims(duration, -1) * cum
+    return np.asarray(duration, dtype=float)[..., None] * cum
 
 
 def center_times(start: float, mu_last: float, u_bar) -> tuple[float, ...]:
@@ -69,7 +70,7 @@ def center_times(start: float, mu_last: float, u_bar) -> tuple[float, ...]:
         raise DataError(f"gap proportions must sum to 1 within {U_BAR_SUM_TOL}, got {u.sum()!r}")
     if not (mu_last > 0) or not math.isfinite(mu_last):
         raise DataError("mean duration must be positive and finite")
-    center = cumulative_times(start, mu_last, u)
+    center = start + cumulative_times(mu_last, u)
     if np.any(np.diff(center) <= 0) or not center[0] > start:
         raise DataError("central event times must be strictly increasing")
     return tuple(float(c) for c in center)
@@ -78,48 +79,46 @@ def center_times(start: float, mu_last: float, u_bar) -> tuple[float, ...]:
 def affine_fields(params, a, b) -> SimpleNamespace:
     """Fitted fields of the population transformed by t -> a*t + b, a > 0.
 
-    Matches what refitting on the transformed sample produces: mu scales
-    by a, the variance by a**2, the proportions are untouched, and the
-    time-valued fields map through a*t + b (so do eta and the center,
-    which derive from them). ``a`` and ``b`` may be arrays, one transform
-    per row, for :func:`depth_columns`.
+    Matches what refitting on the transformed sample produces: the start
+    maps through a*t + b (so do eta, big_m and the center, which derive
+    from it), mu and the horizon scale by a, the variance by a**2, and the
+    proportions are untouched. ``a`` and ``b`` may be arrays, one
+    transform per row, for :func:`depth_columns`.
     """
     return SimpleNamespace(start=a * params.start + b, mu_last=a * params.mu_last,
-                           var_last=a * a * params.var_last, u_bar=params.u_bar, big_m=a * params.big_m + b)
+                           var_last=a * a * params.var_last, u_bar=params.u_bar, horizon=a * params.horizon)
 
 
 @dataclass(frozen=True)
 class DepthParams:
     """Fitted quantities needed to evaluate depths for one population.
 
-    Only the fitted moments are stored. ``k``, ``eta`` and ``center`` are
-    derived: ``eta`` is where the marginal depth peaks (the mean last
-    event time, because the one-dimensional Mahalanobis depth is maximal
-    at the mean, with maximum 1, so no numerical normalization is
-    needed). ``big_m`` sets the horizon of the marginal exponent and
-    defaults to ``eta``.
+    Only the start and the fitted durations and proportions are stored;
+    ``k``, ``eta``, ``big_m = start + horizon`` and ``center`` are derived.
+    ``eta`` is where the marginal depth peaks (the mean last event time,
+    because the one-dimensional Mahalanobis depth is maximal at the mean,
+    with maximum 1, so no numerical normalization is needed). ``horizon``
+    scales the marginal exponent and defaults to ``mu_last``.
     """
 
     start: float
     mu_last: float
     var_last: float
     u_bar: tuple[float, ...]
-    big_m: float | None = None
+    horizon: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "start", float(self.start))
         object.__setattr__(self, "mu_last", float(self.mu_last))
         object.__setattr__(self, "var_last", float(self.var_last))
         object.__setattr__(self, "u_bar", tuple(float(u) for u in self.u_bar))
-        object.__setattr__(self, "big_m", self.eta if self.big_m is None else float(self.big_m))
-        if not all(math.isfinite(v) for v in (self.start, self.mu_last, self.var_last, self.big_m)):
+        object.__setattr__(self, "horizon", self.mu_last if self.horizon is None else float(self.horizon))
+        if not all(math.isfinite(v) for v in (self.start, self.mu_last, self.var_last, self.horizon)):
             raise DataError("parameters must be finite")
         if not self.var_last > 0:
             raise DataError(f"degenerate variance of the last event time: {self.var_last}")
-        if not self.mu_last > 0:
-            raise DataError(f"mean duration must be positive, got {self.mu_last}")
-        if not self.big_m - self.start > 0:
-            raise DataError(f"degenerate horizon: big_m {self.big_m} does not exceed start {self.start}")
+        if not self.horizon > 0:
+            raise DataError(f"degenerate horizon: {self.horizon} is not positive")
         center_times(self.start, self.mu_last, self.u_bar)  # checks the proportions
 
     @property
@@ -130,6 +129,10 @@ class DepthParams:
     def eta(self) -> float:
         """``start + mu_last``; bitwise the last entry of the center."""
         return self.start + self.mu_last
+
+    @property
+    def big_m(self) -> float:
+        return self.start + self.horizon
 
     @property
     def center(self) -> tuple[float, ...]:
@@ -166,12 +169,12 @@ class DepthBreakdown:
 
 
 @np.errstate(all="ignore")
-def _marginal(last, p):
-    # omega, the distance exponent and the marginal factor; an exponent of
-    # 0 gives a factor of 1 regardless of the base (continuity at eta).
-    dev = last - p.start - p.mu_last
+def _marginal(duration, p):
+    # omega, the distance exponent and the marginal factor of a duration; an
+    # exponent of 0 gives a factor of 1 regardless of the base (at eta).
+    dev = duration - p.mu_last
     w = 1.0 / (1.0 + (dev * dev) / p.var_last)
-    exponent = np.abs(last - p.eta) / (p.big_m - p.start)
+    exponent = np.abs(dev) / p.horizon
     return w, exponent, np.where(exponent == 0.0, 1.0, np.minimum(w**exponent, 1.0))
 
 
@@ -186,13 +189,12 @@ def depth_columns(times, params) -> dict[str, np.ndarray]:
     Returns one array per name in ``BREAKDOWN_FIELDS``. ``params`` is a
     :class:`DepthParams` or any object with its fitted fields
     (``PARAM_FIELDS``); each field is shared by all rows or holds one entry
-    per row. Each block derives its center with :func:`cumulative_times`,
-    and eta as the center's last entry. The
-    conditional factor is a log-space weighted sum masked to exactly 0 on
-    any row with a zero gap, and a row equal to the center has every depth
-    field exactly 1 (exponent 0), so rounding in the fitted cumulative
-    proportions cannot push the maximum below 1. Rows are evaluated in
-    blocks of ``BLOCK_ROWS``.
+    per row. Each block subtracts the start once, and every formula reads
+    the offsets ``o = t - start``. The conditional factor is a log-space
+    weighted sum masked to exactly 0 on any row with a zero gap. A row
+    equal to the center (in absolute time) has every depth field exactly 1
+    (exponent 0), so rounding in the fitted cumulative proportions cannot
+    push the maximum below 1. Rows are evaluated in blocks of ``BLOCK_ROWS``.
     """
     times = np.asarray(times, dtype=float)
     n = times.shape[0]
@@ -203,15 +205,14 @@ def depth_columns(times, params) -> dict[str, np.ndarray]:
     for rows in _blocks(n):
         t = times[rows]
         p = SimpleNamespace(**{**fields, **{name: fields[name][rows] for name in per_row}})
-        p.center = cumulative_times(p.start, p.mu_last, p.u_bar)
-        p.eta = p.center[..., -1]
-        w, exponent, factor = _marginal(t[:, -1], p)
-        gaps = gap_matrix(t, p.start)
-        total = (t[:, -1] - p.start)[:, None]
-        log_sum = (p.u_bar * (np.log(gaps) - np.log(total * p.u_bar))).sum(axis=1)
+        start = p.start[..., None]
+        o = t - start
+        w, exponent, factor = _marginal(o[:, -1], p)
+        gaps = gap_matrix(o)
+        log_sum = (p.u_bar * (np.log(gaps) - np.log(o[:, -1:] * p.u_bar))).sum(axis=1)
         conditional = np.where((gaps > 0.0).all(axis=1), np.minimum(np.exp(log_sum), 1.0), 0.0)
         block = dict(zip(BREAKDOWN_FIELDS, (w, exponent, factor, conditional, factor * conditional)))
-        center = (t == p.center).all(axis=1)
+        center = (t == start + cumulative_times(p.mu_last, p.u_bar)).all(axis=1)
         for name, value in block.items():
             value[center] = 0.0 if name == "exponent" else 1.0
             out[name][rows] = value
@@ -230,9 +231,9 @@ def hpp_conditional_column(times, start: float) -> np.ndarray:
     n, k = times.shape
     out = np.empty(n)
     for rows in _blocks(n):
-        t = times[rows]
-        gaps = gap_matrix(t, start)
-        value = np.exp(np.log(k) + np.log(gaps).sum(axis=1) / k - np.log(t[:, -1] - start))
+        o = times[rows] - start
+        gaps = gap_matrix(o)
+        value = np.exp(np.log(k) + np.log(gaps).sum(axis=1) / k - np.log(o[:, -1]))
         out[rows] = np.where((gaps > 0.0).all(axis=1), np.minimum(value, 1.0), 0.0)
     return out
 
@@ -293,16 +294,16 @@ def marginal_depth_d1(last_time: float, params: DepthParams) -> float:
     ``1 / (1 + (last_time - start - mu_last)**2 / var_last)``; equals 1
     exactly when the duration matches the mean duration.
     """
-    return float(_marginal(np.array([last_time], dtype=float), params)[0][0])
+    return float(_marginal(np.array([last_time], dtype=float) - params.start, params)[0][0])
 
 
 def marginal_factor(last_time: float, params: DepthParams) -> float:
-    """``marginal_depth_d1(last_time) ** (|last_time - eta| / (big_m - start))``.
+    """``marginal_depth_d1(last_time) ** (|last_time - eta| / horizon)``.
 
     The exponent is computed first; when it is 0 the factor is 1
     regardless of the base, which keeps the factor continuous at eta.
     """
-    return float(_marginal(np.array([last_time], dtype=float), params)[2][0])
+    return float(_marginal(np.array([last_time], dtype=float) - params.start, params)[2][0])
 
 
 def conditional_depth(seq: EventSequence, params: DepthParams) -> float:

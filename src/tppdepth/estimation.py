@@ -15,7 +15,7 @@ from .errors import DataError
 from .sequences import SampleSet
 
 
-def fit_params(sample: SampleSet, big_m: float | None = None) -> DepthParams:
+def fit_params(sample: SampleSet, horizon: float | None = None) -> DepthParams:
     """Estimate depth parameters from a sample.
 
     Every realization must last a positive amount of time (a zero-duration
@@ -40,7 +40,7 @@ def fit_params(sample: SampleSet, big_m: float | None = None) -> DepthParams:
         mu_last=mu_last,
         var_last=var_last,
         u_bar=u_bar.mean(axis=0),
-        big_m=big_m,
+        horizon=horizon,
     )
 
 

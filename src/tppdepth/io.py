@@ -1,10 +1,10 @@
 """CSV and JSON ingestion/emission.
 
 Samples are plain CSV matrices, one realization per row, event-time
-columns only; the start time travels out-of-band (a flag or argument)
-because it is shared by the whole dataset. CSV floats are written with 17
-significant digits and JSON floats as their ``repr``, so files round-trip
-bit for bit.
+columns only; the start time travels out-of-band (an argument, or the
+params file) because it is shared by the whole dataset. CSV floats are
+written with 17 significant digits and JSON floats as their ``repr``, so
+files round-trip bit for bit.
 """
 
 from __future__ import annotations
@@ -19,13 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import ContourGrid, NearBoundarySummary, PropertyReport, RankTable
-from .depth import BLOCK_ROWS, BREAKDOWN_FIELDS, PARAM_FIELDS, DepthParams
+from .depth import BLOCK_ROWS, BREAKDOWN_FIELDS, DepthParams
 from .errors import DataError
 from .sequences import EventTimeError, SampleSet
 
 SCHEMA_VERSION = 1
-# Params file keys in written order: the fitted fields plus the derived k,
-# eta and center, kept as checked redundancy; then the optional baseline.
+# Params file keys in written order: the fitted fields (the horizon as
+# big_m) plus the derived k, eta and center, kept as checked redundancy.
 _PARAMS_KEYS = ("k", "start", "mu_last", "var_last", "u_bar", "eta", "big_m", "center")
 _BASELINE_KEYS = ("mahalanobis_mean", "mahalanobis_cov")
 
@@ -263,17 +263,19 @@ def load_params_json(path) -> tuple[DepthParams, tuple | None]:
 
     The file holds the keys ``save_params_json`` writes, the baseline pair
     optional (but not half of it), and perhaps ``schema_version``. The
-    stored ``k``, ``eta`` and ``center`` must match the fitted fields.
+    horizon is ``mu_last`` if ``big_m == start + mu_last``, else ``big_m -
+    start``. The stored ``k`` (an integer), ``eta`` and ``center`` must
+    match the fitted fields.
     """
     doc = _read_json(path)
     unknown = set(doc) - {"schema_version", *_PARAMS_KEYS, *_BASELINE_KEYS}
     if unknown:
         raise DataError(f"{path}: unknown params keys {sorted(unknown)}")
     try:
-        fields = {field: doc[field] for field in PARAM_FIELDS}
-        fields["big_m"] = float(fields["big_m"])  # stored, so null is not the default
-        params = DepthParams(**fields)
-        if int(doc["k"]) != params.k:
+        start, mu_last, big_m = (float(doc[key]) for key in ("start", "mu_last", "big_m"))
+        horizon = mu_last if big_m == start + mu_last else big_m - start
+        params = DepthParams(start, mu_last, doc["var_last"], doc["u_bar"], horizon)
+        if not _json_integer(doc["k"]) or doc["k"] != params.k:
             raise DataError(f"k is {doc['k']!r}, but u_bar has {params.k} entries")
         tol = 1e-9 * max(1.0, abs(params.start) + params.mu_last)
         if not abs(float(doc["eta"]) - params.eta) <= tol:

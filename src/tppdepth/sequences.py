@@ -52,13 +52,12 @@ def check_times(start: float, times: np.ndarray) -> None:
     raise EventTimeError(row, col + 1, reason)
 
 
-def gap_matrix(times: np.ndarray, start) -> np.ndarray:
-    """The one formula for inter-event gaps: row i of an (n, k) matrix
-    gives ``times[i, j] - times[i, j-1]``, the first gap measured from
-    ``start`` (shared, or one per row)."""
-    gaps = times.copy()
-    gaps[:, 1:] -= times[:, :-1]
-    gaps[:, 0] -= start
+def gap_matrix(offsets: np.ndarray) -> np.ndarray:
+    """The one formula for inter-event gaps: row i of an (n, k) matrix of
+    offsets from the start (``times - start``) gives ``offsets[i, j] -
+    offsets[i, j-1]``, the first gap being the first offset."""
+    gaps = offsets.copy()
+    gaps[:, 1:] -= offsets[:, :-1]
     return gaps
 
 
@@ -90,7 +89,7 @@ class EventSequence:
     @property
     def gaps(self) -> tuple[float, ...]:
         """Inter-event gaps, the first one measured from the start."""
-        return tuple(gap_matrix(np.array([self.times]), self.start)[0].tolist())
+        return tuple(gap_matrix(np.array([self.times]) - self.start)[0].tolist())
 
     @property
     def on_boundary(self) -> bool:
@@ -99,9 +98,7 @@ class EventSequence:
 
     def affine(self, a: float, b: float) -> "EventSequence":
         """Return the realization under t -> a*t + b with a > 0."""
-        if a <= 0:
-            raise DataError("scale factor must be positive")
-        return EventSequence(a * self.start + b, tuple(a * t + b for t in self.times))
+        return SampleSet(self.start, [self.times]).affine(a, b).sequence(0)
 
 
 class SampleSet:
@@ -155,7 +152,7 @@ class SampleSet:
 
     def gaps(self) -> np.ndarray:
         """(n, k) matrix of inter-event gaps, first column from the start."""
-        return gap_matrix(self.times, self.start)
+        return gap_matrix(self.times - self.start)
 
     def affine(self, a: float, b: float) -> "SampleSet":
         """Return the sample under t -> a*t + b with a > 0."""

@@ -26,6 +26,12 @@ KIND_HPP = "hpp"
 KIND_STATE_DEPENDENT = "state-dependent"
 
 
+def check_seed(seed: int) -> None:
+    """Raise a DataError unless ``0 <= seed < 2**64``, the one seed domain."""
+    if not 0 <= seed < 2**64:
+        raise DataError(f"seed must fit in 64 unsigned bits, got {seed}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Generator settings.
@@ -61,10 +67,7 @@ class SimConfig:
             raise DataError(
                 f"state-dependent needs one rate per event: got {len(self.rates)} rates for k={self.k}"
             )
-        if not math.isfinite(self.start):
-            raise DataError("start must be finite")
-        if not 0 <= self.seed < 2**64:
-            raise DataError("seed must fit in 64 unsigned bits")
+        check_seed(self.seed)
 
 
 def _generate(config: SimConfig, per_event_rates: np.ndarray) -> SampleSet:

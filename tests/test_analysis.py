@@ -1,5 +1,6 @@
 import math
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -332,6 +333,36 @@ class TestVerifyProperties:
         other = simulate_hpp(SimConfig(kind="hpp", rates=(2.0,), k=3, n=10, seed=1))
         with pytest.raises(DataError, match="does not match"):
             verify_properties(hpp_params, trials=10, seed=1, rays=2, sample=other)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_domain(self, hpp_params, seed):
+        # One seed domain with simulate: 0 <= seed < 2**64.
+        with pytest.raises(DataError, match="seed must fit in 64 unsigned bits"):
+            verify_properties(hpp_params, trials=10, seed=seed, rays=2)
+        with pytest.raises(DataError, match="seed must fit in 64 unsigned bits"):
+            SimConfig(kind="hpp", rates=(1.0,), k=2, n=10, seed=seed)
+
+    @pytest.mark.parametrize("t0", [1e6, 1e9, 1.7e9])
+    def test_passes_on_epoch_timestamps(self, t0):
+        # Event times far from zero with durations of a few seconds, as in
+        # recorded data: the checks run on offsets from the start, so P3
+        # holds at its unchanged tolerance, with and without a refit.
+        sample = simulate_hpp(SimConfig(kind="hpp", rates=(2.0,), k=3, n=2000, seed=3, start=t0))
+        params = fit_params(sample)
+        report = verify_properties(params, trials=2000, seed=1, rays=50)
+        assert report.passed, report
+        refit = verify_properties(params, trials=100, seed=1, rays=10, sample=sample)
+        assert refit.passed, refit
+
+    @pytest.mark.parametrize("t0", [1.5, 1e6, 1.7e9])
+    def test_report_does_not_depend_on_start(self, hpp_sample, hpp_params, t0):
+        expected = verify_properties(hpp_params, trials=300, seed=2, rays=20)
+        assert verify_properties(replace(hpp_params, start=t0), trials=300, seed=2, rays=20) == expected
+        # The refit route sees the sample's offsets from its start.
+        moved = SampleSet(t0, hpp_sample.times + t0)
+        offsets = SampleSet(0.0, moved.times - t0)
+        refit = verify_properties(replace(hpp_params, start=t0), trials=30, seed=2, rays=5, sample=moved)
+        assert refit == verify_properties(hpp_params, trials=30, seed=2, rays=5, sample=offsets)
 
     def test_works_for_k3(self):
         sample = simulate_hpp(SimConfig(kind="hpp", rates=(1.5,), k=3, n=80, seed=21))

@@ -111,6 +111,8 @@ class TestMalformedInputs:
         ("params", {**PARAMS, "big_m": None}),
         ("params", {**PARAMS, "eta": float("nan")}),
         ("params", {**PARAMS, "center": [0.5, float("nan")]}),
+        ("params", {**PARAMS, "k": 2.5}),
+        ("params", {**PARAMS, "k": True, "u_bar": [1.0], "center": [1.0]}),
         ("params", [PARAMS]),
         ("params", {**PARAMS, "schema_version": 99}),
         ("params", {**PARAMS, "provenance": {"n": 5}}),
@@ -118,7 +120,8 @@ class TestMalformedInputs:
         ("config", {**SIM, "rates": 5}),
         ("config", {**SIM, "start": "a"}),
         ("config", {**SIM, "schema_version": 99}),
-    ], ids=["u_bar-string", "k-null", "eta-null", "big_m-null", "eta-nan", "center-nan", "top-level-list",
+    ], ids=["u_bar-string", "k-null", "eta-null", "big_m-null", "eta-nan", "center-nan", "k-fractional", "k-true",
+            "top-level-list",
             "params-schema-99", "params-unknown-key", "k-string", "rates-number", "start-string",
             "config-schema-99"])
     def test_bad_json_is_data_error(self, tmp_path, capsys, command, doc):
@@ -332,6 +335,31 @@ class TestVerify:
 
     def test_usage_error_on_unknown_flag(self, capsys):
         assert run("verify", "--nope") == 1
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_domain_is_data_error(self, params_json, capsys, seed):
+        assert run("verify", "--params", params_json, "--trials", "10", "--rays", "2", "--seed", seed) == 2
+        assert _single_error_line(capsys, f"seed must fit in 64 unsigned bits, got {seed}")
+
+    @pytest.mark.parametrize("t0", ["1e6", "1e9", "1.7e9"])
+    def test_epoch_timestamps_pass(self, tmp_path, t0):
+        sample, params = tmp_path / "sample.csv", tmp_path / "params.json"
+        assert run("simulate", "--kind", "hpp", "--rates", "2", "--k", "3", "--n", "2000", "--seed", "3",
+                   "--t0", t0, "--out", sample) == 0
+        assert run("fit", "--in", sample, "--t0", t0, "--params-out", params) == 0
+        assert run("verify", "--params", params, "--trials", "2000", "--seed", "1", "--rays", "50") == 0
+        assert run("verify", "--params", params, "--trials", "100", "--seed", "1", "--rays", "10",
+                   "--in", sample) == 0
+
+
+@pytest.mark.parametrize("command", ["depth", "rank", "verify"])
+def test_start_comes_from_the_params_file(tmp_path, sample_csv, params_json, capsys, command):
+    # --t0 is only for the commands that read a sample without params.
+    argv = [command, "--params", params_json, "--in", sample_csv, "--t0", "0"]
+    if command != "verify":
+        argv += ["--method", "product", "--out", tmp_path / "out.csv"]
+    assert run(*argv) == 1
+    assert "unrecognized arguments: --t0" in capsys.readouterr().err
 
 
 class TestTopLevel:

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -301,8 +302,9 @@ class TestDepthParams:
         assert p.k == 2
 
     def test_big_m_override(self):
-        p = DepthParams(start=0.0, mu_last=2.0, var_last=0.5, u_bar=(1.0,), big_m=5.0)
-        assert p.big_m == 5.0
+        p = DepthParams(start=1.0, mu_last=2.0, var_last=0.5, u_bar=(1.0,), horizon=5.0)
+        assert p.horizon == 5.0
+        assert p.big_m == 6.0
 
     def test_rejects_degenerate_variance(self):
         with pytest.raises(DataError, match="variance"):
@@ -314,7 +316,7 @@ class TestDepthParams:
 
     def test_rejects_degenerate_horizon(self):
         with pytest.raises(DataError, match="horizon"):
-            DepthParams(start=0.0, mu_last=1.0, var_last=1.0, u_bar=(1.0,), big_m=0.0)
+            DepthParams(start=0.0, mu_last=1.0, var_last=1.0, u_bar=(1.0,), horizon=0.0)
 
     # k, eta and the center are derived; a params file stores them as
     # checked redundancy, so a wrong stored value fails at load.
@@ -340,7 +342,7 @@ class TestDepthParams:
 
     def test_derived_fields_are_not_stored(self):
         p = DepthParams(start=1.0, mu_last=2.0, var_last=0.5, u_bar=(0.25, 0.75))
-        assert PARAM_FIELDS == tuple(vars(p)) == ("start", "mu_last", "var_last", "u_bar", "big_m")
+        assert PARAM_FIELDS == tuple(vars(p)) == ("start", "mu_last", "var_last", "u_bar", "horizon")
 
     def test_affine_matches_refit_identities(self):
         p = DepthParams(start=1.0, mu_last=2.0, var_last=0.5, u_bar=(0.3, 0.7))
@@ -359,9 +361,10 @@ class TestDepthParams:
         a = np.array([0.1, 0.5, 2.0, 7.25])
         b = np.array([9.5, -3.0, 0.0, 4.5])
         fields = affine_fields(p, a, b)
-        # eta and the center as depth_columns derives them from the fields.
-        center = cumulative_times(fields.start, fields.mu_last, fields.u_bar)
-        derived = {"eta": center[:, -1], "center": center}
+        # eta, big_m and the center as DepthParams and the exact-center test
+        # of depth_columns derive them from the fields.
+        derived = {"eta": fields.start + fields.mu_last, "big_m": fields.start + fields.horizon,
+                   "center": fields.start[:, None] + cumulative_times(fields.mu_last, fields.u_bar)}
         for i in range(a.size):
             q = p.affine(float(a[i]), float(b[i]))
             for name in PARAM_FIELDS:
@@ -439,6 +442,34 @@ def samples_with_params(draw):
         u_bar=weights / weights.sum(),
     )
     return SampleSet(0.0, np.vstack([np.cumsum(rows, axis=1), params.center])), params
+
+
+class TestShiftInvariance:
+    """The kernels subtract the start once and read only offsets, so a
+    sample and its params moved by the same start keep every depth."""
+
+    @given(samples_with_params(), st.sampled_from([0.0, 1.5, 1e6, 1e9, 1.7e9]))
+    @settings(max_examples=100, deadline=None)
+    def test_depth_reads_only_offsets(self, case, start):
+        sample, params = case
+        # Offsets on the grid of the start are exact, (start + o) - start == o,
+        # as the offsets of timestamps are (Sterbenz's lemma).
+        offsets = (start + sample.times) - start
+        assert ((start + offsets) - start == offsets).all()
+        # The exact-center test alone compares absolute times; a row that
+        # meets the center only after rounding at this start is left out.
+        center = np.asarray(params.center)
+        rows = (start + offsets == start + center).all(axis=1) == (offsets == center).all(axis=1)
+        shifted = depth_columns(start + offsets, replace(params, start=start))
+        reference = depth_columns(offsets, params)
+        for name in BREAKDOWN_FIELDS:
+            assert np.array_equal(bits(shifted[name][rows]), bits(reference[name][rows])), name
+
+    @pytest.mark.parametrize("start", [1.5, 1e6, 1.7e9])
+    def test_center_is_exactly_one_at_any_start(self, start):
+        p = DepthParams(start=start, mu_last=1.7, var_last=0.3, u_bar=(0.2, 0.3, 0.5))
+        breakdown = product_depth(p.center_sequence, p)
+        assert (breakdown.product, breakdown.exponent) == (1.0, 0.0)
 
 
 class TestBatchKernel:

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import textwrap
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -225,6 +226,22 @@ class TestParamsJson:
         loaded, baseline = load_params_json(path)
         assert loaded == params
         assert baseline is None
+
+    @pytest.mark.parametrize("start", [0.0, 1.5, 1e6, 1.7e9])
+    def test_stored_big_m_gives_horizon(self, tmp_path, start):
+        # The file stores big_m = start + horizon. The default horizon is
+        # mu_last itself, though at a large start big_m - start is not.
+        path = tmp_path / "params.json"
+        default = DepthParams(start=start, mu_last=1.3, var_last=0.2, u_bar=(0.4, 0.6))
+        save_params_json(default, path)
+        text = path.read_text()
+        assert json.loads(text)["big_m"] == start + 1.3
+        loaded, _ = load_params_json(path)
+        assert loaded == default and loaded.horizon == 1.3
+        save_params_json(loaded, path)
+        assert path.read_text() == text
+        save_params_json(replace(default, horizon=4.0), path)
+        assert load_params_json(path)[0].horizon == (start + 4.0) - start
 
     def test_round_trip_with_baseline(self, tmp_path, sample):
         params = fit_params(sample)
