@@ -490,9 +490,8 @@ def verify_properties(
     worst margins; the report is a pure function of the inputs. When
     ``sample`` is given, the scale-shift check refits on the transformed
     sample; otherwise it transforms the fitted parameters directly, which
-    is the same mapping the estimator applies. The depth is shift-invariant,
-    so the checks run on params and sample moved to start 0, and every
-    draw is an offset from that start.
+    is the same mapping the estimator applies. The checks run on params
+    and sample moved to start 0, where the (shift-invariant) depth is the same.
     """
     check_seed(seed)
     if trials < 1:

@@ -16,8 +16,8 @@ comparison baseline.
 Each formula is written once, in an array kernel over an (n, k) matrix of
 event times: :func:`depth_columns`, :func:`hpp_conditional_column` and
 :func:`mahalanobis_column`. The scalar functions are batches of one, so
-scalar and batch results agree bit for bit. The kernels subtract the start
-once and read only offsets from it, so the depth is shift-invariant.
+scalar and batch results agree bit for bit. After subtracting the start
+once, the kernels read it only in the exact-center test.
 """
 
 from __future__ import annotations
@@ -189,12 +189,13 @@ def depth_columns(times, params) -> dict[str, np.ndarray]:
     Returns one array per name in ``BREAKDOWN_FIELDS``. ``params`` is a
     :class:`DepthParams` or any object with its fitted fields
     (``PARAM_FIELDS``); each field is shared by all rows or holds one entry
-    per row. Each block subtracts the start once, and every formula reads
-    the offsets ``o = t - start``. The conditional factor is a log-space
-    weighted sum masked to exactly 0 on any row with a zero gap. A row
-    equal to the center (in absolute time) has every depth field exactly 1
-    (exponent 0), so rounding in the fitted cumulative proportions cannot
-    push the maximum below 1. Rows are evaluated in blocks of ``BLOCK_ROWS``.
+    per row. Each block subtracts the start once: the marginal factor and
+    the first gap read the offsets ``o = t - start``, the later gaps the
+    times. The conditional factor is a log-space weighted sum masked to
+    exactly 0 on any row with a zero gap. A row equal to the center (in
+    absolute time) has every depth field exactly 1 (exponent 0), so
+    rounding in the fitted cumulative proportions cannot push the maximum
+    below 1. Rows are evaluated in blocks of ``BLOCK_ROWS``.
     """
     times = np.asarray(times, dtype=float)
     n = times.shape[0]
@@ -208,7 +209,7 @@ def depth_columns(times, params) -> dict[str, np.ndarray]:
         start = p.start[..., None]
         o = t - start
         w, exponent, factor = _marginal(o[:, -1], p)
-        gaps = gap_matrix(o)
+        gaps = gap_matrix(t, o[:, 0])
         log_sum = (p.u_bar * (np.log(gaps) - np.log(o[:, -1:] * p.u_bar))).sum(axis=1)
         conditional = np.where((gaps > 0.0).all(axis=1), np.minimum(np.exp(log_sum), 1.0), 0.0)
         block = dict(zip(BREAKDOWN_FIELDS, (w, exponent, factor, conditional, factor * conditional)))
@@ -232,7 +233,7 @@ def hpp_conditional_column(times, start: float) -> np.ndarray:
     out = np.empty(n)
     for rows in _blocks(n):
         o = times[rows] - start
-        gaps = gap_matrix(o)
+        gaps = gap_matrix(times[rows], o[:, 0])
         value = np.exp(np.log(k) + np.log(gaps).sum(axis=1) / k - np.log(o[:, -1]))
         out[rows] = np.where((gaps > 0.0).all(axis=1), np.minimum(value, 1.0), 0.0)
     return out

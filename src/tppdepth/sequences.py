@@ -52,12 +52,13 @@ def check_times(start: float, times: np.ndarray) -> None:
     raise EventTimeError(row, col + 1, reason)
 
 
-def gap_matrix(offsets: np.ndarray) -> np.ndarray:
-    """The one formula for inter-event gaps: row i of an (n, k) matrix of
-    offsets from the start (``times - start``) gives ``offsets[i, j] -
-    offsets[i, j-1]``, the first gap being the first offset."""
-    gaps = offsets.copy()
-    gaps[:, 1:] -= offsets[:, :-1]
+def gap_matrix(times: np.ndarray, first) -> np.ndarray:
+    """The one formula for inter-event gaps: row i of an (n, k) matrix
+    gives ``times[i, j] - times[i, j-1]``, the first gap being ``first``,
+    the first offset from the start (``times[:, 0] - start``)."""
+    gaps = times.copy()
+    gaps[:, 1:] -= times[:, :-1]
+    gaps[:, 0] = first
     return gaps
 
 
@@ -89,7 +90,7 @@ class EventSequence:
     @property
     def gaps(self) -> tuple[float, ...]:
         """Inter-event gaps, the first one measured from the start."""
-        return tuple(gap_matrix(np.array([self.times]) - self.start)[0].tolist())
+        return tuple(gap_matrix(np.array([self.times]), self.times[0] - self.start)[0].tolist())
 
     @property
     def on_boundary(self) -> bool:
@@ -98,7 +99,9 @@ class EventSequence:
 
     def affine(self, a: float, b: float) -> "EventSequence":
         """Return the realization under t -> a*t + b with a > 0."""
-        return SampleSet(self.start, [self.times]).affine(a, b).sequence(0)
+        if a <= 0:
+            raise DataError("scale factor must be positive")
+        return EventSequence(a * self.start + b, tuple(a * t + b for t in self.times))
 
 
 class SampleSet:
@@ -152,7 +155,7 @@ class SampleSet:
 
     def gaps(self) -> np.ndarray:
         """(n, k) matrix of inter-event gaps, first column from the start."""
-        return gap_matrix(self.times - self.start)
+        return gap_matrix(self.times, self.times[:, 0] - self.start)
 
     def affine(self, a: float, b: float) -> "SampleSet":
         """Return the sample under t -> a*t + b with a > 0."""

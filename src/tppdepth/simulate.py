@@ -67,6 +67,8 @@ class SimConfig:
             raise DataError(
                 f"state-dependent needs one rate per event: got {len(self.rates)} rates for k={self.k}"
             )
+        if not math.isfinite(self.start):
+            raise DataError("start must be finite")
         check_seed(self.seed)
 
 

@@ -465,6 +465,14 @@ class TestShiftInvariance:
         for name in BREAKDOWN_FIELDS:
             assert np.array_equal(bits(shifted[name][rows]), bits(reference[name][rows])), name
 
+    def test_distinct_times_far_from_the_start_have_positive_depth(self):
+        # Both offsets round to 1000001.0, but the second gap is the
+        # difference of the times, so the conditional depth stays positive.
+        p = DepthParams(start=-1e6, mu_last=1e6 + 1.0, var_last=1.0, u_bar=(0.5, 0.5))
+        times = np.array([[1.0, np.nextafter(1.0, 2.0)]])
+        assert depth_columns(times, p)["conditional"][0] > 0.0
+        assert hpp_conditional_column(times, p.start)[0] > 0.0
+
     @pytest.mark.parametrize("start", [1.5, 1e6, 1.7e9])
     def test_center_is_exactly_one_at_any_start(self, start):
         p = DepthParams(start=start, mu_last=1.7, var_last=0.3, u_bar=(0.2, 0.3, 0.5))

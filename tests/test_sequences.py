@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,23 +117,23 @@ class TestSampleSet:
 
 
 class TestGaps:
+    def test_distinct_times_far_from_the_start_keep_a_positive_gap(self):
+        # Both offsets round to 1000001.0; the gap is still the difference
+        # of the times, so the realization is not on the boundary.
+        seq = EventSequence(-1e6, (1.0, float(np.nextafter(1.0, 2.0))))
+        assert seq.gaps[1] > 0.0
+        assert not seq.on_boundary
+
     @given(samples())
     @settings(max_examples=200, deadline=None)
     def test_one_formula_bit_for_bit(self, sample):
         # The sample, each realization and the depth kernels all get their
-        # gaps from one function of the offsets from the start; np.diff is
-        # the independent reference.
+        # gaps from one function; np.diff is the independent reference.
         gaps = sample.gaps()
-        offsets = sample.times - sample.start
-        assert np.array_equal(bits(gaps), bits(np.diff(offsets, axis=1, prepend=0.0)))
-        # Where every offset of a row is exact (as for timestamps near the
-        # start), the gaps are the differences of the times themselves (a
-        # zero gap may differ in sign).
-        exact = [all(Fraction(t) - Fraction(sample.start) == Fraction(o) for t, o in zip(*row))
-                 for row in zip(sample.times, offsets)]
         reference = np.diff(sample.times, axis=1, prepend=sample.start)
-        assert np.array_equal(gaps[exact], reference[exact])
-        assert np.array_equal(bits(depth.gap_matrix(sample.times - sample.start)), bits(gaps))
+        assert np.array_equal(bits(gaps), bits(reference))
+        first = sample.times[:, 0] - sample.start
+        assert np.array_equal(bits(depth.gap_matrix(sample.times, first)), bits(gaps))
         for i in range(sample.n):
             seq = sample.sequence(i)
             assert np.array_equal(bits(seq.gaps), bits(gaps[i])), i

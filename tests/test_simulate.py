@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,11 @@ class TestSimConfig:
             SimConfig(kind="hpp", rates=(1.0,), k=2, n=10, seed=-1)
         with pytest.raises(DataError):
             SimConfig(kind="hpp", rates=(1.0,), k=2, n=10, seed=2**64)
+
+    @pytest.mark.parametrize("start", [math.inf, -math.inf, math.nan])
+    def test_start_finite(self, start):
+        with pytest.raises(DataError, match="start must be finite"):
+            SimConfig(kind="hpp", rates=(1.0,), k=2, n=10, start=start)
 
 
 class TestDeterminism:
