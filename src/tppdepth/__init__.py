@@ -7,7 +7,6 @@ from .analysis import (
     NearBoundarySummary,
     PropertyCheck,
     PropertyReport,
-    RankEntry,
     RankTable,
     contour_grid,
     depth_breakdown,
@@ -32,7 +31,7 @@ from .errors import DataError
 from .estimation import fit_mahalanobis, fit_params
 from .io import load_csv, load_params_json, save_params_json, save_sample_csv
 from .sequences import EventSequence, SampleSet
-from .simulate import SimConfig, simulate, simulate_hpp, simulate_state_dependent
+from .simulate import SimConfig, simulate
 
 __version__ = "0.1.0"
 
@@ -45,7 +44,6 @@ __all__ = [
     "NearBoundarySummary",
     "PropertyCheck",
     "PropertyReport",
-    "RankEntry",
     "RankTable",
     "SampleSet",
     "SimConfig",
@@ -68,8 +66,6 @@ __all__ = [
     "save_params_json",
     "save_sample_csv",
     "simulate",
-    "simulate_hpp",
-    "simulate_state_dependent",
     "verify_properties",
     "weighted_fraction_gap",
 ]

@@ -6,8 +6,8 @@ Subcommands compose through files: ``simulate`` writes a sample CSV,
 Only ``simulate``, ``fit`` and ``compare-boundary`` take a start time
 (``--t0``); the other commands use the one stored in the params file.
 
-Exit codes: 0 success, 1 usage error, 2 data or file error, 3 property
-violations found by ``verify``.
+Exit codes: 0 success, 1 usage error (also a flag above its cap in
+``FLAG_CAPS``), 2 data or file error, 3 property violations found by ``verify``.
 
 The only environment override is ``TPPDEPTH_OUT_DIR``: when set, output
 paths given without a directory component are placed there.
@@ -34,7 +34,12 @@ from .analysis import (
 )
 from .errors import DataError
 from .estimation import fit_mahalanobis, fit_params
-from .simulate import SimConfig, simulate
+from .simulate import KINDS, SimConfig, simulate
+
+
+# Caps on the flags that size an allocation (resolution**2 contour nodes,
+# trials x k draws, 101 points per ray), checked before anything is allocated.
+FLAG_CAPS = {"resolution": 2001, "trials": 10**6, "rays": 10**5}
 
 
 class _UsageError(Exception):
@@ -62,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a sample and write it as CSV")
     p.add_argument("--config", default=None,
                    help="JSON file with kind/rates/k/n/start/seed; flags override it")
-    p.add_argument("--kind", choices=["hpp", "state-dependent"])
+    p.add_argument("--kind", choices=KINDS)
     p.add_argument("--rates", type=float, nargs="+")
     p.add_argument("--k", type=int)
     p.add_argument("--n", type=int)
@@ -215,6 +220,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        for flag, cap in FLAG_CAPS.items():
+            if getattr(args, flag, 0) > cap:
+                raise _UsageError(f"--{flag} must be at most {cap}, got {getattr(args, flag)}")
         return _COMMANDS[args.command](args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)

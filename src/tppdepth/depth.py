@@ -64,8 +64,8 @@ def center_times(start: float, mu_last: float, u_bar) -> tuple[float, ...]:
     u = np.asarray(u_bar, dtype=float)
     if u.ndim != 1 or u.size < 1:
         raise DataError("gap proportions must be a nonempty vector")
-    if not np.all(np.isfinite(u)) or np.any(u <= 0):
-        raise DataError("every gap proportion must be positive and finite")
+    if not np.all((u > 0) & (u <= 1)):  # which also keeps the sum below from overflowing
+        raise DataError("every gap proportion must lie in (0, 1]")
     if abs(float(u.sum()) - 1.0) > U_BAR_SUM_TOL:
         raise DataError(f"gap proportions must sum to 1 within {U_BAR_SUM_TOL}, got {u.sum()!r}")
     if not (mu_last > 0) or not math.isfinite(mu_last):
@@ -138,10 +138,6 @@ class DepthParams:
     def center(self) -> tuple[float, ...]:
         """The central event-time vector (see :func:`center_times`)."""
         return center_times(self.start, self.mu_last, self.u_bar)
-
-    @property
-    def center_sequence(self) -> EventSequence:
-        return EventSequence(self.start, self.center)
 
     def affine(self, a: float, b: float) -> "DepthParams":
         """Parameters of the population transformed by t -> a*t + b, a > 0
@@ -239,14 +235,16 @@ def hpp_conditional_column(times, start: float) -> np.ndarray:
     return out
 
 
+@np.errstate(all="ignore")
 def mahalanobis_column(times, mean, covariance) -> np.ndarray:
     """Multivariate Mahalanobis depth ``1 / (1 + (s-m)' C^-1 (s-m))`` per row.
 
-    The mean and covariance must be finite and match the k columns. The
-    covariance is symmetrized and, if its Cholesky factorization fails,
-    ridged once with ``1e-10 * trace(C)/k`` on the diagonal; if it is
+    The mean and the symmetrized covariance must be finite and match the
+    k columns. If the Cholesky factorization of the covariance fails, it
+    is ridged once with ``1e-10 * trace(C)/k`` on the diagonal; if it is
     still not positive definite a :class:`DataError` is raised. One
-    Cholesky factor and one solve serve every row.
+    Cholesky factor and one solve serve every row. A row whose distance
+    overflows has depth exactly 0.
     """
     times = np.asarray(times, dtype=float)
     n, k = times.shape
@@ -254,9 +252,9 @@ def mahalanobis_column(times, mean, covariance) -> np.ndarray:
     c = np.asarray(covariance, dtype=float)
     if m.size != k or c.shape != (k, k):
         raise DataError(f"shape mismatch: times {times.shape}, mean {m.shape}, covariance {c.shape}")
-    if not (np.all(np.isfinite(m)) and np.all(np.isfinite(c))):
-        raise DataError("the Mahalanobis mean and covariance must be finite")
     c = 0.5 * (c + c.T)
+    if not (np.all(np.isfinite(m)) and np.all(np.isfinite(c))):
+        raise DataError("the Mahalanobis mean and the symmetrized covariance must be finite")
     try:
         chol = np.linalg.cholesky(c)
     except np.linalg.LinAlgError:
@@ -271,7 +269,8 @@ def mahalanobis_column(times, mean, covariance) -> np.ndarray:
     out = np.empty(n)
     for rows in _blocks(n):
         y = ((times[rows] - m)[:, None, :] * whiten).sum(axis=2)
-        out[rows] = 1.0 / (1.0 + (y * y).sum(axis=1))
+        distance = (y * y).sum(axis=1)
+        out[rows] = 1.0 / (1.0 + np.where(np.isnan(distance), np.inf, distance))  # NaN: inf - inf
     return out
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .analysis import ContourGrid, NearBoundarySummary, PropertyReport, RankTable
 from .depth import BLOCK_ROWS, BREAKDOWN_FIELDS, DepthParams
-from .errors import DataError
+from .errors import DataError, is_integer, is_number
 from .sequences import EventTimeError, SampleSet
 
 SCHEMA_VERSION = 1
@@ -30,26 +30,31 @@ _PARAMS_KEYS = ("k", "start", "mu_last", "var_last", "u_bar", "eta", "big_m", "c
 _BASELINE_KEYS = ("mahalanobis_mean", "mahalanobis_cov")
 
 
-def _json_number(value) -> bool:
-    # A JSON number; JSON true and false load as bool, a subclass of int.
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _numbers(value) -> bool:
+    return isinstance(value, list) and all(map(is_number, value))
 
 
-def _json_integer(value) -> bool:
-    # A JSON integer, or a float with an integer value such as 1e5.
-    return _json_number(value) and (isinstance(value, int) or value.is_integer())
-
-
-# Generator settings a config file may hold: the JSON type each must have, a
-# test of it, and the conversion.
+# The JSON type of each generator setting and params key: what it must be,
+# a test of it, and the conversion. JSON true and false load as bool, which
+# no number test accepts.
+_NUMBER = ("a number", is_number, float)
+_INTEGER = ("an integer", is_integer, int)
+_NUMBERS = ("a list of numbers", _numbers, lambda v: tuple(map(float, v)))
 _SIM_SETTINGS = {
     "kind": ("a string", lambda v: isinstance(v, str), str),
-    "rates": ("a list of numbers", lambda v: isinstance(v, list) and all(map(_json_number, v)),
-              lambda v: tuple(map(float, v))),
-    "k": ("an integer", _json_integer, int),
-    "n": ("an integer", _json_integer, int),
-    "start": ("a number", _json_number, float),
-    "seed": ("an integer", _json_integer, int),
+    "rates": _NUMBERS,
+    "k": _INTEGER,
+    "n": _INTEGER,
+    "start": _NUMBER,
+    "seed": _INTEGER,
+}
+_PARAMS_TYPES = {
+    **dict.fromkeys(("start", "mu_last", "var_last", "eta", "big_m"), _NUMBER),
+    "k": _INTEGER,
+    **dict.fromkeys(("u_bar", "center", "mahalanobis_mean"), _NUMBERS),
+    "mahalanobis_cov": ("a list of equal-length lists of numbers",
+                        lambda v: isinstance(v, list) and all(map(_numbers, v)),
+                        lambda v: np.array(v, dtype=float)),
 }
 
 
@@ -217,31 +222,37 @@ def _read_json(path) -> dict:
     if not isinstance(doc, dict):
         raise DataError(f"{path}: expected a JSON object")
     version = doc.get("schema_version", SCHEMA_VERSION)
-    if not isinstance(version, int) or version > SCHEMA_VERSION:
+    if not is_integer(version) or version > SCHEMA_VERSION:
         raise DataError(f"{path}: schema_version {version!r} is newer than {SCHEMA_VERSION} or not a number")
     return doc
+
+
+def _read_typed(path, types: dict, what: str) -> dict:
+    # A JSON object whose keys (schema_version aside) are in ``types``, each
+    # value checked against its JSON type and converted; ``what`` is what the
+    # error messages call a key.
+    doc = _read_json(path)
+    doc.pop("schema_version", None)
+    unknown = set(doc) - set(types)
+    if unknown:
+        raise DataError(f"{path}: unknown {what}s {sorted(unknown)}")
+    return {key: _typed(path, what, key, value, *types[key]) for key, value in doc.items()}
+
+
+def _typed(path, what: str, key: str, value, expected: str, valid, convert):
+    try:
+        if valid(value):
+            return convert(value)
+    except (OverflowError, ValueError):  # an integer too large for a float, a ragged matrix
+        pass
+    raise DataError(f"{path}: {what} {key!r} must be {expected}, got {value!r}")
 
 
 def load_sim_config_json(path) -> dict:
     """Read generator settings from JSON: ``kind`` (a string), ``rates`` (a
     list of numbers), ``k``, ``n`` and ``seed`` (integers, or floats with an
     integer value such as ``1e5``) and ``start`` (a number)."""
-    doc = _read_json(path)
-    unknown = set(doc) - {*_SIM_SETTINGS, "schema_version"}
-    if unknown:
-        raise DataError(f"{path}: unknown generator settings {sorted(unknown)}")
-    return {key: _sim_setting(path, key, value) for key, value in doc.items() if key != "schema_version"}
-
-
-def _sim_setting(path, key: str, value):
-    # One generator setting of a config file, checked against its JSON type.
-    expected, valid, convert = _SIM_SETTINGS[key]
-    try:
-        if valid(value):
-            return convert(value)
-    except OverflowError:  # an integer too large for a float
-        pass
-    raise DataError(f"{path}: generator setting {key!r} must be {expected}, got {value!r}")
+    return _read_typed(path, _SIM_SETTINGS, "generator setting")
 
 
 def save_params_json(params: DepthParams, path, baseline: tuple | None = None) -> None:
@@ -262,25 +273,22 @@ def load_params_json(path) -> tuple[DepthParams, tuple | None]:
     """Read fitted parameters; returns (params, baseline-or-None).
 
     The file holds the keys ``save_params_json`` writes, the baseline pair
-    optional (but not half of it), and perhaps ``schema_version``. The
-    horizon is ``mu_last`` if ``big_m == start + mu_last``, else ``big_m -
-    start``. The stored ``k`` (an integer), ``eta`` and ``center`` must
-    match the fitted fields.
+    optional (but not half of it), and perhaps ``schema_version``, each
+    of its JSON type (``_PARAMS_TYPES``). The horizon is ``mu_last`` if
+    ``big_m == start + mu_last``, else ``big_m - start``. The stored
+    ``k``, ``eta`` and ``center`` must match the fitted fields.
     """
-    doc = _read_json(path)
-    unknown = set(doc) - {"schema_version", *_PARAMS_KEYS, *_BASELINE_KEYS}
-    if unknown:
-        raise DataError(f"{path}: unknown params keys {sorted(unknown)}")
+    doc = _read_typed(path, _PARAMS_TYPES, "params key")
     try:
-        start, mu_last, big_m = (float(doc[key]) for key in ("start", "mu_last", "big_m"))
+        start, mu_last, big_m = (doc[key] for key in ("start", "mu_last", "big_m"))
         horizon = mu_last if big_m == start + mu_last else big_m - start
         params = DepthParams(start, mu_last, doc["var_last"], doc["u_bar"], horizon)
-        if not _json_integer(doc["k"]) or doc["k"] != params.k:
+        if doc["k"] != params.k:
             raise DataError(f"k is {doc['k']!r}, but u_bar has {params.k} entries")
         tol = 1e-9 * max(1.0, abs(params.start) + params.mu_last)
-        if not abs(float(doc["eta"]) - params.eta) <= tol:
+        if not abs(doc["eta"] - params.eta) <= tol:
             raise DataError("eta must equal start + mu_last (the marginal depth peaks at the mean)")
-        center = [float(c) for c in doc["center"]]
+        center = doc["center"]
         if len(center) != params.k or not all(abs(c - e) <= tol for c, e in zip(center, params.center)):
             raise DataError("center is inconsistent with start, mu_last and u_bar")
         baseline = None
@@ -288,7 +296,7 @@ def load_params_json(path) -> tuple[DepthParams, tuple | None]:
             baseline = tuple(np.asarray(doc[key], dtype=float) for key in _BASELINE_KEYS)
     except KeyError as exc:
         raise DataError(f"{path}: missing field {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
+    except DataError as exc:
         raise DataError(f"{path}: bad parameters ({exc})") from None
     return params, baseline
 

@@ -121,20 +121,6 @@ class SampleSet:
         arr.setflags(write=False)
         self.times = arr
 
-    @classmethod
-    def from_sequences(cls, sequences) -> "SampleSet":
-        seqs = list(sequences)
-        if not seqs:
-            raise DataError("cannot build a sample from zero realizations")
-        start = seqs[0].start
-        k = seqs[0].k
-        for i, s in enumerate(seqs):
-            if s.start != start:
-                raise DataError(f"realization {i}: start {s.start} differs from {start}")
-            if s.k != k:
-                raise DataError(f"realization {i}: {s.k} events, expected {k}")
-        return cls(start, [s.times for s in seqs])
-
     @property
     def n(self) -> int:
         return self.times.shape[0]
@@ -142,9 +128,6 @@ class SampleSet:
     @property
     def k(self) -> int:
         return self.times.shape[1]
-
-    def __len__(self) -> int:
-        return self.n
 
     def sequence(self, i: int) -> EventSequence:
         return EventSequence(self.start, tuple(self.times[i]))

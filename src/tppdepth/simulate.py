@@ -1,9 +1,9 @@
-"""Seeded generators for the two benchmark point processes.
+"""Seeded generator for the two benchmark point processes.
 
 Both processes are observed up to their first k events and have
-independent exponential gaps: a constant rate for the homogeneous case,
-and one rate per event count for the state-dependent case (rate j applies
-while j-1 events have occurred).
+independent exponential gaps: a constant rate for the homogeneous kind
+(``hpp``), and one rate per event count for the state-dependent kind
+(rate j applies while j-1 events have occurred).
 
 Gaps are drawn by inverse CDF, ``-log(1 - U) / rate`` with U in [0, 1),
 from a counter-based generator (Philox) keyed by the seed, so the output
@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, is_integer
 from .sequences import SampleSet
 
-KIND_HPP = "hpp"
-KIND_STATE_DEPENDENT = "state-dependent"
+# The process kinds; the kind decides how many rates a config holds.
+KINDS = ("hpp", "state-dependent")
 
 
 def check_seed(seed: int) -> None:
@@ -37,7 +37,9 @@ class SimConfig:
     """Generator settings.
 
     ``rates`` has length 1 for the homogeneous kind (the constant rate)
-    and length k for the state-dependent kind.
+    and length k for the state-dependent kind. ``k``, ``n`` and ``seed``
+    are integers; a float with an integer value such as ``1e5`` is taken,
+    a bool or a fractional value is an error.
     """
 
     kind: str
@@ -48,12 +50,14 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("k", "n", "seed"):
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise DataError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
-        object.__setattr__(self, "k", int(self.k))
-        object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "start", float(self.start))
-        object.__setattr__(self, "seed", int(self.seed))
-        if self.kind not in (KIND_HPP, KIND_STATE_DEPENDENT):
+        if self.kind not in KINDS:
             raise DataError(f"unknown process kind {self.kind!r}")
         if self.k < 1:
             raise DataError("k must be at least 1")
@@ -61,40 +65,19 @@ class SimConfig:
             raise DataError("n must be at least 1")
         if not all(math.isfinite(r) and r > 0 for r in self.rates):
             raise DataError("every rate must be positive and finite")
-        if self.kind == KIND_HPP and len(self.rates) != 1:
-            raise DataError(f"hpp takes a single rate, got {len(self.rates)}")
-        if self.kind == KIND_STATE_DEPENDENT and len(self.rates) != self.k:
-            raise DataError(
-                f"state-dependent needs one rate per event: got {len(self.rates)} rates for k={self.k}"
-            )
+        needed = 1 if self.kind == "hpp" else self.k
+        if len(self.rates) != needed:
+            raise DataError(f"{self.kind} with k={self.k} takes {needed} rate(s), got {len(self.rates)}")
         if not math.isfinite(self.start):
             raise DataError("start must be finite")
         check_seed(self.seed)
 
 
-def _generate(config: SimConfig, per_event_rates: np.ndarray) -> SampleSet:
+def simulate(config: SimConfig) -> SampleSet:
+    """First k events of the configured process: gap j is exponential with
+    rate ``rates[j]``, and the single rate of the homogeneous kind serves
+    every gap."""
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     u = rng.random((config.n, config.k))
-    gaps = -np.log1p(-u) / per_event_rates
+    gaps = -np.log1p(-u) / np.asarray(config.rates)
     return SampleSet(config.start, config.start + np.cumsum(gaps, axis=1))
-
-
-def simulate_hpp(config: SimConfig) -> SampleSet:
-    """First k events of a homogeneous process: i.i.d. exponential gaps."""
-    if config.kind != KIND_HPP:
-        raise DataError(f"config kind is {config.kind!r}, expected {KIND_HPP!r}")
-    return _generate(config, np.full(config.k, config.rates[0]))
-
-
-def simulate_state_dependent(config: SimConfig) -> SampleSet:
-    """First k events with a piecewise-constant, count-dependent rate."""
-    if config.kind != KIND_STATE_DEPENDENT:
-        raise DataError(f"config kind is {config.kind!r}, expected {KIND_STATE_DEPENDENT!r}")
-    return _generate(config, np.asarray(config.rates, dtype=float))
-
-
-def simulate(config: SimConfig) -> SampleSet:
-    """Dispatch on the configured kind."""
-    if config.kind == KIND_HPP:
-        return simulate_hpp(config)
-    return simulate_state_dependent(config)

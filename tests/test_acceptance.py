@@ -27,8 +27,7 @@ from tppdepth import (
     near_boundary_comparison,
     product_depth,
     rank,
-    simulate_hpp,
-    simulate_state_dependent,
+    simulate,
     weighted_fraction_gap,
 )
 from tppdepth.cli import main as cli_main
@@ -144,14 +143,14 @@ def test_criterion_5_simulator_moments():
     with criterion(5, "simulator moments and distribution"):
         started = time.perf_counter()
         n = 10**5
-        hpp = simulate_hpp(SimConfig(kind="hpp", rates=(2.0,), k=2, n=n, seed=11))
+        hpp = simulate(SimConfig(kind="hpp", rates=(2.0,), k=2, n=n, seed=11))
         durations = hpp.durations()
         se_duration = math.sqrt(0.5 / n)
         assert abs(durations.mean() - 1.0) < 3 * se_duration
         first_fraction = hpp.gaps()[:, 0] / durations
         se_fraction = math.sqrt((1 / 12) / n)
         assert abs(first_fraction.mean() - 0.5) < 3 * se_fraction
-        state = simulate_state_dependent(
+        state = simulate(
             SimConfig(kind="state-dependent", rates=(2.5, 10.0), k=2, n=n, seed=12)
         )
         se_first = math.sqrt(0.16 / n)
@@ -166,8 +165,8 @@ def test_criterion_5_simulator_moments():
 
 
 def _case_samples():
-    case1 = simulate_hpp(SimConfig(kind="hpp", rates=(2.0,), k=2, n=100, seed=0))
-    case2 = simulate_state_dependent(
+    case1 = simulate(SimConfig(kind="hpp", rates=(2.0,), k=2, n=100, seed=0))
+    case2 = simulate(
         SimConfig(kind="state-dependent", rates=(2.5, 10.0), k=2, n=100, seed=0)
     )
     return case1, case2
@@ -204,11 +203,11 @@ def test_criterion_7_symmetry_proxy():
     with criterion(7, "top-rank symmetry proxy"):
         wins = 0
         for seed in range(10):
-            sample = simulate_hpp(SimConfig(kind="hpp", rates=(2.0,), k=2, n=50, seed=seed))
+            sample = simulate(SimConfig(kind="hpp", rates=(2.0,), k=2, n=50, seed=seed))
             params = fit_params(sample)
             baseline = fit_mahalanobis(sample)
-            top_product = [e.index for e in rank(sample, params, "product").top(10)]
-            top_mahal = [e.index for e in rank(sample, params, "mahalanobis", baseline).top(10)]
+            top_product = rank(sample, params, "product").order[:10].tolist()
+            top_mahal = rank(sample, params, "mahalanobis", baseline).order[:10].tolist()
             fitted_mean = baseline[0][-1]
             dev_product = float(np.mean(sample.times[top_product, -1] - fitted_mean))
             dev_mahal = float(np.mean(sample.times[top_mahal, -1] - fitted_mean))

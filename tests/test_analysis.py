@@ -1,4 +1,5 @@
 import math
+import warnings
 from collections import deque
 from dataclasses import replace
 
@@ -19,16 +20,17 @@ from tppdepth import (
     near_boundary_comparison,
     product_depth,
     rank,
-    simulate_hpp,
+    simulate,
     verify_properties,
     weighted_fraction_gap,
 )
+import tppdepth.analysis as analysis
 from tppdepth.analysis import PROPERTY_NAMES, _competition_ranks
 
 
 @pytest.fixture(scope="module")
 def hpp_sample():
-    return simulate_hpp(SimConfig(kind="hpp", rates=(2.0,), k=2, n=100, seed=0))
+    return simulate(SimConfig(kind="hpp", rates=(2.0,), k=2, n=100, seed=0))
 
 
 @pytest.fixture(scope="module")
@@ -293,6 +295,20 @@ class TestVerifyProperties:
         for check in report.checks:
             assert check.violations == 0
 
+    @pytest.mark.parametrize("horizon", [2.0**-8, 1e308])
+    def test_extreme_horizon_margins_are_numbers(self, horizon):
+        # A tiny horizon underflows every product depth to 0 (0/0 in the P3
+        # ratio); a huge one overflows when scaled. Neither warns or gives NaN.
+        params = DepthParams(0.0, 1.0, 0.25, (0.5, 0.5), horizon=horizon)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_properties(params, trials=50, seed=1, rays=3)
+        assert all(math.isfinite(c.worst_margin) for c in report.checks)
+        assert report.check("P3").violations == 0
+
+    def test_nan_margin_is_a_violation(self):
+        assert analysis._tally("P3", 2, np.array([-1.0, math.nan])).violations == 1
+
     def test_reproducible(self, hpp_params):
         a = verify_properties(hpp_params, trials=100, seed=9, rays=10)
         b = verify_properties(hpp_params, trials=100, seed=9, rays=10)
@@ -330,7 +346,7 @@ class TestVerifyProperties:
             verify_properties(hpp_params, trials=10, seed=1, rays=0)
 
     def test_mismatched_sample_rejected(self, hpp_params):
-        other = simulate_hpp(SimConfig(kind="hpp", rates=(2.0,), k=3, n=10, seed=1))
+        other = simulate(SimConfig(kind="hpp", rates=(2.0,), k=3, n=10, seed=1))
         with pytest.raises(DataError, match="does not match"):
             verify_properties(hpp_params, trials=10, seed=1, rays=2, sample=other)
 
@@ -347,7 +363,7 @@ class TestVerifyProperties:
         # Event times far from zero with durations of a few seconds, as in
         # recorded data: the checks run on offsets from the start, so P3
         # holds at its unchanged tolerance, with and without a refit.
-        sample = simulate_hpp(SimConfig(kind="hpp", rates=(2.0,), k=3, n=2000, seed=3, start=t0))
+        sample = simulate(SimConfig(kind="hpp", rates=(2.0,), k=3, n=2000, seed=3, start=t0))
         params = fit_params(sample)
         report = verify_properties(params, trials=2000, seed=1, rays=50)
         assert report.passed, report
@@ -365,7 +381,7 @@ class TestVerifyProperties:
         assert refit == verify_properties(hpp_params, trials=30, seed=2, rays=5, sample=offsets)
 
     def test_works_for_k3(self):
-        sample = simulate_hpp(SimConfig(kind="hpp", rates=(1.5,), k=3, n=80, seed=21))
+        sample = simulate(SimConfig(kind="hpp", rates=(1.5,), k=3, n=80, seed=21))
         params = fit_params(sample)
         report = verify_properties(params, trials=200, seed=5, rays=20)
         assert report.passed

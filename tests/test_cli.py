@@ -1,11 +1,16 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
-from tppdepth import load_csv
-from tppdepth.cli import main
+from tppdepth import DataError, cli, load_csv
+from tppdepth.analysis import METHODS
+from tppdepth.cli import FLAG_CAPS, main
 
 
 def run(*argv):
@@ -189,6 +194,135 @@ class TestConfigTypes:
         assert run("simulate", "--kind", "hpp", "--rates", "2", "--k", "2",
                    "--n", "30", "--seed", "7", "--out", from_flags) == 0
         assert from_config.read_bytes() == from_flags.read_bytes()
+
+
+def _as_strings(value):
+    # A JSON value with each number written as a string.
+    return [_as_strings(v) for v in value] if isinstance(value, list) else repr(value)
+
+
+class TestParamsTypes:
+    """A params value must have its JSON type; nothing is converted."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("start", "0"), ("start", False), ("var_last", True), ("big_m", True),
+        ("u_bar", "strings"), ("center", "strings"), ("mahalanobis_mean", "strings"),
+        ("mahalanobis_cov", "strings"), ("mahalanobis_cov", [[1.0, 0.0], [0.0]]), ("schema_version", True),
+    ], ids=["start-string", "start-false", "var_last-true", "big_m-true", "u_bar-strings", "center-strings",
+            "mahalanobis_mean-strings", "mahalanobis_cov-strings", "mahalanobis_cov-ragged",
+            "schema_version-true"])
+    def test_wrong_type_is_data_error(self, tmp_path, sample_csv, params_json, capsys, key, value):
+        doc = json.loads(params_json.read_text())
+        doc[key] = _as_strings(doc[key]) if value == "strings" else value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "rank.csv"
+        assert run("rank", "--in", sample_csv, "--params", path, "--method", "mahalanobis", "--out", out) == 2
+        name = "schema_version" if key == "schema_version" else f"params key {key!r}"
+        assert _single_error_line(capsys, f"{path}: {name}")
+        assert not out.exists()
+
+
+class TestFlagCaps:
+    """--resolution, --trials and --rays are capped before anything is allocated."""
+
+    @pytest.mark.parametrize("flag, cap", sorted(FLAG_CAPS.items()))
+    def test_cap(self, tmp_path, params_json, monkeypatch, capsys, flag, cap):
+        def library(*args, **kwargs):
+            raise DataError("reached the library")
+
+        monkeypatch.setattr(cli, "contour_grid", library)
+        monkeypatch.setattr(cli, "verify_properties", library)
+        out = tmp_path / "out.csv"
+        if flag == "resolution":
+            argv = ["contour", "--params", params_json, "--method", "product", "--xmin", "0", "--xmax", "2",
+                    "--ymin", "0", "--ymax", "2", "--out", out]
+        else:
+            argv = ["verify", "--params", params_json, "--out", out]
+        assert run(*argv, f"--{flag}", cap) == 2
+        assert _single_error_line(capsys, "reached the library")
+        assert run(*argv, f"--{flag}", cap + 1) == 1
+        assert _single_error_line(capsys, f"error: --{flag} must be at most {cap}, got {cap + 1}")
+        assert not out.exists()
+
+
+# JSON values of any shape, plus the near misses a params file invites:
+# pairs and 2x2 matrices of any floats (NaN, infinities and 1e308 included).
+JSON_VALUES = st.one_of(
+    st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+                 lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+                 max_leaves=6),
+    st.lists(st.floats(), min_size=2, max_size=2),
+    st.lists(st.lists(st.floats(), min_size=2, max_size=2), min_size=2, max_size=2),
+)
+PARAMS_KEYS = ["schema_version", "k", "start", "mu_last", "var_last", "u_bar", "eta", "big_m", "center",
+               "mahalanobis_mean", "mahalanobis_cov", "unknown"]
+
+
+def _flag_value(cap):
+    # Small sizes (the run stays fast), or any integer above the cap.
+    return st.one_of(st.integers(-3, 12), st.integers(cap + 1, 10**30)).map(str)
+
+
+class TestFuzz:
+    """Whatever one params value or capped flag holds, the CLI ends in exit
+    0 with valid depths and ranks, 3 from verify, or one error line."""
+
+    def _run(self, capsys, argv):
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(*argv)
+        err = capsys.readouterr().err
+        assert not caught, [str(w.message) for w in caught]
+        assert code in (0, 1, 2, 3)
+        if code in (1, 2):
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), err
+        return code
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(key=st.sampled_from(PARAMS_KEYS), value=JSON_VALUES, method=st.sampled_from(METHODS),
+           command=st.sampled_from(["rank", "verify"]))
+    @example(key="mahalanobis_mean", value=[1e308, 1e308], method="mahalanobis", command="rank")
+    @example(key="mahalanobis_cov", value=[[1e308, 0.0], [0.0, 1e308]], method="mahalanobis", command="rank")
+    @example(key="u_bar", value=[1e308, 1e308], method="product", command="rank")
+    def test_params_value(self, tmp_path, sample_csv, params_json, capsys, key, value, method, command):
+        doc = json.loads(params_json.read_text())
+        doc[key] = value
+        path = tmp_path / "fuzzed.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out.csv"
+        out.unlink(missing_ok=True)
+        if command == "verify":
+            self._run(capsys, ["verify", "--params", path, "--trials", "20", "--rays", "3"])
+            return
+        code = self._run(capsys, ["rank", "--in", sample_csv, "--params", path, "--method", method, "--out", out])
+        assert out.exists() == (code == 0)
+        if code == 0:
+            with out.open() as handle:
+                rows = list(csv.DictReader(handle))
+            depths = np.array([float(row["depth"]) for row in rows])
+            ranks = np.array([int(row["rank"]) for row in rows])
+            assert np.all(np.isfinite(depths) & (depths >= 0) & (depths <= 1))
+            assert np.array_equal(ranks, rankdata(-depths, method="min"))
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(resolution=_flag_value(FLAG_CAPS["resolution"]), trials=_flag_value(FLAG_CAPS["trials"]),
+           rays=_flag_value(FLAG_CAPS["rays"]), method=st.sampled_from(METHODS))
+    def test_flag_values(self, tmp_path, params_json, capsys, resolution, trials, rays, method):
+        out = tmp_path / "contour.csv"
+        out.unlink(missing_ok=True)
+        code = self._run(capsys, ["contour", "--params", params_json, "--method", method, "--xmin", "0",
+                                  "--xmax", "2", "--ymin", "0", "--ymax", "2", "--resolution", resolution,
+                                  "--out", out])
+        assert out.exists() == (code == 0)
+        if code == 0:
+            with out.open() as handle:
+                values = np.array([float(row["value"]) for row in csv.DictReader(handle)])
+            assert values.size == int(resolution) ** 2
+            assert np.all(np.isfinite(values) & (values >= 0) & (values <= 1))
+        self._run(capsys, ["verify", "--params", params_json, "--trials", trials, "--rays", rays])
 
 
 class TestFitDepthRank:

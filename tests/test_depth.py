@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -224,7 +225,7 @@ class TestProductDepth:
         assert breakdown.baseline_mahalanobis is None
 
     def test_center_is_exactly_one(self, params):
-        breakdown = product_depth(params.center_sequence, params)
+        breakdown = product_depth(EventSequence(params.start, params.center), params)
         assert breakdown.product == 1.0
         assert breakdown.omega == 1.0
         assert breakdown.exponent == 0.0
@@ -253,7 +254,7 @@ class TestProductDepth:
         p = DepthParams(start=0.0, mu_last=1.0, var_last=0.25, u_bar=(0.5, 0.5))
         value = product_depth(seq, p).product
         assert 0.0 <= value <= 1.0
-        assert value <= product_depth(p.center_sequence, p).product
+        assert value <= product_depth(EventSequence(p.start, p.center), p).product
 
     def test_vanishing_proxy_far_out(self, params):
         far = params.start + params.mu_last + 100 * math.sqrt(params.var_last)
@@ -291,6 +292,10 @@ class TestCenter:
             center_times(0.0, 1.0, (0.5, 0.4))
         with pytest.raises(DataError):
             center_times(0.0, 0.0, (0.5, 0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # checked before a sum that would overflow
+            with pytest.raises(DataError, match=r"\(0, 1\]"):
+                center_times(0.0, 1.0, (1e308, 1e308))
 
 
 class TestDepthParams:
@@ -425,6 +430,14 @@ class TestMahalanobisDepth:
             mahalanobis_column(np.ones((3, 2)), (1.0, 2.0), [[1.0, math.nan], [math.nan, 1.0]])
         with pytest.raises(DataError, match="finite"):
             mahalanobis_depth((1.0, 2.0), (math.inf, 2.0), np.eye(2))
+        with pytest.raises(DataError, match="finite"):  # finite, but not once symmetrized
+            mahalanobis_depth((1.0, 2.0), (1.0, 2.0), [[1e308, 0.0], [0.0, 1e308]])
+
+    def test_overflowing_distance_is_exactly_zero(self):
+        # The whitened sum is inf - inf here, which must not read as NaN.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mahalanobis_depth((0.0, 0.0), (1e308, 1e308), [[1.0, 0.5], [0.5, 1.0]]) == 0.0
 
 
 @st.composite
@@ -476,7 +489,7 @@ class TestShiftInvariance:
     @pytest.mark.parametrize("start", [1.5, 1e6, 1.7e9])
     def test_center_is_exactly_one_at_any_start(self, start):
         p = DepthParams(start=start, mu_last=1.7, var_last=0.3, u_bar=(0.2, 0.3, 0.5))
-        breakdown = product_depth(p.center_sequence, p)
+        breakdown = product_depth(EventSequence(p.start, p.center), p)
         assert (breakdown.product, breakdown.exponent) == (1.0, 0.0)
 
 

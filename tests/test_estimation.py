@@ -7,7 +7,7 @@ from tppdepth import (
     SimConfig,
     fit_mahalanobis,
     fit_params,
-    simulate_hpp,
+    simulate,
 )
 
 
@@ -46,13 +46,13 @@ class TestFitParams:
             fit_params(sample)
 
     def test_proportions_form_probability_vector(self):
-        sample = simulate_hpp(SimConfig(kind="hpp", rates=(3.0,), k=4, n=500, seed=5))
+        sample = simulate(SimConfig(kind="hpp", rates=(3.0,), k=4, n=500, seed=5))
         params = fit_params(sample)
         assert all(u > 0 for u in params.u_bar)
         assert sum(params.u_bar) == pytest.approx(1.0, abs=1e-12)
 
     def test_order_independence(self):
-        sample = simulate_hpp(SimConfig(kind="hpp", rates=(2.0,), k=3, n=200, seed=9))
+        sample = simulate(SimConfig(kind="hpp", rates=(2.0,), k=3, n=200, seed=9))
         shuffled = SampleSet(0.0, sample.times[::-1].copy())
         a = fit_params(sample)
         b = fit_params(shuffled)
@@ -61,7 +61,7 @@ class TestFitParams:
         assert a.u_bar == pytest.approx(b.u_bar, rel=1e-12)
 
     def test_equivariance_identities(self):
-        sample = simulate_hpp(SimConfig(kind="hpp", rates=(2.0,), k=2, n=300, seed=3))
+        sample = simulate(SimConfig(kind="hpp", rates=(2.0,), k=2, n=300, seed=3))
         base = fit_params(sample)
         a, b = 2.5, -1.25
         moved = fit_params(sample.affine(a, b))
@@ -77,7 +77,7 @@ class TestFitParams:
         # rate 2, k 2: duration mean 1.0 (variance 0.5), first-gap
         # proportion mean 0.5 (variance 1/12).
         n = 10000
-        sample = simulate_hpp(SimConfig(kind="hpp", rates=(2.0,), k=2, n=n, seed=42))
+        sample = simulate(SimConfig(kind="hpp", rates=(2.0,), k=2, n=n, seed=42))
         params = fit_params(sample)
         se_mu = np.sqrt(0.5 / n)
         assert abs(params.mu_last - 1.0) < 3 * se_mu
@@ -105,7 +105,7 @@ class TestFitMahalanobis:
     def test_monte_carlo_mean(self):
         # Event i of a rate-2 process has mean i/2.
         n = 10000
-        sample = simulate_hpp(SimConfig(kind="hpp", rates=(2.0,), k=2, n=n, seed=77))
+        sample = simulate(SimConfig(kind="hpp", rates=(2.0,), k=2, n=n, seed=77))
         mean, _ = fit_mahalanobis(sample)
         se1 = np.sqrt(0.25 / n)
         se2 = np.sqrt(0.5 / n)

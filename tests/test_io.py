@@ -23,7 +23,7 @@ from tppdepth import (
     rank,
     save_params_json,
     save_sample_csv,
-    simulate_hpp,
+    simulate,
     verify_properties,
 )
 from tppdepth.analysis import (
@@ -50,7 +50,7 @@ from tppdepth.io import (
 
 @pytest.fixture
 def sample():
-    return simulate_hpp(SimConfig(kind="hpp", rates=(2.0,), k=2, n=25, seed=8))
+    return simulate(SimConfig(kind="hpp", rates=(2.0,), k=2, n=25, seed=8))
 
 
 class TestLoadCsv:

@@ -71,17 +71,6 @@ class TestSampleSet:
         np.testing.assert_allclose(sample.durations(), [2.0, 6.0])
         np.testing.assert_allclose(sample.gaps(), [[1.0, 1.0], [3.0, 3.0]])
 
-    def test_from_sequences(self):
-        seqs = [EventSequence(0.0, (1.0, 2.0)), EventSequence(0.0, (3.0, 6.0))]
-        sample = SampleSet.from_sequences(seqs)
-        assert sample.n == 2
-        assert sample.sequence(0).times == (1.0, 2.0)
-
-    def test_mixed_start_rejected(self):
-        seqs = [EventSequence(0.0, (1.0,)), EventSequence(1.0, (2.0,))]
-        with pytest.raises(DataError):
-            SampleSet.from_sequences(seqs)
-
     def test_row_before_start_rejected(self):
         with pytest.raises(DataError, match="realization 1"):
             SampleSet(1.0, [[2.0, 3.0], [0.5, 3.0]])

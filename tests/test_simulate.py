@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tppdepth import DataError, SimConfig, simulate, simulate_hpp, simulate_state_dependent
+from tppdepth import DataError, SimConfig, simulate
 
 from _oracles import erlang_cdf, ks_statistic
 
@@ -41,6 +41,22 @@ class TestSimConfig:
         with pytest.raises(DataError):
             SimConfig(kind="hpp", rates=(1.0,), k=2, n=10, seed=2**64)
 
+    @pytest.mark.parametrize("name, value", [
+        ("k", 2.7), ("n", 5.9), ("seed", 1.5), ("k", True), ("n", True), ("seed", False), ("k", "2"),
+        ("k", math.inf),
+    ])
+    def test_counts_are_integers(self, name, value):
+        settings = {"kind": "hpp", "rates": (2,), "k": 2, "n": 5, "seed": 1, name: value}
+        with pytest.raises(DataError, match=f"{name} must be an integer"):
+            SimConfig(**settings)
+
+    def test_integral_floats_are_taken(self):
+        config = SimConfig(kind="hpp", rates=(2,), k=2.0, n=1e1, seed=np.float64(3))
+        assert (config.k, config.n, config.seed) == (2, 10, 3)
+        assert all(type(v) is int for v in (config.k, config.n, config.seed))
+        same = SimConfig(kind="hpp", rates=(2,), k=np.int64(2), n=10, seed=3)
+        assert np.array_equal(simulate(config).times, simulate(same).times)
+
     @pytest.mark.parametrize("start", [math.inf, -math.inf, math.nan])
     def test_start_finite(self, start):
         with pytest.raises(DataError, match="start must be finite"):
@@ -50,59 +66,50 @@ class TestSimConfig:
 class TestDeterminism:
     def test_same_seed_identical(self):
         config = SimConfig(kind="hpp", rates=(2.0,), k=3, n=50, seed=123)
-        a = simulate_hpp(config)
-        b = simulate_hpp(config)
+        a = simulate(config)
+        b = simulate(config)
         assert np.array_equal(a.times, b.times)
 
     def test_different_seed_differs(self):
-        a = simulate_hpp(SimConfig(kind="hpp", rates=(2.0,), k=2, n=50, seed=1))
-        b = simulate_hpp(SimConfig(kind="hpp", rates=(2.0,), k=2, n=50, seed=2))
+        a = simulate(SimConfig(kind="hpp", rates=(2.0,), k=2, n=50, seed=1))
+        b = simulate(SimConfig(kind="hpp", rates=(2.0,), k=2, n=50, seed=2))
         assert not np.array_equal(a.times, b.times)
 
     def test_state_dependent_deterministic(self):
         config = SimConfig(kind="state-dependent", rates=(2.5, 10.0), k=2, n=50, seed=7)
-        assert np.array_equal(simulate_state_dependent(config).times, simulate_state_dependent(config).times)
-
-    def test_dispatch(self):
-        config = SimConfig(kind="hpp", rates=(2.0,), k=2, n=10, seed=5)
-        assert np.array_equal(simulate(config).times, simulate_hpp(config).times)
-
-    def test_kind_mismatch_rejected(self):
-        config = SimConfig(kind="hpp", rates=(2.0,), k=2, n=10)
-        with pytest.raises(DataError):
-            simulate_state_dependent(config)
+        assert np.array_equal(simulate(config).times, simulate(config).times)
 
 
 class TestValidity:
     def test_sequences_are_ordered_from_start(self):
-        sample = simulate_hpp(SimConfig(kind="hpp", rates=(5.0,), k=4, n=1000, seed=3, start=2.0))
+        sample = simulate(SimConfig(kind="hpp", rates=(5.0,), k=4, n=1000, seed=3, start=2.0))
         assert sample.start == 2.0
         assert np.all(sample.times[:, 0] >= 2.0)
         assert np.all(np.diff(sample.times, axis=1) >= 0)
 
     def test_start_offset_shifts_times(self):
-        base = simulate_hpp(SimConfig(kind="hpp", rates=(2.0,), k=2, n=20, seed=9, start=0.0))
-        moved = simulate_hpp(SimConfig(kind="hpp", rates=(2.0,), k=2, n=20, seed=9, start=10.0))
+        base = simulate(SimConfig(kind="hpp", rates=(2.0,), k=2, n=20, seed=9, start=0.0))
+        moved = simulate(SimConfig(kind="hpp", rates=(2.0,), k=2, n=20, seed=9, start=10.0))
         np.testing.assert_allclose(moved.times, base.times + 10.0, rtol=0, atol=1e-12)
 
 
 class TestMoments:
     def test_hpp_duration_mean(self):
         n = 100000
-        sample = simulate_hpp(SimConfig(kind="hpp", rates=(2.0,), k=2, n=n, seed=11))
+        sample = simulate(SimConfig(kind="hpp", rates=(2.0,), k=2, n=n, seed=11))
         se = np.sqrt(0.5 / n)  # duration variance k/rate^2
         assert abs(sample.durations().mean() - 1.0) < 3 * se
 
     def test_hpp_first_gap_proportion(self):
         n = 100000
-        sample = simulate_hpp(SimConfig(kind="hpp", rates=(2.0,), k=2, n=n, seed=11))
+        sample = simulate(SimConfig(kind="hpp", rates=(2.0,), k=2, n=n, seed=11))
         proportions = sample.gaps()[:, 0] / sample.durations()
         se = np.sqrt((1 / 12) / n)  # uniform proportion for k=2
         assert abs(proportions.mean() - 0.5) < 3 * se
 
     def test_state_dependent_event_means(self):
         n = 100000
-        sample = simulate_state_dependent(
+        sample = simulate(
             SimConfig(kind="state-dependent", rates=(2.5, 10.0), k=2, n=n, seed=12)
         )
         se1 = np.sqrt(0.16 / n)  # var 1/2.5^2
@@ -112,8 +119,8 @@ class TestMoments:
 
     def test_equal_rates_match_hpp_moments(self):
         n = 50000
-        hpp = simulate_hpp(SimConfig(kind="hpp", rates=(3.0,), k=2, n=n, seed=4))
-        state = simulate_state_dependent(
+        hpp = simulate(SimConfig(kind="hpp", rates=(3.0,), k=2, n=n, seed=4))
+        state = simulate(
             SimConfig(kind="state-dependent", rates=(3.0, 3.0), k=2, n=n, seed=4)
         )
         # Same seed and same per-event rates: identical draws.
@@ -121,7 +128,7 @@ class TestMoments:
 
     def test_duration_ks_against_closed_form(self):
         n = 100000
-        sample = simulate_hpp(SimConfig(kind="hpp", rates=(2.0,), k=2, n=n, seed=11))
+        sample = simulate(SimConfig(kind="hpp", rates=(2.0,), k=2, n=n, seed=11))
         distance = ks_statistic(sample.durations(), lambda x: erlang_cdf(x, 2, 2.0))
         critical = 1.62762 / np.sqrt(n)  # 1% asymptotic critical value
         assert distance < critical
@@ -129,7 +136,7 @@ class TestMoments:
     def test_first_proportion_is_uniform_for_k2(self):
         # With two constant-rate gaps the first normalized gap is U(0, 1).
         n = 100000
-        sample = simulate_hpp(SimConfig(kind="hpp", rates=(2.0,), k=2, n=n, seed=13))
+        sample = simulate(SimConfig(kind="hpp", rates=(2.0,), k=2, n=n, seed=13))
         proportions = sample.gaps()[:, 0] / sample.durations()
         distance = ks_statistic(proportions, lambda x: min(max(x, 0.0), 1.0))
         assert distance < 1.62762 / np.sqrt(n)
@@ -137,7 +144,7 @@ class TestMoments:
     def test_first_proportion_is_beta_for_k3(self):
         # Three constant-rate gaps: first normalized gap has CDF 1-(1-x)^2.
         n = 100000
-        sample = simulate_hpp(SimConfig(kind="hpp", rates=(2.0,), k=3, n=n, seed=13))
+        sample = simulate(SimConfig(kind="hpp", rates=(2.0,), k=3, n=n, seed=13))
         proportions = sample.gaps()[:, 0] / sample.durations()
         cdf = lambda x: 1.0 - (1.0 - min(max(x, 0.0), 1.0)) ** 2
         assert ks_statistic(proportions, cdf) < 1.62762 / np.sqrt(n)
@@ -147,7 +154,7 @@ class TestMoments:
         # rates, which is what justifies the unconditional proportion
         # estimator; the sample correlation must sit at noise level.
         n = 100000
-        sample = simulate_hpp(SimConfig(kind="hpp", rates=(2.0,), k=2, n=n, seed=14))
+        sample = simulate(SimConfig(kind="hpp", rates=(2.0,), k=2, n=n, seed=14))
         proportions = sample.gaps()[:, 0] / sample.durations()
         corr = np.corrcoef(proportions, sample.durations())[0, 1]
         assert abs(corr) < 4.0 / np.sqrt(n)
