@@ -33,17 +33,6 @@ from .simulate import check_seed
 
 METHODS = ("product", "marginal", "conditional", "hpp-conditional", "mahalanobis")
 
-PROPERTY_NAMES = (
-    "P1-boundary",
-    "P1-infinity",
-    "P2",
-    "P3",
-    "P4",
-    "hpp-consistency",
-    "young-range",
-    "weighted-fraction",
-)
-
 INFINITY_DEPTH_TOL = 1e-6
 SCALE_SHIFT_RTOL = 1e-10
 RAY_SLACK = 1e-9
@@ -88,13 +77,6 @@ class RankTable:
     def depths_by_index(self) -> np.ndarray:
         return self.depths.copy()
 
-    def __eq__(self, other):
-        if not isinstance(other, RankTable):
-            return NotImplemented
-        return self.method == other.method and all(
-            np.array_equal(getattr(self, f), getattr(other, f)) for f in ("order", "depths", "ranks")
-        )
-
 
 @dataclass(frozen=True)
 class ContourGrid:
@@ -125,10 +107,6 @@ class NearBoundarySummary:
     def subset_size(self) -> int:
         return len(self.indices)
 
-    @property
-    def empty(self) -> bool:
-        return not self.indices
-
 
 @dataclass(frozen=True)
 class PropertyCheck:
@@ -157,12 +135,6 @@ class PropertyReport:
     @property
     def passed(self) -> bool:
         return all(c.violations == 0 for c in self.checks)
-
-    def check(self, name: str) -> PropertyCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
 
 def _competition_ranks(values: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
@@ -463,8 +435,7 @@ def _check_young_range(rng, params, trials) -> PropertyCheck:
 
 def _check_weighted_fraction(rng, trials) -> PropertyCheck:
     sizes = rng.integers(1, 11, size=trials)
-    worst = -math.inf
-    violations = 0
+    margins = []
     for k in range(1, 11):
         count = int(np.count_nonzero(sizes == k))
         if count == 0:
@@ -472,10 +443,8 @@ def _check_weighted_fraction(rng, trials) -> PropertyCheck:
         a = 10.0 * (1.0 - rng.random((count, k)))
         b = 10.0 * (1.0 - rng.random((count, k)))
         alpha = rng.random(count)
-        margins = weighted_fraction_gap(a, b, alpha) - FRACTION_SLACK
-        worst = max(worst, float(margins.max()))
-        violations += int(np.count_nonzero(margins > 0))
-    return PropertyCheck("weighted-fraction", trials, violations, worst)
+        margins.append(weighted_fraction_gap(a, b, alpha) - FRACTION_SLACK)
+    return _tally("weighted-fraction", trials, np.concatenate(margins))
 
 
 @np.errstate(over="ignore")

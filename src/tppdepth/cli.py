@@ -48,7 +48,6 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
         raise _UsageError(message)
 
 
@@ -72,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--t0", type=float, default=None)
+    p.add_argument("--t0", dest="start", type=float, metavar="T0")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("fit", help="fit parameters from a sample CSV")
@@ -116,28 +115,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    settings = {"start": 0.0, "seed": 0}
-    if args.config is not None:
-        settings.update(tio.load_sim_config_json(args.config))
-    for key, value in (
-        ("kind", args.kind),
-        ("rates", args.rates),
-        ("k", args.k),
-        ("n", args.n),
-        ("start", args.t0),
-        ("seed", args.seed),
-    ):
-        if value is not None:
-            settings[key] = value
+    settings = {} if args.config is None else tio.load_sim_config_json(args.config)
+    for key in ("kind", "rates", "k", "n", "start", "seed"):
+        if getattr(args, key) is not None:
+            settings[key] = getattr(args, key)
     missing = [key for key in ("kind", "rates", "k", "n") if key not in settings]
     if missing:
         raise _UsageError(
             f"simulate needs {', '.join('--' + m for m in missing)} (flags or --config)"
         )
-    config = SimConfig(kind=settings["kind"], rates=tuple(settings["rates"]),
-                       k=settings["k"], n=settings["n"],
-                       start=settings["start"], seed=settings["seed"])
-    sample = simulate(config)
+    sample = simulate(SimConfig(**settings))
     tio.save_sample_csv(sample, _out_path(args.out))
     return 0
 
@@ -202,7 +189,7 @@ def _cmd_verify(args) -> int:
         print(f"{c.name}: trials={c.trials} violations={c.violations} "
               f"worst_margin={c.worst_margin:.3g} {status}")
     if args.out:
-        tio.save_report(report, _out_path(args.out), "json")
+        tio.save_report(report, _out_path(args.out))
     return 0 if report.passed else 3
 
 

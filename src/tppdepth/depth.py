@@ -139,13 +139,6 @@ class DepthParams:
         """The central event-time vector (see :func:`center_times`)."""
         return center_times(self.start, self.mu_last, self.u_bar)
 
-    def affine(self, a: float, b: float) -> "DepthParams":
-        """Parameters of the population transformed by t -> a*t + b, a > 0
-        (see :func:`affine_fields`)."""
-        if a <= 0:
-            raise DataError("scale factor must be positive")
-        return DepthParams(**vars(affine_fields(self, a, b)))
-
 
 @dataclass(frozen=True)
 class DepthBreakdown:
@@ -161,7 +154,6 @@ class DepthBreakdown:
     marginal_factor: float
     conditional: float
     product: float
-    baseline_mahalanobis: float | None = None
 
 
 @np.errstate(all="ignore")
@@ -326,23 +318,14 @@ def hpp_conditional_depth(seq: EventSequence) -> float:
     return float(hpp_conditional_column(np.array([seq.times]), seq.start)[0])
 
 
-def product_depth(
-    seq: EventSequence,
-    params: DepthParams,
-    baseline: tuple | None = None,
-) -> DepthBreakdown:
+def product_depth(seq: EventSequence, params: DepthParams) -> DepthBreakdown:
     """Full depth of a realization: marginal factor times conditional depth.
 
-    When ``baseline`` (mean vector, covariance matrix) is given, the
-    multivariate Mahalanobis depth of the raw event-time vector is filled
-    in for comparison. The central event-time vector is the unique
-    maximizer with depth exactly 1 (see :func:`depth_columns`).
+    The central event-time vector is the unique maximizer with depth
+    exactly 1 (see :func:`depth_columns`).
     """
-    row = _row(seq, params)
-    base = None if baseline is None else float(mahalanobis_column(row, *baseline)[0])
-    columns = depth_columns(row, params)
-    return DepthBreakdown(**{name: float(v[0]) for name, v in columns.items()},
-                          baseline_mahalanobis=base)
+    columns = depth_columns(_row(seq, params), params)
+    return DepthBreakdown(**{name: float(v[0]) for name, v in columns.items()})
 
 
 def mahalanobis_depth(times, mean, covariance) -> float:

@@ -8,6 +8,8 @@ unbiased n-1 denominator.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .depth import DepthParams
@@ -19,19 +21,24 @@ def fit_params(sample: SampleSet, horizon: float | None = None) -> DepthParams:
     """Estimate depth parameters from a sample.
 
     Every realization must last a positive amount of time (a zero-duration
-    realization has no normalized gaps and aborts the fit), and at least
-    two distinct durations are required for a usable variance.
+    realization has no normalized gaps and aborts the fit), at least two
+    distinct durations are required for a usable variance, and a mean or
+    variance of the durations that overflows is a :class:`DataError`.
     """
     if sample.n < 2:
         raise DataError(f"need at least 2 realizations to fit, got {sample.n}")
-    durations = sample.durations()
+    with np.errstate(over="ignore", invalid="ignore"):
+        durations = sample.durations()
+        mu_last = float(durations.mean())
+        var_last = float(durations.var(ddof=1))
     bad = np.nonzero(durations <= 0)[0]
     if bad.size:
         raise DataError(
             f"realization {int(bad[0])} has zero duration; normalized gaps are undefined"
         )
-    mu_last = float(durations.mean())
-    var_last = float(durations.var(ddof=1))
+    for moment, value in (("mean", mu_last), ("variance", var_last)):
+        if not math.isfinite(value):
+            raise DataError(f"the duration {moment} overflows: the largest duration is {durations.max():.6g}")
     if not var_last > 0:
         raise DataError("degenerate variance: all realizations share the same duration")
     u_bar = sample.gaps() / durations[:, None]

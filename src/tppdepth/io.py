@@ -58,59 +58,49 @@ _PARAMS_TYPES = {
 }
 
 
-# Cell formats of numeric array columns; any other column is written as the
-# csv module writes it (see _cell_text).
+# Cell formats of the numeric array columns.
 _CELL_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d"}
 
 
-def _cell_text(cell, lone: bool) -> str:
-    # The csv module's text for one cell, quoted where it needs quotes. A row
-    # made of one empty cell is written as "", so a lone column is rendered
-    # alone and any other with an empty neighbour.
+def _label_format(label: str) -> str:
+    # The label cell as the csv module writes it (quoted where it needs
+    # quotes), escaped for a % format.
     buffer = StringIO()
-    csv.writer(buffer).writerow([cell] if lone else [cell, None])
-    return buffer.getvalue()[:-2 if lone else -3]
-
-
-def _cells(column, lone: bool) -> tuple[str, list]:
-    # The format of one cell of ``column`` and the values it formats.
-    if isinstance(column, np.ndarray) and column.dtype.kind in _CELL_FORMATS:
-        return _CELL_FORMATS[column.dtype.kind], column.tolist()
-    values = column.tolist() if isinstance(column, np.ndarray) else list(column)
-    # Keyed by identity: equal cells such as 0.0 and -0.0, or 1 and True,
-    # may be written differently.
-    distinct = {id(cell): cell for cell in values}
-    texts = {key: _cell_text(cell, lone) for key, cell in distinct.items()}
-    return "%s", [texts[id(cell)] for cell in values]
+    csv.writer(buffer).writerow([label, None])
+    return buffer.getvalue()[:-3].replace("%", "%%")
 
 
 def _write(path, fmt: str, header=None, columns=(), document=None) -> None:
     """Write one output file; the only code that knows the file formats.
 
     ``csv``: the ``header`` row (none when it is ``None``), then one row
-    per entry of the equal-length ``columns``, in the csv module's default
-    dialect (``\\r\\n`` line ends). Float arrays are written as ``%.17g``,
-    integer arrays as ``%d``, and the cells of any other column exactly as
-    the csv module writes them. Each block of ``BLOCK_ROWS`` rows becomes
-    text in one ``%`` format over its cells, which also bounds the text
-    held at once.
+    per entry of the equal-length numeric arrays in ``columns``, in the
+    csv module's default dialect (``\\r\\n`` line ends). Float arrays are
+    written as ``%.17g`` and integer arrays as ``%d``. A ``str`` column is
+    a label, the same on every row: it is quoted once, as the csv module
+    quotes it, into the row format. Each block of ``BLOCK_ROWS`` rows
+    becomes text in one ``%`` format over its cells, which also bounds the
+    text held at once.
     ``json``: ``schema_version``, then the fields that ``document()``
     returns, indented by 2, with a trailing newline; ``document`` is called
     only for this format.
     """
     path = Path(path)
     if fmt == "csv":
-        width = len(columns)
+        arrays = [c for c in columns if not isinstance(c, str)]
+        row = ",".join(_label_format(c) if isinstance(c, str) else _CELL_FORMATS[c.dtype.kind]
+                       for c in columns) + "\r\n"
+        width = len(arrays)
         with path.open("w", newline="") as handle:
             if header is not None:
                 csv.writer(handle).writerow(header)
-            for lo in range(0, len(columns[0]), BLOCK_ROWS):
-                formats, cells = zip(*(_cells(c[lo:lo + BLOCK_ROWS], width == 1) for c in columns))
+            for lo in range(0, len(arrays[0]), BLOCK_ROWS):
+                cells = [a[lo:lo + BLOCK_ROWS].tolist() for a in arrays]
                 rows = len(cells[0])
                 flat = [None] * (rows * width)
                 for j, column in enumerate(cells):
                     flat[j::width] = column
-                handle.write((",".join(formats) + "\r\n") * rows % tuple(flat))
+                handle.write(row * rows % tuple(flat))
     elif fmt == "json":
         doc = {"schema_version": SCHEMA_VERSION, **document()}
         path.write_text(json.dumps(doc, indent=2) + "\n")
@@ -303,7 +293,7 @@ def load_params_json(path) -> tuple[DepthParams, tuple | None]:
 
 def save_rank_table(table: RankTable, path, fmt: str = "csv") -> None:
     order = table.order
-    columns = [order, table.depths[order], table.ranks[order], [table.method] * order.size]
+    columns = [order, table.depths[order], table.ranks[order], table.method]
     _write(path, fmt, ["index", "depth", "rank", "method"], columns, lambda: {
         "method": table.method,
         "entries": [{"index": i, "depth": d, "rank": r}
@@ -315,17 +305,16 @@ def save_contour(grid: ContourGrid, path, fmt: str = "csv") -> None:
     """Write a contour grid: long form in CSV (one node per row), axes and
     the value matrix in JSON."""
     axis1, axis2, values = (np.asarray(a, dtype=float) for a in (grid.axis1, grid.axis2, grid.values))
-    columns = [np.repeat(axis1, axis2.size), np.tile(axis2, axis1.size), [grid.method] * values.size,
-               values.ravel()]
+    columns = [np.repeat(axis1, axis2.size), np.tile(axis2, axis1.size), grid.method, values.ravel()]
     _write(path, fmt, ["s1", "s2", "method", "value"], columns, lambda: {
         "method": grid.method, "axis1": axis1.tolist(), "axis2": axis2.tolist(), "values": values.tolist(),
     })
 
 
-def save_report(report: PropertyReport, path, fmt: str = "json") -> None:
+def save_report(report: PropertyReport, path) -> None:
+    """Write the verify report as JSON, one entry per checked property."""
     fields = ("name", "trials", "violations", "worst_margin")
-    names, trials, violations, margins = ([getattr(c, f) for c in report.checks] for f in fields)
-    _write(path, fmt, fields, [names, trials, violations, np.array(margins, dtype=float)], lambda: {
+    _write(path, "json", document=lambda: {
         "seed": report.seed, "trials": report.trials, "rays": report.rays, "passed": report.passed,
         "properties": [{f: getattr(c, f) for f in fields} for c in report.checks],
     })
@@ -352,7 +341,7 @@ def save_values(indices, values, method: str, path, fmt: str = "csv") -> None:
     """Write a plain per-realization value table for one method."""
     index = np.array([int(i) for i in indices])
     values = np.asarray(values, dtype=float)
-    _write(path, fmt, ["index", "method", "value"], [index, [method] * index.size, values], lambda: {
+    _write(path, fmt, ["index", "method", "value"], [index, method, values], lambda: {
         "method": method,
         "entries": [{"index": i, "value": v} for i, v in zip(index.tolist(), values.tolist())],
     })

@@ -78,31 +78,6 @@ class EventSequence:
     def k(self) -> int:
         return len(self.times)
 
-    @property
-    def last(self) -> float:
-        return self.times[-1]
-
-    @property
-    def duration(self) -> float:
-        """Elapsed time from the start to the last event."""
-        return self.times[-1] - self.start
-
-    @property
-    def gaps(self) -> tuple[float, ...]:
-        """Inter-event gaps, the first one measured from the start."""
-        return tuple(gap_matrix(np.array([self.times]), self.times[0] - self.start)[0].tolist())
-
-    @property
-    def on_boundary(self) -> bool:
-        """True when any gap is exactly zero."""
-        return any(g == 0.0 for g in self.gaps)
-
-    def affine(self, a: float, b: float) -> "EventSequence":
-        """Return the realization under t -> a*t + b with a > 0."""
-        if a <= 0:
-            raise DataError("scale factor must be positive")
-        return EventSequence(a * self.start + b, tuple(a * t + b for t in self.times))
-
 
 class SampleSet:
     """A homogeneous collection of realizations sharing k and the start time.

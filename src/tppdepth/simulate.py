@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, is_integer
+from .errors import DataError, is_integer, is_number
 from .sequences import SampleSet
 
 # The process kinds; the kind decides how many rates a config holds.
@@ -39,7 +39,8 @@ class SimConfig:
     ``rates`` has length 1 for the homogeneous kind (the constant rate)
     and length k for the state-dependent kind. ``k``, ``n`` and ``seed``
     are integers; a float with an integer value such as ``1e5`` is taken,
-    a bool or a fractional value is an error.
+    a bool or a fractional value is an error. Each rate and ``start`` is a
+    number; a bool or a string is an error, not converted.
     """
 
     kind: str
@@ -55,6 +56,10 @@ class SimConfig:
             if not is_integer(value):
                 raise DataError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
+        if not all(map(is_number, self.rates)):
+            raise DataError(f"every rate must be a number, got {self.rates!r}")
+        if not is_number(self.start):
+            raise DataError(f"start must be a number, got {self.start!r}")
         object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
         object.__setattr__(self, "start", float(self.start))
         if self.kind not in KINDS:

@@ -25,7 +25,7 @@ from tppdepth import (
     weighted_fraction_gap,
 )
 import tppdepth.analysis as analysis
-from tppdepth.analysis import PROPERTY_NAMES, _competition_ranks
+from tppdepth.analysis import _competition_ranks
 
 
 @pytest.fixture(scope="module")
@@ -234,7 +234,7 @@ class TestNearBoundary:
     def test_empty_subset_is_nan(self, hpp_params):
         sample = SampleSet(0.0, [[1.0, 2.0], [1.1, 2.3], [0.9, 1.8]])
         summary = near_boundary_comparison(sample, hpp_params, 0.01)
-        assert summary.empty
+        assert summary.subset_size == 0
         assert math.isnan(summary.mean_product_rank)
         assert math.isnan(summary.mean_mahalanobis_rank)
 
@@ -287,6 +287,14 @@ class TestWeightedFraction:
             weighted_fraction_gap([[1.0, 2.0]], [[1.0]], [0.5])
 
 
+PROPERTY_NAMES = ("P1-boundary", "P1-infinity", "P2", "P3", "P4", "hpp-consistency", "young-range",
+                  "weighted-fraction")
+
+
+def _check(report, name):
+    return {c.name: c for c in report.checks}[name]
+
+
 class TestVerifyProperties:
     def test_small_run_passes(self, hpp_params):
         report = verify_properties(hpp_params, trials=300, seed=2, rays=30)
@@ -304,7 +312,7 @@ class TestVerifyProperties:
             warnings.simplefilter("error")
             report = verify_properties(params, trials=50, seed=1, rays=3)
         assert all(math.isfinite(c.worst_margin) for c in report.checks)
-        assert report.check("P3").violations == 0
+        assert _check(report, "P3").violations == 0
 
     def test_nan_margin_is_a_violation(self):
         assert analysis._tally("P3", 2, np.array([-1.0, math.nan])).violations == 1
@@ -328,16 +336,16 @@ class TestVerifyProperties:
         reference = product_depth(seq, hpp_params).product
         assert reference > 0
         for a, b in ((2.0, 0.0), (0.5, 3.0), (7.5, -4.0), (0.1, 10.0)):
-            moved_params = fit_params(hpp_sample.affine(a, b))
-            moved = product_depth(seq.affine(a, b), moved_params).product
+            moved_sample = hpp_sample.affine(a, b)
+            moved = product_depth(moved_sample.sequence(5), fit_params(moved_sample)).product
             assert moved == pytest.approx(reference, rel=1e-10)
 
     def test_counts_recorded(self, hpp_params):
         report = verify_properties(hpp_params, trials=50, seed=4, rays=7)
         assert report.trials == 50
         assert report.rays == 7
-        assert report.check("P4").trials == 7
-        assert report.check("P2").trials == 50
+        assert _check(report, "P4").trials == 7
+        assert _check(report, "P2").trials == 50
 
     def test_bad_arguments(self, hpp_params):
         with pytest.raises(DataError):

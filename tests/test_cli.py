@@ -260,8 +260,42 @@ PARAMS_KEYS = ["schema_version", "k", "start", "mu_last", "var_last", "u_bar", "
 
 
 def _flag_value(cap):
-    # Small sizes (the run stays fast), or any integer above the cap.
-    return st.one_of(st.integers(-3, 12), st.integers(cap + 1, 10**30)).map(str)
+    # Small sizes (the run stays fast), any integer above the cap, or text
+    # that is not an integer.
+    return st.one_of(st.integers(-3, 12).map(str), st.integers(cap + 1, 10**30).map(str),
+                     st.text(alphabet="1.e-x ", min_size=1, max_size=4).filter(lambda t: not _is_int(t)))
+
+
+def _is_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+# The bytes a mutation of a sample CSV inserts or writes over a byte.
+CSV_BYTES = [*b"0123456789,.-+eE_\"\r\n\t", 0xFF]
+
+
+# One to three (position, operation, byte) edits; a position wraps around
+# the length of the file.
+MUTATIONS = st.lists(st.tuples(st.integers(0, 10**4), st.sampled_from(["insert", "delete", "replace"]),
+                               st.sampled_from(CSV_BYTES)), min_size=1, max_size=3)
+
+
+def _mutate(data: bytes, mutations) -> bytes:
+    data = bytearray(data)
+    for position, operation, byte in mutations:
+        if operation == "insert":
+            data.insert(position % (len(data) + 1), byte)
+        elif data:
+            i = position % len(data)
+            if operation == "delete":
+                del data[i]
+            else:
+                data[i] = byte
+    return bytes(data)
 
 
 class TestFuzz:
@@ -306,6 +340,23 @@ class TestFuzz:
             ranks = np.array([int(row["rank"]) for row in rows])
             assert np.all(np.isfinite(depths) & (depths >= 0) & (depths <= 1))
             assert np.array_equal(ranks, rankdata(-depths, method="min"))
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutations=MUTATIONS)
+    @example(mutations=[(0, "insert", 0xFF)])
+    # Byte 37 ends the first row: its last time becomes 1.2...e200.
+    @example(mutations=[(37 + i, "insert", byte) for i, byte in enumerate(b"e200")])
+    def test_sample_bytes(self, tmp_path, sample_csv, params_json, capsys, mutations):
+        path = tmp_path / "mutated.csv"
+        path.write_bytes(_mutate(sample_csv.read_bytes(), mutations))
+        params, out = tmp_path / "mutated.json", tmp_path / "rank.csv"
+        for command, written in ((["fit", "--in", path, "--params-out", params], params),
+                                 (["rank", "--in", path, "--params", params_json, "--method", "product",
+                                   "--out", out], out)):
+            written.unlink(missing_ok=True)
+            code = self._run(capsys, command)
+            assert code in (0, 2)
+            assert written.exists() == (code == 0)
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(resolution=_flag_value(FLAG_CAPS["resolution"]), trials=_flag_value(FLAG_CAPS["trials"]),
@@ -382,7 +433,32 @@ class TestFitDepthRank:
         code = run("rank", "--in", sample_csv, "--params", params_json,
                    "--method", "produkt", "--out", tmp_path / "r.csv")
         assert code == 1
-        assert "usage" in capsys.readouterr().err
+        assert _single_error_line(capsys, "argument --method: invalid choice: 'produkt'")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--params", "p.json", "--trials", "abc"],
+        ["contour", "--params", "p.json", "--method", "product", "--xmin", "0", "--xmax", "x"],
+        ["simulate", "--kind", "hpp", "--rates", "2", "--k", "2.5", "--n", "5", "--out", "s.csv"],
+    ])
+    def test_malformed_flag_is_one_error_line(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv) == 1
+        assert _single_error_line(capsys, "invalid")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["fit", "compare-boundary"])
+    def test_overflowing_duration_variance_is_one_error_line(self, tmp_path, capsys, command):
+        # Every time is finite, but the squared deviation of the 1e200
+        # duration is not.
+        path = tmp_path / "big.csv"
+        path.write_text("0.5,1,2\n0.25,1,1e200\n0.3,0.9,1.5\n")
+        argv = [command, "--in", path]
+        argv += ["--params-out", tmp_path / "p.json"] if command == "fit" else ["--threshold", "0.1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(*argv) == 2
+        assert _single_error_line(capsys, "the duration variance overflows: the largest duration is 1e+200")
+        assert not (tmp_path / "p.json").exists()
 
     def test_missing_input_is_data_error(self, tmp_path, params_json, capsys):
         code = run("depth", "--in", tmp_path / "missing.csv", "--params", params_json,

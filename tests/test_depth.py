@@ -222,7 +222,6 @@ class TestProductDepth:
         assert breakdown.product == breakdown.marginal_factor * breakdown.conditional
         assert 0.0 <= breakdown.omega <= 1.0
         assert breakdown.exponent >= 0.0
-        assert breakdown.baseline_mahalanobis is None
 
     def test_center_is_exactly_one(self, params):
         breakdown = product_depth(EventSequence(params.start, params.center), params)
@@ -242,11 +241,6 @@ class TestProductDepth:
     def test_length_mismatch_rejected(self, params):
         with pytest.raises(DataError):
             product_depth(EventSequence(0.0, (1.0,)), params)
-
-    def test_baseline_filled_when_given(self, params):
-        baseline = (np.array([0.5, 1.0]), np.eye(2))
-        breakdown = product_depth(EventSequence(0.0, (0.5, 1.0)), params, baseline=baseline)
-        assert breakdown.baseline_mahalanobis == 1.0
 
     @given(interior_sequences())
     @settings(max_examples=300)
@@ -351,7 +345,7 @@ class TestDepthParams:
 
     def test_affine_matches_refit_identities(self):
         p = DepthParams(start=1.0, mu_last=2.0, var_last=0.5, u_bar=(0.3, 0.7))
-        q = p.affine(2.0, 3.0)
+        q = DepthParams(**vars(affine_fields(p, 2.0, 3.0)))
         assert q.start == 5.0
         assert q.mu_last == 4.0
         assert q.var_last == 2.0
@@ -360,8 +354,8 @@ class TestDepthParams:
         assert q.center == pytest.approx(tuple(2.0 * c + 3.0 for c in p.center), rel=1e-15)
 
     def test_affine_fields_match_affine_per_row(self):
-        # The per-row map the scale-shift check uses is the same formula
-        # as DepthParams.affine, bit for bit.
+        # The per-row map the scale-shift check uses gives, bit for bit,
+        # the DepthParams of the same map applied one transform at a time.
         p = DepthParams(start=0.5, mu_last=1.5, var_last=0.4, u_bar=(0.25, 0.75))
         a = np.array([0.1, 0.5, 2.0, 7.25])
         b = np.array([9.5, -3.0, 0.0, 4.5])
@@ -371,7 +365,7 @@ class TestDepthParams:
         derived = {"eta": fields.start + fields.mu_last, "big_m": fields.start + fields.horizon,
                    "center": fields.start[:, None] + cumulative_times(fields.mu_last, fields.u_bar)}
         for i in range(a.size):
-            q = p.affine(float(a[i]), float(b[i]))
+            q = DepthParams(**vars(affine_fields(p, float(a[i]), float(b[i]))))
             for name in PARAM_FIELDS:
                 expected = np.asarray(getattr(q, name))
                 row = np.broadcast_to(getattr(fields, name), (a.size, *expected.shape))[i]
@@ -383,11 +377,12 @@ class TestDepthParams:
         # a=1, b=0 must reproduce parameters and depths bitwise: the
         # scale-shift check has exactly zero margin there.
         p = DepthParams(start=0.5, mu_last=1.5, var_last=0.4, u_bar=(0.25, 0.75))
-        assert p.affine(1.0, 0.0) == p
-        seq = EventSequence(0.5, (1.0, 2.5))
+        q = DepthParams(**vars(affine_fields(p, 1.0, 0.0)))
+        assert q == p
+        sample = SampleSet(0.5, [[1.0, 2.5]])
         assert (
-            product_depth(seq.affine(1.0, 0.0), p.affine(1.0, 0.0)).product
-            == product_depth(seq, p).product
+            product_depth(sample.affine(1.0, 0.0).sequence(0), q).product
+            == product_depth(sample.sequence(0), p).product
         )
 
 
@@ -522,7 +517,7 @@ class TestBatchKernel:
         last = sample.sequence(n - 1)
         scalar = {
             "product": product_depth(last, params).product,
-            "marginal": marginal_factor(last.last, params),
+            "marginal": marginal_factor(last.times[-1], params),
             "conditional": conditional_depth(last, params),
             "hpp-conditional": hpp_conditional_depth(last),
             "mahalanobis": mahalanobis_depth(last.times, *baseline),

@@ -27,7 +27,6 @@ from tppdepth import (
     verify_properties,
 )
 from tppdepth.analysis import (
-    PROPERTY_NAMES,
     ContourGrid,
     PropertyCheck,
     PropertyReport,
@@ -308,7 +307,9 @@ class TestRankTableIO:
         depths[order] = [float(row[1]) for row in rows]
         ranks[order] = [int(row[2]) for row in rows]
         assert {row[3] for row in rows} == {"conditional"}
-        assert RankTable("conditional", order, depths, ranks) == table
+        assert table.method == "conditional"
+        for name, column in (("order", order), ("depths", depths), ("ranks", ranks)):
+            assert np.array_equal(column, getattr(table, name)), name
 
     def test_csv_indices_must_be_a_permutation(self, tmp_path, sample):
         # Tied rows (a zero first gap puts a row on the boundary) still get
@@ -359,19 +360,12 @@ class TestReportIO:
         params = fit_params(sample)
         report = verify_properties(params, trials=50, seed=1, rays=5)
         path = tmp_path / "report.json"
-        save_report(report, path, "json")
+        save_report(report, path)
         doc = json.loads(path.read_text())
-        assert [p["name"] for p in doc["properties"]] == list(PROPERTY_NAMES)
+        assert [p["name"] for p in doc["properties"]] == [c.name for c in report.checks]
+        assert len(doc["properties"]) == 8
         assert doc["passed"] is True
         assert doc["schema_version"] == 1
-
-    def test_csv_report(self, tmp_path, sample):
-        params = fit_params(sample)
-        report = verify_properties(params, trials=20, seed=1, rays=3)
-        path = tmp_path / "report.csv"
-        save_report(report, path, "csv")
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 1 + len(PROPERTY_NAMES)
 
 
 class TestOtherWriters:
@@ -419,31 +413,30 @@ CELL_TEXT = st.text(alphabet=["a", ",", '"', "\n", "\r", " ", "%", "1"], max_siz
 
 @st.composite
 def csv_tables(draw):
-    """A header (or None) and equal-length columns of every kind _write takes."""
+    """A header (or None) and the columns _write takes: equal-length float
+    and integer arrays, and perhaps one str label at any position."""
     rows = draw(st.sampled_from([1, 2, 5, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1]))
     columns = []
-    for _ in range(draw(st.integers(1, 4))):
-        kind = draw(st.sampled_from(["float", "int", "bool", "cells"]))
-        if kind == "float":
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
             pool = draw(st.lists(st.sampled_from(SPECIAL_FLOATS) | st.floats(), min_size=1, max_size=8))
             columns.append(np.resize(np.array(pool, dtype=float), rows))
-        elif kind == "int":
+        else:
             pool = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=8))
             columns.append(np.resize(np.array(pool, dtype=np.int64), rows))
-        elif kind == "bool":
-            columns.append(np.resize(np.array(draw(st.lists(st.booleans(), min_size=1, max_size=3))), rows))
-        else:
-            pool = draw(st.lists(CELL_TEXT | st.none() | st.integers() | st.booleans()
-                                 | st.sampled_from([0.0, -0.0, 1.0]), min_size=1, max_size=6))
-            columns.append([pool[i % len(pool)] for i in range(rows)])
+    label = draw(st.none() | CELL_TEXT)
+    if label is not None:
+        columns.insert(draw(st.integers(0, len(columns))), label)
     header = draw(st.none() | st.lists(CELL_TEXT, min_size=len(columns), max_size=len(columns)))
     return header, columns
 
 
 def _reference_csv(path, header, columns):
-    # The csv module writes every row, float-array cells as format(v, ".17g").
-    cells = [[format(v, ".17g") for v in c.tolist()] if isinstance(c, np.ndarray) and c.dtype.kind == "f"
-             else c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    # The csv module writes every row: float cells as format(v, ".17g"), and
+    # the label on every row.
+    rows = next(len(c) for c in columns if not isinstance(c, str))
+    cells = [[c] * rows if isinstance(c, str) else [format(v, ".17g") for v in c.tolist()]
+             if c.dtype.kind == "f" else c.tolist() for c in columns]
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         if header is not None:
@@ -454,8 +447,8 @@ def _reference_csv(path, header, columns):
 class TestCsvWriter:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(table=csv_tables())
-    @example(table=(None, [["", None, "a"]]))
-    @example(table=(["x"], [[0.0, -0.0, 1, True, 1.0]]))
+    @example(table=(None, ["", np.array([1.0, -0.0])]))
+    @example(table=(["x", "y"], [np.array([0, 1]), '%s "a",\r\n']))
     def test_matches_csv_module(self, tmp_path, table):
         header, columns = table
         _write(tmp_path / "out.csv", "csv", header, columns)
@@ -526,7 +519,7 @@ def _write_contour(path, fmt):
 
 def _write_report(path, fmt):
     checks = (PropertyCheck("P1-boundary", 3, 0, 0.0), PropertyCheck("P2", 3, 1, 1e-9))
-    save_report(PropertyReport(seed=1, trials=3, rays=2, checks=checks), path, fmt)
+    save_report(PropertyReport(seed=1, trials=3, rays=2, checks=checks), path)
 
 
 def _write_sample(path, fmt):
@@ -619,7 +612,6 @@ EXACT_BYTES = [
           ]
         }
     """)),
-    (_write_report, "csv", "name,trials,violations,worst_margin\r\nP1-boundary,3,0,0\r\nP2,3,1,1.0000000000000001e-09\r\n"),
     (_write_report, "json", _json_text("""
         {
           "schema_version": 1,
@@ -690,8 +682,7 @@ class TestExactBytes:
         write(path, fmt)
         assert path.read_bytes() == expected.encode()
 
-    @pytest.mark.parametrize("write", [_write_rank_table, _write_values, _write_breakdowns,
-                                       _write_contour, _write_report])
+    @pytest.mark.parametrize("write", [_write_rank_table, _write_values, _write_breakdowns, _write_contour])
     def test_unknown_format(self, tmp_path, write):
         with pytest.raises(DataError, match="unknown format 'xml'"):
             write(tmp_path / "out.xml", "xml")

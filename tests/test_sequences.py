@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tppdepth import DataError, EventSequence, SampleSet, depth
+from tppdepth import DataError, EventSequence, SampleSet, depth, hpp_conditional_depth
 
 
 def bits(values):
@@ -26,16 +26,16 @@ def samples(draw):
 
 class TestEventSequence:
     def test_basic_fields(self):
-        seq = EventSequence(0.0, (0.3, 1.0))
+        seq = EventSequence(0, [0.3, 1])
         assert seq.k == 2
-        assert seq.last == 1.0
-        assert seq.duration == 1.0
-        assert seq.gaps == (0.3, 0.7)
-        assert not seq.on_boundary
+        assert seq.start == 0.0 and type(seq.start) is float
+        assert seq.times == (0.3, 1.0) and all(type(t) is float for t in seq.times)
 
     def test_ties_are_boundary(self):
-        assert EventSequence(0.0, (0.0, 1.0)).on_boundary
-        assert EventSequence(0.0, (0.5, 0.5)).on_boundary
+        # A tie is a zero gap: allowed, and it puts the realization on the
+        # boundary, where every depth is zero.
+        for times in ((0.0, 1.0), (0.5, 0.5)):
+            assert hpp_conditional_depth(EventSequence(0.0, times)) == 0.0
 
     def test_rejects_empty(self):
         with pytest.raises(DataError):
@@ -52,14 +52,6 @@ class TestEventSequence:
             EventSequence(0.0, (1.0, float("inf")))
         with pytest.raises(DataError):
             EventSequence(float("nan"), (1.0,))
-
-    def test_affine(self):
-        seq = EventSequence(1.0, (2.0, 3.0))
-        moved = seq.affine(2.0, -1.0)
-        assert moved.start == 1.0
-        assert moved.times == (3.0, 5.0)
-        with pytest.raises(DataError):
-            seq.affine(0.0, 1.0)
 
 
 class TestSampleSet:
@@ -109,21 +101,16 @@ class TestGaps:
     def test_distinct_times_far_from_the_start_keep_a_positive_gap(self):
         # Both offsets round to 1000001.0; the gap is still the difference
         # of the times, so the realization is not on the boundary.
-        seq = EventSequence(-1e6, (1.0, float(np.nextafter(1.0, 2.0))))
-        assert seq.gaps[1] > 0.0
-        assert not seq.on_boundary
+        sample = SampleSet(-1e6, [[1.0, float(np.nextafter(1.0, 2.0))]])
+        assert sample.gaps()[0, 1] > 0.0
 
     @given(samples())
     @settings(max_examples=200, deadline=None)
     def test_one_formula_bit_for_bit(self, sample):
-        # The sample, each realization and the depth kernels all get their
-        # gaps from one function; np.diff is the independent reference.
+        # The sample and the depth kernels get their gaps from one
+        # function; np.diff is the independent reference.
         gaps = sample.gaps()
         reference = np.diff(sample.times, axis=1, prepend=sample.start)
         assert np.array_equal(bits(gaps), bits(reference))
         first = sample.times[:, 0] - sample.start
         assert np.array_equal(bits(depth.gap_matrix(sample.times, first)), bits(gaps))
-        for i in range(sample.n):
-            seq = sample.sequence(i)
-            assert np.array_equal(bits(seq.gaps), bits(gaps[i])), i
-            assert seq.on_boundary == bool(np.any(gaps[i] == 0.0)), i

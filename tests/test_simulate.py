@@ -57,6 +57,20 @@ class TestSimConfig:
         same = SimConfig(kind="hpp", rates=(2,), k=np.int64(2), n=10, seed=3)
         assert np.array_equal(simulate(config).times, simulate(same).times)
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("rates", (True,), "every rate"), ("rates", ("2",), "every rate"), ("rates", (2.0, None), "every rate"),
+        ("start", False, "start"), ("start", "1.5", "start"),
+    ])
+    def test_rates_and_start_are_numbers(self, name, value, message):
+        # Checked, not converted: True and "2" are not rates, False and "1.5" not a start.
+        with pytest.raises(DataError, match=f"{message} must be a number"):
+            SimConfig(**{"kind": "hpp", "rates": (2.0,), "k": 2, "n": 5, name: value})
+
+    def test_numbers_of_any_real_type_are_taken(self):
+        config = SimConfig(kind="hpp", rates=[np.float32(2.0)], k=2, n=5, start=np.int64(1))
+        assert config.rates == (2.0,) and config.start == 1.0
+        assert type(config.rates[0]) is float and type(config.start) is float
+
     @pytest.mark.parametrize("start", [math.inf, -math.inf, math.nan])
     def test_start_finite(self, start):
         with pytest.raises(DataError, match="start must be finite"):
