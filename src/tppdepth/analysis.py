@@ -27,7 +27,7 @@ from .depth import (
     require_match,
 )
 from .errors import DataError
-from .estimation import fit_mahalanobis, fit_params
+from .estimation import fit_mahalanobis, fit_stack
 from .sequences import SampleSet
 from .simulate import check_seed
 
@@ -40,6 +40,9 @@ HPP_CONSISTENCY_RTOL = 1e-12
 FRACTION_SLACK = 1e-9
 DEFAULT_RAYS = 1000
 ALPHA_GRID_POINTS = 101
+# Rows of the stacked samples the scale-shift check refits at once: bounds
+# its temporaries whatever the number of trials.
+REFIT_ROWS = 4 * BLOCK_ROWS
 
 
 @dataclass(frozen=True)
@@ -378,16 +381,32 @@ def _check_maximality(rng, params, trials) -> PropertyCheck:
     return _tally("P2", trials, np.concatenate([[abs(center_depth - 1.0), abs(peak - 1.0)], margins]))
 
 
+def _refit(sample: SampleSet, a: np.ndarray, b: np.ndarray) -> SimpleNamespace:
+    """The fitted fields of every moved sample ``a[i] * X + b[i]``.
+
+    Stacks of whole samples, at most ``REFIT_ROWS`` rows (or one sample),
+    are fitted at once. The stack and its gaps live in one buffer reused
+    by every block: fresh block-sized arrays would often come from new
+    pages, one page fault per 4 KiB each time.
+    """
+    per_block = max(1, REFIT_ROWS // sample.n)
+    buffer = np.empty((2, sample.n, sample.k, min(per_block, a.size)))
+    fitted = []
+    for lo in range(0, a.size, per_block):
+        block = slice(lo, lo + per_block)
+        stack, gaps_out = buffer[..., :a[block].size]
+        np.multiply(sample.times[:, :, None], a[block], out=stack)
+        stack += b[block]
+        fitted.append(fit_stack(stack, a[block] * sample.start + b[block], gaps_out))
+    return SimpleNamespace(**{f: np.concatenate([vars(p)[f] for p in fitted]) for f in PARAM_FIELDS})
+
+
 def _check_scale_shift(rng, params, trials, sample) -> PropertyCheck:
     a = rng.uniform(0.1, 10.0, size=trials)
     b = rng.uniform(-10.0, 10.0, size=trials)
     times = _interior_times(rng, params, trials, moderate=True)
     reference = _product(times, params)
-    if sample is None:
-        moved_params = affine_fields(params, a, b)
-    else:
-        fitted = [fit_params(sample.affine(x, y)) for x, y in zip(a, b)]
-        moved_params = SimpleNamespace(**{f: np.array([getattr(p, f) for p in fitted]) for f in PARAM_FIELDS})
+    moved_params = affine_fields(params, a, b) if sample is None else _refit(sample, a, b)
     moved = _product(a[:, None] * times + b[:, None], moved_params)
     # Equal depths deviate by 0, also where both underflow to 0.
     deviation = np.abs(moved - reference)

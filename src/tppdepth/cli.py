@@ -18,8 +18,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import io as tio
 from .analysis import (
@@ -47,6 +50,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Any float literal is a value, not an option: -1e6 and -.5 too
+        # (argparse's own pattern takes only -12 and -1.5).
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -145,7 +154,7 @@ def _cmd_depth(args) -> int:
         tio.save_breakdowns(depth_breakdown(sample, params, baseline), out, args.format)
     else:
         values = depth_values(sample, params, args.method, baseline=baseline)
-        tio.save_values(range(sample.n), values, args.method, out, args.format)
+        tio.save_values(np.arange(sample.n), values, args.method, out, args.format)
     return 0
 
 

@@ -9,46 +9,77 @@ unbiased n-1 denominator.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
-from .depth import DepthParams
+from .depth import U_BAR_SUM_TOL, DepthParams, cumulative_times
 from .errors import DataError
-from .sequences import SampleSet
+from .sequences import SampleSet, check_times, gap_matrix
+
+
+def fit_stack(times: np.ndarray, start: np.ndarray, gaps_out=None) -> SimpleNamespace:
+    """The moment fit of c samples at once: the one formula of the fitted fields.
+
+    ``times`` is an (n, k, c) stack (n rows, k events, c samples) and
+    ``start`` holds one start per sample. Returns ``PARAM_FIELDS`` as
+    arrays over c (``u_bar`` is (c, k); ``horizon`` is ``mu_last``).
+    ``gaps_out``, a float array of the stack's shape, receives the gaps, so
+    that a caller fitting stack after stack reuses one buffer.
+
+    Each sample is checked as :class:`SampleSet`, :func:`fit_params` and
+    :class:`DepthParams` check one sample; the first failing sample raises
+    their :class:`DataError`. The layout keeps the bits of a fit of one
+    sample: the duration moments reduce one contiguous row per sample
+    (pairwise sums), and ``u_bar`` is a mean over the row axis (sequential
+    sums).
+    """
+    n, _, c = times.shape
+    if n < 2:  # after the first sample's own check, as one sample at a time would fail
+        check_times(float(start[0]), times[:, :, 0])
+        raise DataError(f"need at least 2 realizations to fit, got {n}")
+    with np.errstate(all="ignore"):
+        last = times[:, -1] - start
+        durations = np.ascontiguousarray(last.T)
+        mu_last = durations.mean(axis=1)
+        var_last = durations.var(axis=1, ddof=1)
+        gaps = gap_matrix(times, times[:, 0] - start, gaps_out)
+        # The times check: a NaN time leaves a NaN gap, an infinite one a
+        # negative or NaN gap or an infinite mean duration. One whole-stack
+        # minimum decides; only after a failure is it taken per sample.
+        ok = np.full(c, True) if gaps.min() >= 0 else gaps.min(axis=0).min(axis=0) >= 0
+        gaps /= last[:, None]
+        u_bar = np.ascontiguousarray(gaps.mean(axis=0).T)
+        center = start[:, None] + cumulative_times(mu_last, u_bar)
+        ok &= ((durations > 0).all(axis=1) & np.isfinite(mu_last) & np.isfinite(var_last) & (var_last > 0)
+               & ((u_bar > 0) & (u_bar <= 1)).all(axis=1)
+               & (np.abs(u_bar.sum(axis=1) - 1.0) <= U_BAR_SUM_TOL)
+               & (np.diff(center, axis=1) > 0).all(axis=1) & (center[:, 0] > start))
+    if not ok.all():
+        i = int(np.argmin(ok))
+        check_times(float(start[i]), times[:, :, i])
+        bad = np.nonzero(durations[i] <= 0)[0]
+        if bad.size:
+            raise DataError(f"realization {int(bad[0])} has zero duration; normalized gaps are undefined")
+        for moment, value in (("mean", mu_last[i]), ("variance", var_last[i])):
+            if not math.isfinite(value):
+                raise DataError(f"the duration {moment} overflows: the largest duration is {durations[i].max():.6g}")
+        if not var_last[i] > 0:
+            raise DataError("degenerate variance: all realizations share the same duration")
+        DepthParams(start[i], mu_last[i], var_last[i], u_bar[i])
+    return SimpleNamespace(start=start, mu_last=mu_last, var_last=var_last, u_bar=u_bar, horizon=mu_last)
 
 
 def fit_params(sample: SampleSet, horizon: float | None = None) -> DepthParams:
-    """Estimate depth parameters from a sample.
+    """Estimate depth parameters from a sample: :func:`fit_stack` at c = 1.
 
     Every realization must last a positive amount of time (a zero-duration
     realization has no normalized gaps and aborts the fit), at least two
     distinct durations are required for a usable variance, and a mean or
     variance of the durations that overflows is a :class:`DataError`.
     """
-    if sample.n < 2:
-        raise DataError(f"need at least 2 realizations to fit, got {sample.n}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        durations = sample.durations()
-        mu_last = float(durations.mean())
-        var_last = float(durations.var(ddof=1))
-    bad = np.nonzero(durations <= 0)[0]
-    if bad.size:
-        raise DataError(
-            f"realization {int(bad[0])} has zero duration; normalized gaps are undefined"
-        )
-    for moment, value in (("mean", mu_last), ("variance", var_last)):
-        if not math.isfinite(value):
-            raise DataError(f"the duration {moment} overflows: the largest duration is {durations.max():.6g}")
-    if not var_last > 0:
-        raise DataError("degenerate variance: all realizations share the same duration")
-    u_bar = sample.gaps() / durations[:, None]
-    return DepthParams(
-        start=sample.start,
-        mu_last=mu_last,
-        var_last=var_last,
-        u_bar=u_bar.mean(axis=0),
-        horizon=horizon,
-    )
+    fields = fit_stack(sample.times[:, :, None], np.array([sample.start]))
+    return DepthParams(sample.start, fields.mu_last[0], fields.var_last[0], fields.u_bar[0], horizon)
 
 
 def fit_mahalanobis(sample: SampleSet) -> tuple[np.ndarray, np.ndarray]:

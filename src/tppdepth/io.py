@@ -339,7 +339,7 @@ def save_breakdowns(columns: dict, path, fmt: str = "csv") -> None:
 
 def save_values(indices, values, method: str, path, fmt: str = "csv") -> None:
     """Write a plain per-realization value table for one method."""
-    index = np.array([int(i) for i in indices])
+    index = np.asarray(indices, dtype=np.int64)
     values = np.asarray(values, dtype=float)
     _write(path, fmt, ["index", "method", "value"], [index, method, values], lambda: {
         "method": method,

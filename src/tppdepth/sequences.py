@@ -52,12 +52,14 @@ def check_times(start: float, times: np.ndarray) -> None:
     raise EventTimeError(row, col + 1, reason)
 
 
-def gap_matrix(times: np.ndarray, first) -> np.ndarray:
+def gap_matrix(times: np.ndarray, first, out=None) -> np.ndarray:
     """The one formula for inter-event gaps: row i of an (n, k) matrix
     gives ``times[i, j] - times[i, j-1]``, the first gap being ``first``,
-    the first offset from the start (``times[:, 0] - start``)."""
-    gaps = times.copy()
-    gaps[:, 1:] -= times[:, :-1]
+    the first offset from the start (``times[:, 0] - start``). Trailing
+    axes of ``times`` ride along; ``out`` is an optional float array of
+    the same shape that receives the gaps."""
+    gaps = np.empty(times.shape) if out is None else out
+    np.subtract(times[:, 1:], times[:, :-1], out=gaps[:, 1:])
     gaps[:, 0] = first
     return gaps
 
@@ -114,9 +116,3 @@ class SampleSet:
     def gaps(self) -> np.ndarray:
         """(n, k) matrix of inter-event gaps, first column from the start."""
         return gap_matrix(self.times, self.times[:, 0] - self.start)
-
-    def affine(self, a: float, b: float) -> "SampleSet":
-        """Return the sample under t -> a*t + b with a > 0."""
-        if a <= 0:
-            raise DataError("scale factor must be positive")
-        return SampleSet(a * self.start + b, a * self.times + b)

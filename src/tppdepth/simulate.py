@@ -78,10 +78,12 @@ class SimConfig:
         check_seed(self.seed)
 
 
+@np.errstate(over="ignore")
 def simulate(config: SimConfig) -> SampleSet:
     """First k events of the configured process: gap j is exponential with
     rate ``rates[j]``, and the single rate of the homogeneous kind serves
-    every gap."""
+    every gap. A time that overflows (a tiny rate, a start near the float
+    maximum) is left to the sample's check."""
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     u = rng.random((config.n, config.k))
     gaps = -np.log1p(-u) / np.asarray(config.rates)

@@ -2,6 +2,8 @@ import math
 import warnings
 from collections import deque
 from dataclasses import replace
+from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -26,6 +28,12 @@ from tppdepth import (
 )
 import tppdepth.analysis as analysis
 from tppdepth.analysis import _competition_ranks
+from tppdepth.depth import PARAM_FIELDS
+
+
+def _refit_one_trial_at_a_time(sample, a, b):
+    fitted = [fit_params(SampleSet(x * sample.start + y, x * sample.times + y)) for x, y in zip(a, b)]
+    return SimpleNamespace(**{f: np.array([getattr(p, f) for p in fitted]) for f in PARAM_FIELDS})
 
 
 @pytest.fixture(scope="module")
@@ -336,9 +344,22 @@ class TestVerifyProperties:
         reference = product_depth(seq, hpp_params).product
         assert reference > 0
         for a, b in ((2.0, 0.0), (0.5, 3.0), (7.5, -4.0), (0.1, 10.0)):
-            moved_sample = hpp_sample.affine(a, b)
+            moved_sample = SampleSet(a * hpp_sample.start + b, a * hpp_sample.times + b)
             moved = product_depth(moved_sample.sequence(5), fit_params(moved_sample)).product
             assert moved == pytest.approx(reference, rel=1e-10)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_refit_report_matches_one_fit_per_trial(self, seed):
+        # The reference is the per-trial refit: one fit_params per moved
+        # sample, gathered field by field. Every check, P3 included, must
+        # agree exactly; 300 trials of n=1000 span several refit blocks.
+        sample = simulate(SimConfig(kind="state-dependent", rates=(2.5, 4.0, 6.0, 8.0, 10.0), k=5, n=1000,
+                                    seed=seed, start=1.5))
+        params = fit_params(sample)
+        batched = verify_properties(params, trials=300, seed=seed, rays=10, sample=sample)
+        with patch.object(analysis, "_refit", _refit_one_trial_at_a_time):
+            reference = verify_properties(params, trials=300, seed=seed, rays=10, sample=sample)
+        assert batched.checks == reference.checks
 
     def test_counts_recorded(self, hpp_params):
         report = verify_properties(hpp_params, trials=50, seed=4, rays=7)

@@ -11,6 +11,7 @@ from scipy.stats import rankdata
 from tppdepth import DataError, cli, load_csv
 from tppdepth.analysis import METHODS
 from tppdepth.cli import FLAG_CAPS, main
+from tppdepth.io import load_sim_config_json
 
 
 def run(*argv):
@@ -246,6 +247,36 @@ class TestFlagCaps:
         assert not out.exists()
 
 
+class TestNegativeFlagValues:
+    """A float literal is a flag value, in scientific notation too."""
+
+    @pytest.mark.parametrize("value", ["-1e6", "-1.5e-3", "-.5", "-2E+1", "-1."])
+    def test_space_form_equals_the_equals_form(self, tmp_path, capsys, value):
+        outputs = {}
+        for form in ("space", "equals"):
+            def flag(name, form=form):
+                return [f"{name}={value}"] if form == "equals" else [name, value]
+            sample, params, grid = (tmp_path / f"{form}.{suffix}" for suffix in ("csv", "json", "grid.csv"))
+            codes = (
+                run("simulate", "--kind", "hpp", "--rates", "2", "--k", "2", "--n", "50", "--seed", "1",
+                    *flag("--t0"), "--out", sample),
+                run("fit", "--in", sample, *flag("--t0"), "--params-out", params),
+                run("contour", "--params", params, "--method", "product", *flag("--xmin"), "--xmax", "2",
+                    "--ymin", "0", "--ymax", "2", "--resolution", "5", "--out", grid),
+            )
+            outputs[form] = (codes, capsys.readouterr(), [p.read_bytes() for p in (sample, params, grid)])
+        assert outputs["space"] == outputs["equals"]
+        assert outputs["space"][0] == (0, 0, 0)
+
+    def test_epoch_relative_start(self, tmp_path):
+        # The reproduced case: a start of -1e6 given as two arguments.
+        sample, params = tmp_path / "s.csv", tmp_path / "p.json"
+        assert run("simulate", "--kind", "hpp", "--rates", "2", "--k", "2", "--n", "20", "--seed", "1",
+                   "--t0", "-1e6", "--out", sample) == 0
+        assert run("fit", "--in", sample, "--t0", "-1e6", "--params-out", params) == 0
+        assert json.loads(params.read_text())["start"] == -1e6
+
+
 # JSON values of any shape, plus the near misses a params file invites:
 # pairs and 2x2 matrices of any floats (NaN, infinities and 1e308 included).
 JSON_VALUES = st.one_of(
@@ -255,6 +286,15 @@ JSON_VALUES = st.one_of(
     st.lists(st.floats(), min_size=2, max_size=2),
     st.lists(st.lists(st.floats(), min_size=2, max_size=2), min_size=2, max_size=2),
 )
+# The same shapes with every finite number small: --config has no cap on n
+# or k, so a drawn 1e9 would allocate the sample it asks for.
+SMALL_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats(-40, 40) | st.text(max_size=4)
+    | st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6,
+)
+SIM_KEYS = ["schema_version", "kind", "rates", "k", "n", "start", "seed", "unknown"]
 PARAMS_KEYS = ["schema_version", "k", "start", "mu_last", "var_last", "u_bar", "eta", "big_m", "center",
                "mahalanobis_mean", "mahalanobis_cov", "unknown"]
 
@@ -357,6 +397,20 @@ class TestFuzz:
             code = self._run(capsys, command)
             assert code in (0, 2)
             assert written.exists() == (code == 0)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(key=st.sampled_from(SIM_KEYS), value=SMALL_JSON_VALUES)
+    @example(key="n", value=2.5)
+    @example(key="rates", value=[5e-324])  # every gap overflows to inf
+    def test_config_value(self, tmp_path, capsys, key, value):
+        config, out = tmp_path / "sim.json", tmp_path / "sample.csv"
+        config.write_text(json.dumps({**SIM, "start": 0.5, "seed": 3, key: value}))
+        out.unlink(missing_ok=True)
+        code = self._run(capsys, ["simulate", "--config", config, "--out", out])
+        assert code in (0, 2)
+        assert out.exists() == (code == 0)
+        if code == 0:
+            assert load_csv(out, t0=load_sim_config_json(config).get("start", 0.0)).n >= 1
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(resolution=_flag_value(FLAG_CAPS["resolution"]), trials=_flag_value(FLAG_CAPS["trials"]),

@@ -381,7 +381,7 @@ class TestDepthParams:
         assert q == p
         sample = SampleSet(0.5, [[1.0, 2.5]])
         assert (
-            product_depth(sample.affine(1.0, 0.0).sequence(0), q).product
+            product_depth(SampleSet(1.0 * sample.start + 0.0, 1.0 * sample.times + 0.0).sequence(0), q).product
             == product_depth(sample.sequence(0), p).product
         )
 

@@ -1,6 +1,12 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import tppdepth.analysis as analysis
 from tppdepth import (
     DataError,
     SampleSet,
@@ -8,7 +14,10 @@ from tppdepth import (
     fit_mahalanobis,
     fit_params,
     simulate,
+    verify_properties,
 )
+from tppdepth.depth import PARAM_FIELDS
+from tppdepth.estimation import fit_stack
 
 
 @pytest.fixture
@@ -64,7 +73,7 @@ class TestFitParams:
         sample = simulate(SimConfig(kind="hpp", rates=(2.0,), k=2, n=300, seed=3))
         base = fit_params(sample)
         a, b = 2.5, -1.25
-        moved = fit_params(sample.affine(a, b))
+        moved = fit_params(SampleSet(a * sample.start + b, a * sample.times + b))
         assert moved.mu_last == pytest.approx(a * base.mu_last, rel=1e-12)
         assert moved.var_last == pytest.approx(a * a * base.var_last, rel=1e-12)
         assert moved.u_bar == pytest.approx(base.u_bar, rel=1e-12)
@@ -111,3 +120,110 @@ class TestFitMahalanobis:
         se2 = np.sqrt(0.5 / n)
         assert abs(mean[0] - 0.5) < 3 * se1
         assert abs(mean[1] - 1.0) < 3 * se2
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def _one_sample_error(start, times):
+    # The error fit_params gives the sample alone (SampleSet's check included), or None.
+    try:
+        fit_params(SampleSet(start, times))
+    except DataError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def _samples(draw):
+    # Cumulated gaps with a few exact zeros, from a nonzero start: boundary
+    # rows, zero durations and equal durations occur now and then.
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(1, 12))
+    gaps = draw(hnp.arrays(float, (n, k), elements=st.floats(1e-3, 1e3)))
+    for row, col in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, k - 1)), max_size=3)):
+        gaps[row, col] = 0.0
+    start = draw(st.floats(-1e6, 1e6).filter(lambda v: v != 0.0))
+    return SampleSet(start, start + np.cumsum(gaps, axis=1))
+
+
+class TestFitStack:
+    @settings(max_examples=150, deadline=None)
+    @given(sample=_samples(), rows=st.integers(1, 40), extra=st.sampled_from([-1, 0, 1]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_verifier_fields_equal_one_fit_per_trial(self, sample, rows, extra, seed):
+        # Trial counts of one block less one, one block and one block plus
+        # one, under a drawn row budget: full, partial and one-sample blocks.
+        block = max(1, rows // sample.n)
+        trials = max(1, block + extra)
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(0.1, 10.0, size=trials)
+        b = rng.uniform(-10.0, 10.0, size=trials)
+        moved = [(a[i] * sample.start + b[i], a[i] * sample.times + b[i]) for i in range(trials)]
+        errors = [_one_sample_error(*m) for m in moved]
+        with patch.object(analysis, "REFIT_ROWS", rows):
+            if any(errors):
+                with pytest.raises(DataError) as caught:
+                    analysis._refit(sample, a, b)
+                assert str(caught.value) == next(e for e in errors if e)
+                return
+            fields = analysis._refit(sample, a, b)
+        for i, m in enumerate(moved):
+            expected = fit_params(SampleSet(*m))
+            for name in PARAM_FIELDS:
+                assert np.array_equal(_bits(getattr(fields, name)[i]), _bits(getattr(expected, name))), (i, name)
+
+    @pytest.mark.parametrize("n", [100, 1000, 20000, 200000])
+    def test_batch_of_one_is_an_independent_fit(self, n):
+        # fit_params against plain numpy on the sample's own arrays: the
+        # duration moments over one contiguous vector, u_bar a row-axis mean.
+        sample = simulate(SimConfig(kind="state-dependent", rates=(2.5, 4.0, 6.0, 8.0, 10.0), k=5, n=n,
+                                    seed=n, start=1.5))
+        params = fit_params(sample)
+        durations = sample.times[:, -1] - sample.start
+        gaps = np.diff(sample.times, axis=1, prepend=sample.start)
+        assert params.mu_last == durations.mean()
+        assert params.var_last == durations.var(ddof=1)
+        assert np.array_equal(_bits(params.u_bar), _bits((gaps / durations[:, None]).mean(axis=0)))
+
+    def test_overflow_message(self):
+        s = simulate(SimConfig(kind="hpp", rates=(2.0,), k=2, n=100, seed=1))
+        with pytest.raises(DataError) as caught:
+            verify_properties(fit_params(s), trials=20, seed=1, rays=2, sample=SampleSet(0, s.times * 5e306))
+        assert str(caught.value) == "the duration mean overflows: the largest duration is 1.07941e+308"
+
+    def test_mixed_block_raises_for_the_first_failing_sample(self):
+        # Each sample fails one check of SampleSet, fit_params or DepthParams;
+        # whichever comes first in the stack names the error, whatever the
+        # later samples fail.
+        ok = [[1.0, 2.0], [1.5, 4.0], [0.5, 3.0], [2.0, 2.5]]
+        failing = {
+            "not finite": [[1.0, 2.0], [1.5, np.nan], [0.5, 3.0], [2.0, 2.5]],
+            "decreasing": [[1.0, 2.0], [2.5, 2.0], [0.5, 3.0], [2.0, 2.5]],
+            "zero duration": [[1.0, 2.0], [0.0, 0.0], [0.5, 3.0], [2.0, 2.5]],
+            "degenerate": [[1.0, 2.0], [1.5, 2.0], [0.5, 2.0], [0.25, 2.0]],
+            "proportion": [[0.0, 2.0], [0.0, 4.0], [0.0, 3.0], [0.0, 2.5]],
+            # The one nonzero second gap is half an ulp of the mean
+            # proportion: the two center times round together.
+            "center": [[1.0, np.nextafter(1.0, 2.0)], [2.0, 2.0], [3.0, 3.0], [1.5, 1.5]],
+        }
+        expected = {name: _one_sample_error(0.0, np.array(times)) for name, times in failing.items()}
+        assert all(expected.values()) and len(set(expected.values())) == len(expected)
+        for first in failing:
+            later = [name for name in failing if name != first]
+            for order in ([first, *later], [first, *later[::-1]]):
+                stack = np.stack([ok, ok] + [failing[name] for name in order], axis=2)
+                with pytest.raises(DataError) as caught:
+                    fit_stack(stack, np.zeros(stack.shape[2]))
+                assert str(caught.value) == expected[first], order
+
+    def test_one_row_fails_the_times_check_first(self):
+        # A one-row sample fails the fit; a non-finite time in the first
+        # sample is still reported first, as SampleSet reports it.
+        stack = np.array([[[1.0, 1.0], [np.inf, 2.0]]])
+        expected = _one_sample_error(0.0, stack[:, :, 0])
+        assert expected.startswith("realization 0, column 2")
+        for times, message in ((stack, expected), (stack[:, :, 1:], "need at least 2 realizations to fit, got 1")):
+            with pytest.raises(DataError, match=message):
+                fit_stack(times, np.zeros(times.shape[2]))

@@ -90,12 +90,6 @@ class TestSampleSet:
         with pytest.raises(ValueError):
             sample.times[0, 0] = 5.0
 
-    def test_affine(self):
-        sample = SampleSet(0.0, [[1.0, 2.0], [3.0, 6.0]])
-        moved = sample.affine(2.0, 1.0)
-        assert moved.start == 1.0
-        np.testing.assert_allclose(moved.times, [[3.0, 5.0], [7.0, 13.0]])
-
 
 class TestGaps:
     def test_distinct_times_far_from_the_start_keep_a_positive_gap(self):
