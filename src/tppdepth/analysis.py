@@ -54,20 +54,22 @@ class RankEntry:
 
 @dataclass(frozen=True, eq=False)
 class RankTable:
-    """Realizations ordered deepest first, with competition ranks.
+    """Depths and competition ranks, indexed by row.
 
-    ``order`` lists row indices deepest first; ``depths`` and ``ranks``
-    are indexed by row.
+    ``order`` lists row indices deepest first (ties by row index).
     """
 
     method: str
-    order: np.ndarray
     depths: np.ndarray
     ranks: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.order.size
+        return self.depths.size
+
+    @property
+    def order(self) -> np.ndarray:
+        return np.argsort(self.ranks, kind="stable")
 
     @property
     def entries(self) -> tuple[RankEntry, ...]:
@@ -140,11 +142,10 @@ class PropertyReport:
         return all(c.violations == 0 for c in self.checks)
 
 
-def _competition_ranks(values: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
+def _competition_ranks(values: np.ndarray) -> np.ndarray:
     # Each row takes the 1-based position where its run of equal values
-    # starts in ``order`` (deepest first; computed when not given).
-    if order is None:
-        order = np.argsort(-values, kind="stable")
+    # starts in the stable deepest-first order.
+    order = np.argsort(-values, kind="stable")
     ordered = values[order]
     run_start = np.ones(values.size, dtype=bool)
     run_start[1:] = ordered[1:] != ordered[:-1]
@@ -215,8 +216,7 @@ def rank(
 ) -> RankTable:
     """Rank the sample deepest first under the chosen method."""
     values = depth_values(sample, params, method, baseline)
-    order = np.argsort(-values, kind="stable")
-    return RankTable(method, order, values, _competition_ranks(values, order))
+    return RankTable(method, values, _competition_ranks(values))
 
 
 def contour_grid(
@@ -270,28 +270,13 @@ def near_boundary_comparison(
     """
     if not 0 < threshold <= 1:
         raise DataError(f"threshold must be in (0, 1], got {threshold}")
-    product_ranks = rank(sample, params, "product").ranks
-    mahalanobis_ranks = rank(sample, params, "mahalanobis").ranks
-    durations = sample.durations()
-    gaps = sample.gaps()
+    ranks = np.stack([rank(sample, params, method).ranks for method in ("product", "mahalanobis")])
+    durations = sample.durations()[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        fractions = np.where(durations[:, None] > 0, gaps / durations[:, None], 0.0)
-    min_fraction = fractions.min(axis=1)
-    indices = tuple(int(i) for i in np.nonzero(min_fraction < threshold)[0])
-    if indices:
-        sel = list(indices)
-        mean_p = float(product_ranks[sel].mean())
-        mean_m = float(mahalanobis_ranks[sel].mean())
-    else:
-        mean_p = math.nan
-        mean_m = math.nan
-    return NearBoundarySummary(
-        threshold=float(threshold),
-        sample_size=sample.n,
-        indices=indices,
-        mean_product_rank=mean_p,
-        mean_mahalanobis_rank=mean_m,
-    )
+        fractions = np.where(durations > 0, sample.gaps() / durations, 0.0)
+    subset = np.flatnonzero(fractions.min(axis=1) < threshold)
+    means = ranks[:, subset].mean(axis=1).tolist() if subset.size else (math.nan, math.nan)
+    return NearBoundarySummary(float(threshold), sample.n, tuple(subset.tolist()), *means)
 
 
 def weighted_fraction_gap(a, b, alpha) -> np.ndarray:

@@ -7,7 +7,8 @@ Only ``simulate``, ``fit`` and ``compare-boundary`` take a start time
 (``--t0``); the other commands use the one stored in the params file.
 
 Exit codes: 0 success, 1 usage error (also a flag above its cap in
-``FLAG_CAPS``), 2 data or file error, 3 property violations found by ``verify``.
+``FLAG_CAPS``), 2 data or file error (also an allocation that fails),
+3 property violations found by ``verify``.
 
 The only environment override is ``TPPDEPTH_OUT_DIR``: when set, output
 paths given without a directory component are placed there.
@@ -16,13 +17,10 @@ paths given without a directory component are placed there.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import io as tio
 from .analysis import (
@@ -154,7 +152,7 @@ def _cmd_depth(args) -> int:
         tio.save_breakdowns(depth_breakdown(sample, params, baseline), out, args.format)
     else:
         values = depth_values(sample, params, args.method, baseline=baseline)
-        tio.save_values(np.arange(sample.n), values, args.method, out, args.format)
+        tio.save_values(values, args.method, out, args.format)
     return 0
 
 
@@ -184,7 +182,7 @@ def _cmd_compare_boundary(args) -> int:
     sample = tio.load_csv(args.input, t0=args.t0)
     params = fit_params(sample)
     summary = near_boundary_comparison(sample, params, args.threshold)
-    print(json.dumps(tio.summary_to_dict(summary)))
+    print(tio.json_text(tio.summary_to_dict(summary)))
     return 0
 
 
@@ -222,8 +220,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except (_UsageError, DataError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (_UsageError, DataError, OSError, MemoryError) as exc:
+        # numpy's MemoryError names the allocation; a bare one has no message.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1 if isinstance(exc, _UsageError) else 2
 
 

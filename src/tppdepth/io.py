@@ -70,6 +70,14 @@ def _label_format(label: str) -> str:
     return buffer.getvalue()[:-3].replace("%", "%%")
 
 
+def json_text(doc: dict, indent: int | None = None) -> str:
+    """``doc`` as standard JSON: a NaN or infinite float is written as ``null``."""
+    try:
+        return json.dumps(doc, indent=indent, allow_nan=False)
+    except ValueError:  # parse the non-finite constants back as None
+        return json_text(json.loads(json.dumps(doc), parse_constant=lambda _: None), indent)
+
+
 def _write(path, fmt: str, header=None, columns=(), document=None) -> None:
     """Write one output file; the only code that knows the file formats.
 
@@ -82,8 +90,8 @@ def _write(path, fmt: str, header=None, columns=(), document=None) -> None:
     becomes text in one ``%`` format over its cells, which also bounds the
     text held at once.
     ``json``: ``schema_version``, then the fields that ``document()``
-    returns, indented by 2, with a trailing newline; ``document`` is called
-    only for this format.
+    returns, indented by 2, with a trailing newline (:func:`json_text`);
+    ``document`` is called only for this format.
     """
     path = Path(path)
     if fmt == "csv":
@@ -103,7 +111,7 @@ def _write(path, fmt: str, header=None, columns=(), document=None) -> None:
                 handle.write(row * rows % tuple(flat))
     elif fmt == "json":
         doc = {"schema_version": SCHEMA_VERSION, **document()}
-        path.write_text(json.dumps(doc, indent=2) + "\n")
+        path.write_text(json_text(doc, indent=2) + "\n")
     else:
         raise DataError(f"unknown format {fmt!r}")
 
@@ -337,10 +345,10 @@ def save_breakdowns(columns: dict, path, fmt: str = "csv") -> None:
     ]})
 
 
-def save_values(indices, values, method: str, path, fmt: str = "csv") -> None:
-    """Write a plain per-realization value table for one method."""
-    index = np.asarray(indices, dtype=np.int64)
+def save_values(values, method: str, path, fmt: str = "csv") -> None:
+    """Write a plain per-realization value table for one method, indexed by row."""
     values = np.asarray(values, dtype=float)
+    index = np.arange(len(values))
     _write(path, fmt, ["index", "method", "value"], [index, method, values], lambda: {
         "method": method,
         "entries": [{"index": i, "value": v} for i, v in zip(index.tolist(), values.tolist())],

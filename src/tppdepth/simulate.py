@@ -39,8 +39,9 @@ class SimConfig:
     ``rates`` has length 1 for the homogeneous kind (the constant rate)
     and length k for the state-dependent kind. ``k``, ``n`` and ``seed``
     are integers; a float with an integer value such as ``1e5`` is taken,
-    a bool or a fractional value is an error. Each rate and ``start`` is a
-    number; a bool or a string is an error, not converted.
+    a bool or a fractional value is an error, and the n*k float64 times
+    must fit in one numpy array. Each rate and ``start`` is a number; a
+    bool or a string is an error, not converted.
     """
 
     kind: str
@@ -68,6 +69,8 @@ class SimConfig:
             raise DataError("k must be at least 1")
         if self.n < 1:
             raise DataError("n must be at least 1")
+        if self.n * self.k * 8 > np.iinfo(np.intp).max:
+            raise DataError(f"n*k = {self.n * self.k:.3g} event times do not fit in one array")
         if not all(math.isfinite(r) and r > 0 for r in self.rates):
             raise DataError("every rate must be positive and finite")
         needed = 1 if self.kind == "hpp" else self.k

@@ -106,6 +106,34 @@ class TestRank:
         with pytest.raises(DataError):
             rank(hpp_sample, hpp_params, "tukey")
 
+    def test_ranks_come_from_the_module_formula(self, hpp_sample, hpp_params, monkeypatch):
+        # rank reaches the one ranking formula through the module global, so
+        # a one-argument stand-in that swaps two ranks decides the table.
+        original = analysis._competition_ranks
+
+        def swapped(values):
+            ranks = original(values)
+            ranks[[0, 1]] = ranks[[1, 0]]
+            return ranks
+
+        monkeypatch.setattr(analysis, "_competition_ranks", swapped)
+        table = rank(hpp_sample, hpp_params, "product")
+        expected = swapped(depth_values(hpp_sample, hpp_params, "product"))
+        assert np.array_equal(table.ranks, expected)
+        assert not np.array_equal(table.ranks, original(table.depths))
+
+    @given(st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]) | st.floats(min_value=0, max_value=1),
+                    min_size=1, max_size=60))
+    @settings(max_examples=200)
+    def test_order_is_stable_deepest_first(self, values):
+        # The order derived from the ranks is the stable sort of the depths,
+        # tie blocks (0.0 and -0.0 are one) in row order.
+        depths = np.asarray(values)
+        table = analysis.RankTable("product", depths, _competition_ranks(depths))
+        assert np.array_equal(table.order, np.argsort(-depths, kind="stable"))
+        assert np.array_equal(table.ranks, rankdata(-depths, method="min"))
+        assert table.n == depths.size
+
     def test_boundary_realization_ranks_last(self, hpp_params, hpp_sample):
         times = hpp_sample.times.copy()
         times[0] = (0.0, times[0, 1])  # zero first gap

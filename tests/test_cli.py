@@ -545,6 +545,66 @@ class TestContour:
         assert code == 0
 
 
+def _strict_json(text):
+    # json.loads, refusing the NaN and Infinity constants standard JSON lacks.
+    def refuse(constant):
+        raise ValueError(f"not standard JSON: {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestOversizedSample:
+    HPP = ["simulate", "--kind", "hpp", "--rates", "2"]
+
+    @pytest.mark.parametrize("k, n", [(1, 10**20), (10**11, 10**11)])
+    def test_flags(self, tmp_path, capsys, k, n):
+        out = tmp_path / "x.csv"
+        assert run(*self.HPP, "--k", k, "--n", n, "--out", out) == 2
+        assert _single_error_line(capsys, "event times do not fit in one array")
+        assert not out.exists()
+
+    def test_config(self, tmp_path, capsys):
+        config, out = tmp_path / "sim.json", tmp_path / "x.csv"
+        config.write_text('{"kind": "hpp", "rates": [2], "k": 1, "n": 1e300}')
+        assert run("simulate", "--config", config, "--out", out) == 2
+        assert _single_error_line(capsys, "error: n*k = 1e+300 event times do not fit in one array")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 37.3 GiB for an array with shape (1000000000, 5) and data type float64",
+         "error: Unable to allocate 37.3 GiB"),
+        ("", "error: out of memory"),
+    ])
+    def test_memory_error_is_one_error_line(self, tmp_path, monkeypatch, capsys, message, line):
+        def out_of_memory(config):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "simulate", out_of_memory)
+        assert run(*self.HPP, "--k", 5, "--n", 10**9, "--out", tmp_path / "x.csv") == 2
+        assert _single_error_line(capsys, line)
+
+
+class TestStandardJson:
+    """Every JSON output is standard JSON: a non-finite value is null."""
+
+    def test_empty_subset_means_are_null(self, tmp_path, capsys):
+        sample = tmp_path / "k1.csv"
+        assert run("simulate", "--kind", "hpp", "--rates", "2", "--k", "1", "--n", "20", "--out", sample) == 0
+        assert run("compare-boundary", "--in", sample, "--threshold", "0.5") == 0
+        doc = _strict_json(capsys.readouterr().out)
+        assert doc["subset_size"] == 0
+        assert doc["mean_product_rank"] is None and doc["mean_mahalanobis_rank"] is None
+
+    def test_infinite_exponent_is_null(self, tmp_path):
+        params, sample, out = tmp_path / "p.json", tmp_path / "s.csv", tmp_path / "d.json"
+        params.write_text(json.dumps({**PARAMS, "big_m": 1e-308}))
+        sample.write_text("0.5,1\n0.5,1.5\n1,5\n")
+        assert run("depth", "--in", sample, "--params", params, "--method", "product",
+                   "--out", out, "--format", "json") == 0
+        exponents = [e["exponent"] for e in _strict_json(out.read_text())["entries"]]
+        assert exponents == [0.0, 0.5 / 1e-308, None]
+
+
 class TestCompareBoundary:
     def test_prints_summary(self, sample_csv, capsys):
         code = run("compare-boundary", "--in", sample_csv, "--threshold", "0.1")

@@ -38,6 +38,7 @@ from tppdepth.io import (
     _load_csv_rows,
     _read_matrix,
     _write,
+    json_text,
     save_breakdowns,
     save_contour,
     save_rank_table,
@@ -50,6 +51,33 @@ from tppdepth.io import (
 @pytest.fixture
 def sample():
     return simulate(SimConfig(kind="hpp", rates=(2.0,), k=2, n=25, seed=8))
+
+
+def _strict_json(text):
+    # json.loads, refusing the NaN and Infinity constants standard JSON lacks.
+    def refuse(constant):
+        raise ValueError(f"not standard JSON: {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestJsonText:
+    def test_finite_document_keeps_its_bytes(self):
+        doc = {"a": [0.1, -0.0, 1e308, 5e-324, np.float64(1 / 3)], "b": {"c": (1, 2)}, "d": "NaN"}
+        for indent in (None, 2):
+            assert json_text(doc, indent) == json.dumps(doc, indent=indent)
+
+    def test_nonfinite_floats_are_null(self):
+        doc = {"a": [math.nan, 1.5, -math.inf], "b": {"c": [[math.inf]]}, "d": "NaN", "e": np.float64("nan")}
+        assert json_text(doc) == '{"a": [null, 1.5, null], "b": {"c": [[null]]}, "d": "NaN", "e": null}'
+
+    def test_report_with_nonfinite_margins(self, tmp_path):
+        path = tmp_path / "report.json"
+        checks = (PropertyCheck("P3", 3, 3, math.nan), PropertyCheck("P4", 3, 0, -math.inf),
+                  PropertyCheck("P2", 3, 0, -0.5))
+        save_report(PropertyReport(seed=1, trials=3, rays=2, checks=checks), path)
+        doc = _strict_json(path.read_text())
+        assert [c["worst_margin"] for c in doc["properties"]] == [None, None, -0.5]
 
 
 class TestLoadCsv:
@@ -383,7 +411,7 @@ class TestOtherWriters:
 
     def test_values_csv(self, tmp_path):
         path = tmp_path / "values.csv"
-        save_values([0, 1], [0.25, 0.5], "marginal", path, "csv")
+        save_values([0.25, 0.5], "marginal", path, "csv")
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "index,method,value"
         assert lines[1] == "0,marginal,0.25"
@@ -496,12 +524,12 @@ _BREAKDOWN_JSON = """
 
 
 def _write_rank_table(path, fmt):
-    table = RankTable("product", np.array([1, 0, 2]), np.array([0.5, 0.75, 0.0]), np.array([2, 1, 3]))
+    table = RankTable("product", np.array([0.5, 0.75, 0.0]), np.array([2, 1, 3]))
     save_rank_table(table, path, fmt)
 
 
 def _write_values(path, fmt):
-    save_values([0, 1], [0.25, 1 / 3], "marginal", path, fmt)
+    save_values([0.25, 1 / 3], "marginal", path, fmt)
 
 
 def _write_breakdowns(path, fmt):

@@ -41,6 +41,14 @@ class TestSimConfig:
         with pytest.raises(DataError):
             SimConfig(kind="hpp", rates=(1.0,), k=2, n=10, seed=2**64)
 
+    def test_sample_must_fit_one_array(self):
+        # Only configs are built here: nothing of this size is allocated.
+        limit = np.iinfo(np.intp).max // 8
+        assert SimConfig(kind="hpp", rates=(1.0,), k=1, n=limit).n == limit
+        for k, n in [(1, limit + 1), (2, limit // 2 + 1), (10**11, 10**11), (1, 1e300)]:
+            with pytest.raises(DataError, match="event times do not fit in one array"):
+                SimConfig(kind="hpp", rates=(1.0,), k=k, n=n)
+
     @pytest.mark.parametrize("name, value", [
         ("k", 2.7), ("n", 5.9), ("seed", 1.5), ("k", True), ("n", True), ("seed", False), ("k", "2"),
         ("k", math.inf),
