@@ -144,13 +144,19 @@ class PropertyReport:
 
 def _competition_ranks(values: np.ndarray) -> np.ndarray:
     # Each row takes the 1-based position where its run of equal values
-    # starts in the stable deepest-first order.
-    order = np.argsort(-values, kind="stable")
+    # starts in the deepest-first order. A tie block gets its start rank
+    # whatever order the sort leaves inside it, so the sort need not be
+    # stable. NaN sorts last and is never equal, so each NaN is its own run;
+    # the m NaN rows take the ranks n-m+1..n in row order.
+    n = values.size
+    order = np.argsort(-values)
     ordered = values[order]
-    run_start = np.ones(values.size, dtype=bool)
+    run_start = np.ones(n, dtype=bool)
     run_start[1:] = ordered[1:] != ordered[:-1]
-    ranks = np.empty(values.size, dtype=int)
-    ranks[order] = np.maximum.accumulate(np.where(run_start, np.arange(1, values.size + 1), 0))
+    ranks = np.empty(n, dtype=int)
+    ranks[order] = np.maximum.accumulate(np.where(run_start, np.arange(1, n + 1), 0))
+    nan_rows = np.flatnonzero(np.isnan(values))
+    ranks[nan_rows] = np.arange(n - nan_rows.size + 1, n + 1)
     return ranks
 
 

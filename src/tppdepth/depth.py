@@ -17,7 +17,9 @@ Each formula is written once, in an array kernel over an (n, k) matrix of
 event times: :func:`depth_columns`, :func:`hpp_conditional_column` and
 :func:`mahalanobis_column`. The scalar functions are batches of one, so
 scalar and batch results agree bit for bit. After subtracting the start
-once, the kernels read it only in the exact-center test.
+once, the kernels read it only in the exact-center test. A sum over the k
+columns is taken column by column (:func:`_row_sum`), in the order numpy's
+own row sum uses, so each row keeps the bits of ``.sum(axis=1)``.
 """
 
 from __future__ import annotations
@@ -170,6 +172,39 @@ def _blocks(n: int):
     return [slice(lo, lo + BLOCK_ROWS) for lo in range(0, n, BLOCK_ROWS)]
 
 
+def _row_sum(terms):
+    """Elementwise sum of a list of equal-shape arrays, in the order
+    ``np.add.reduce`` takes along a contiguous last axis.
+
+    That is numpy's pairwise summation started from +0.0: fewer than 8
+    terms left to right; up to 128 in eight lanes, combined as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the leftover terms left
+    to right; more than 128 split at ``h = n//2 - (n//2) % 8`` and summed
+    halfwise. Adding one array per column costs one pass per term, where a
+    reduction over a short last axis pays a call per row. Only the sign and
+    payload of a NaN may differ from numpy's.
+    """
+    n = len(terms)
+    if n > 128:
+        h = n // 2 - (n // 2) % 8
+        return _row_sum(terms[:h]) + _row_sum(terms[h:])
+    total, rest = 0.0 + terms[0], terms[1:]  # numpy's +0.0 start: a sum of zeros is +0.0
+    if n >= 8:
+        r = [total, *terms[1:8]]
+        for lo in range(8, n - n % 8, 8):
+            r = [a + b for a, b in zip(r, terms[lo:lo + 8])]
+        total, rest = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])), terms[n - n % 8:]
+    for t in rest:
+        total += t
+    return total
+
+
+def _gap_rows(t, first) -> np.ndarray:
+    # The gaps of a (B, k) block as a contiguous (k, B) array: row j holds
+    # gap column j, so sums and masks over k run column by column.
+    return gap_matrix(t, first, np.empty(t.shape[::-1]).T).T
+
+
 @np.errstate(all="ignore")
 def depth_columns(times, params) -> dict[str, np.ndarray]:
     """Depth breakdown of every row of an (n, k) event-time matrix.
@@ -194,14 +229,15 @@ def depth_columns(times, params) -> dict[str, np.ndarray]:
     for rows in _blocks(n):
         t = times[rows]
         p = SimpleNamespace(**{**fields, **{name: fields[name][rows] for name in per_row}})
-        start = p.start[..., None]
-        o = t - start
-        w, exponent, factor = _marginal(o[:, -1], p)
-        gaps = gap_matrix(t, o[:, 0])
-        log_sum = (p.u_bar * (np.log(gaps) - np.log(o[:, -1:] * p.u_bar))).sum(axis=1)
-        conditional = np.where((gaps > 0.0).all(axis=1), np.minimum(np.exp(log_sum), 1.0), 0.0)
+        first, last = t[:, 0] - p.start, t[:, -1] - p.start
+        w, exponent, factor = _marginal(last, p)
+        gaps = _gap_rows(t, first)
+        u = np.atleast_2d(p.u_bar).T
+        log_sum = _row_sum(u * (np.log(gaps) - np.log(last * u)))
+        conditional = np.where(np.logical_and.reduce(gaps > 0.0), np.minimum(np.exp(log_sum), 1.0), 0.0)
         block = dict(zip(BREAKDOWN_FIELDS, (w, exponent, factor, conditional, factor * conditional)))
-        center = (t == start + cumulative_times(p.mu_last, p.u_bar)).all(axis=1)
+        centers = np.atleast_2d(p.start[..., None] + cumulative_times(p.mu_last, p.u_bar)).T
+        center = np.logical_and.reduce(np.equal(t.T, centers, order="C"))
         for name, value in block.items():
             value[center] = 0.0 if name == "exponent" else 1.0
             out[name][rows] = value
@@ -220,10 +256,10 @@ def hpp_conditional_column(times, start: float) -> np.ndarray:
     n, k = times.shape
     out = np.empty(n)
     for rows in _blocks(n):
-        o = times[rows] - start
-        gaps = gap_matrix(times[rows], o[:, 0])
-        value = np.exp(np.log(k) + np.log(gaps).sum(axis=1) / k - np.log(o[:, -1]))
-        out[rows] = np.where((gaps > 0.0).all(axis=1), np.minimum(value, 1.0), 0.0)
+        t = times[rows]
+        gaps = _gap_rows(t, t[:, 0] - start)
+        value = np.exp(np.log(k) + _row_sum(np.log(gaps)) / k - np.log(t[:, -1] - start))
+        out[rows] = np.where(np.logical_and.reduce(gaps > 0.0), np.minimum(value, 1.0), 0.0)
     return out
 
 
@@ -260,8 +296,9 @@ def mahalanobis_column(times, mean, covariance) -> np.ndarray:
     whiten = np.linalg.solve(chol, np.eye(k))
     out = np.empty(n)
     for rows in _blocks(n):
-        y = ((times[rows] - m)[:, None, :] * whiten).sum(axis=2)
-        distance = (y * y).sum(axis=1)
+        d = np.subtract(times[rows].T, m[:, None], order="C")
+        y = [_row_sum([d_j * w_ij for d_j, w_ij in zip(d, w_i)]) for w_i in whiten]
+        distance = _row_sum([y_i * y_i for y_i in y])
         out[rows] = 1.0 / (1.0 + np.where(np.isnan(distance), np.inf, distance))  # NaN: inf - inf
     return out
 

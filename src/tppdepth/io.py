@@ -24,9 +24,12 @@ from .errors import DataError, is_integer, is_number
 from .sequences import EventTimeError, SampleSet
 
 SCHEMA_VERSION = 1
-# Params file keys in written order: the fitted fields (the horizon as
-# big_m) plus the derived k, eta and center, kept as checked redundancy.
-_PARAMS_KEYS = ("k", "start", "mu_last", "var_last", "u_bar", "eta", "big_m", "center")
+# Params files are at version 2, which stores the horizon; version 1 held
+# it only as big_m = start + horizon, which cannot always give it back.
+PARAMS_SCHEMA_VERSION = 2
+# Params file keys in written order: the fitted fields plus the derived k,
+# eta, big_m and center, kept as checked redundancy.
+_PARAMS_KEYS = ("k", "start", "mu_last", "var_last", "u_bar", "horizon", "eta", "big_m", "center")
 _BASELINE_KEYS = ("mahalanobis_mean", "mahalanobis_cov")
 
 
@@ -49,7 +52,7 @@ _SIM_SETTINGS = {
     "seed": _INTEGER,
 }
 _PARAMS_TYPES = {
-    **dict.fromkeys(("start", "mu_last", "var_last", "eta", "big_m"), _NUMBER),
+    **dict.fromkeys(("start", "mu_last", "var_last", "horizon", "eta", "big_m"), _NUMBER),
     "k": _INTEGER,
     **dict.fromkeys(("u_bar", "center", "mahalanobis_mean"), _NUMBERS),
     "mahalanobis_cov": ("a list of equal-length lists of numbers",
@@ -78,7 +81,7 @@ def json_text(doc: dict, indent: int | None = None) -> str:
         return json_text(json.loads(json.dumps(doc), parse_constant=lambda _: None), indent)
 
 
-def _write(path, fmt: str, header=None, columns=(), document=None) -> None:
+def _write(path, fmt: str, header=None, columns=(), document=None, version: int = SCHEMA_VERSION) -> None:
     """Write one output file; the only code that knows the file formats.
 
     ``csv``: the ``header`` row (none when it is ``None``), then one row
@@ -89,9 +92,9 @@ def _write(path, fmt: str, header=None, columns=(), document=None) -> None:
     quotes it, into the row format. Each block of ``BLOCK_ROWS`` rows
     becomes text in one ``%`` format over its cells, which also bounds the
     text held at once.
-    ``json``: ``schema_version``, then the fields that ``document()``
-    returns, indented by 2, with a trailing newline (:func:`json_text`);
-    ``document`` is called only for this format.
+    ``json``: ``schema_version`` (``version``), then the fields that
+    ``document()`` returns, indented by 2, with a trailing newline
+    (:func:`json_text`); ``document`` is called only for this format.
     """
     path = Path(path)
     if fmt == "csv":
@@ -110,7 +113,7 @@ def _write(path, fmt: str, header=None, columns=(), document=None) -> None:
                     flat[j::width] = column
                 handle.write(row * rows % tuple(flat))
     elif fmt == "json":
-        doc = {"schema_version": SCHEMA_VERSION, **document()}
+        doc = {"schema_version": version, **document()}
         path.write_text(json_text(doc, indent=2) + "\n")
     else:
         raise DataError(f"unknown format {fmt!r}")
@@ -210,8 +213,8 @@ def save_sample_csv(sample: SampleSet, path) -> None:
     _write(path, "csv", columns=list(sample.times.T))
 
 
-def _read_json(path) -> dict:
-    # A JSON object with a schema_version (if any) that this version reads.
+def _read_json(path, newest: int) -> dict:
+    # A JSON object with a schema_version (if any) of at most ``newest``.
     try:
         with open(path, encoding="utf-8") as handle:
             doc = json.loads("".join(_lines(handle, path)))
@@ -219,17 +222,17 @@ def _read_json(path) -> dict:
         raise DataError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise DataError(f"{path}: expected a JSON object")
-    version = doc.get("schema_version", SCHEMA_VERSION)
-    if not is_integer(version) or version > SCHEMA_VERSION:
-        raise DataError(f"{path}: schema_version {version!r} is newer than {SCHEMA_VERSION} or not a number")
+    version = doc.get("schema_version", newest)
+    if not is_integer(version) or version > newest:
+        raise DataError(f"{path}: schema_version {version!r} is newer than {newest} or not a number")
     return doc
 
 
-def _read_typed(path, types: dict, what: str) -> dict:
+def _read_typed(path, types: dict, what: str, newest: int = SCHEMA_VERSION) -> dict:
     # A JSON object whose keys (schema_version aside) are in ``types``, each
     # value checked against its JSON type and converted; ``what`` is what the
     # error messages call a key.
-    doc = _read_json(path)
+    doc = _read_json(path, newest)
     doc.pop("schema_version", None)
     unknown = set(doc) - set(types)
     if unknown:
@@ -264,7 +267,7 @@ def save_params_json(params: DepthParams, path, baseline: tuple | None = None) -
             doc["mahalanobis_cov"] = np.asarray(cov, dtype=float).tolist()
         return doc
 
-    _write(path, "json", document=document)
+    _write(path, "json", document=document, version=PARAMS_SCHEMA_VERSION)
 
 
 def load_params_json(path) -> tuple[DepthParams, tuple | None]:
@@ -272,20 +275,23 @@ def load_params_json(path) -> tuple[DepthParams, tuple | None]:
 
     The file holds the keys ``save_params_json`` writes, the baseline pair
     optional (but not half of it), and perhaps ``schema_version``, each
-    of its JSON type (``_PARAMS_TYPES``). The horizon is ``mu_last`` if
+    of its JSON type (``_PARAMS_TYPES``). The horizon is the stored
+    ``horizon``; a version 1 file has none, and there it is ``mu_last`` if
     ``big_m == start + mu_last``, else ``big_m - start``. The stored
-    ``k``, ``eta`` and ``center`` must match the fitted fields.
+    ``k``, ``eta``, ``big_m`` and ``center`` must match the fitted fields.
     """
-    doc = _read_typed(path, _PARAMS_TYPES, "params key")
+    doc = _read_typed(path, _PARAMS_TYPES, "params key", PARAMS_SCHEMA_VERSION)
     try:
         start, mu_last, big_m = (doc[key] for key in ("start", "mu_last", "big_m"))
-        horizon = mu_last if big_m == start + mu_last else big_m - start
+        horizon = doc.get("horizon", mu_last if big_m == start + mu_last else big_m - start)
         params = DepthParams(start, mu_last, doc["var_last"], doc["u_bar"], horizon)
         if doc["k"] != params.k:
             raise DataError(f"k is {doc['k']!r}, but u_bar has {params.k} entries")
         tol = 1e-9 * max(1.0, abs(params.start) + params.mu_last)
         if not abs(doc["eta"] - params.eta) <= tol:
             raise DataError("eta must equal start + mu_last (the marginal depth peaks at the mean)")
+        if not abs(big_m - params.big_m) <= 1e-9 * max(1.0, abs(params.start) + params.horizon):
+            raise DataError("big_m must equal start + horizon")
         center = doc["center"]
         if len(center) != params.k or not all(abs(c - e) <= tol for c, e in zip(center, params.center)):
             raise DataError("center is inconsistent with start, mu_last and u_bar")

@@ -46,6 +46,17 @@ def hpp_params(hpp_sample):
     return fit_params(hpp_sample)
 
 
+def reference_competition_ranks(values):
+    # The ranking formula as it was written on a stable sort.
+    order = np.argsort(-values, kind="stable")
+    ordered = values[order]
+    run_start = np.ones(values.size, dtype=bool)
+    run_start[1:] = ordered[1:] != ordered[:-1]
+    ranks = np.empty(values.size, dtype=int)
+    ranks[order] = np.maximum.accumulate(np.where(run_start, np.arange(1, values.size + 1), 0))
+    return ranks
+
+
 class TestCompetitionRanks:
     def test_plain_ordering(self):
         assert list(_competition_ranks(np.array([0.9, 0.5, 0.7]))) == [1, 3, 2]
@@ -75,6 +86,31 @@ class TestCompetitionRanks:
     def test_matches_rankdata(self, values):
         values = np.asarray(values)
         assert np.array_equal(_competition_ranks(values), rankdata(-values, method="min"))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_large_n_keeps_the_stable_ranks(self, seed):
+        # Past numpy's small-array cutoff the default sort is not stable. Tie
+        # blocks (with +-0.0 mixed) still take their start rank, and the NaN
+        # rows take n-m+1..n in row order, as the stable sort gave them.
+        rng = np.random.default_rng(seed)
+        n = 20_000 + 7_000 * seed
+        values = np.where(rng.random(n) < 0.5, rng.choice([0.9, 0.5, 0.25, 0.0, -0.0], n), rng.random(n))
+        nan = rng.random(n) < 0.01 * seed
+        values[nan] = np.nan
+        ranks = _competition_ranks(values)
+        assert np.array_equal(ranks[~nan], rankdata(-values[~nan], method="min"))
+        assert np.array_equal(ranks[nan], np.arange(n - nan.sum() + 1, n + 1))
+        assert np.array_equal(ranks, reference_competition_ranks(values))
+
+    def test_nan_product_depth_ranks_last(self):
+        # Offsets from a start at -1e308 overflow, and the product depth of
+        # the first row is NaN.
+        params = DepthParams(-1e308, 1e307, 1e306, (0.5, 0.5))
+        sample = SampleSet(params.start, np.array([[1e308, 1.5e308], params.center, params.center]))
+        table = rank(sample, params, "product")
+        assert np.isnan(table.depths[0])
+        assert table.ranks.tolist() == [3, 1, 1]
+        assert table.order.tolist() == [1, 2, 0]
 
     @given(st.lists(st.floats(min_value=0, max_value=1), min_size=1, max_size=30))
     @settings(max_examples=200)

@@ -295,7 +295,7 @@ SMALL_JSON_VALUES = st.recursive(
     max_leaves=6,
 )
 SIM_KEYS = ["schema_version", "kind", "rates", "k", "n", "start", "seed", "unknown"]
-PARAMS_KEYS = ["schema_version", "k", "start", "mu_last", "var_last", "u_bar", "eta", "big_m", "center",
+PARAMS_KEYS = ["schema_version", "k", "start", "mu_last", "var_last", "u_bar", "horizon", "eta", "big_m", "center",
                "mahalanobis_mean", "mahalanobis_cov", "unknown"]
 
 

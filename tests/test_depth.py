@@ -3,11 +3,13 @@ import math
 import re
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tppdepth import (
     DataError,
@@ -27,6 +29,8 @@ from tppdepth.depth import (
     BLOCK_ROWS,
     BREAKDOWN_FIELDS,
     PARAM_FIELDS,
+    _marginal,
+    _row_sum,
     affine_fields,
     cumulative_times,
     depth_columns,
@@ -34,6 +38,7 @@ from tppdepth.depth import (
     mahalanobis_column,
 )
 from tppdepth.io import load_params_json
+from tppdepth.sequences import gap_matrix
 
 from _oracles import (
     direct_conditional,
@@ -528,3 +533,157 @@ class TestBatchKernel:
             assert np.array_equal(bits(values), bits(reference[:n])), method
             assert bits(values[-1]) == bits(scalar[method]), method
         assert np.all(hpp_conditional_column(full.times, 0.0)[np.any(gaps == 0.0, axis=1)] == 0.0)
+
+
+def same_bits(a, b) -> bool:
+    """Equal bit patterns, a NaN matching any NaN (its sign and payload
+    follow the operand order of compiled code, which no formula fixes)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and bool(np.all((bits(a) == bits(b)) | (np.isnan(a) & np.isnan(b))))
+
+
+# The kernels as they were written with numpy's reductions over the last
+# axis (``.sum(axis=1)``, ``.all(axis=1)`` and a (B, k, k) product); the
+# column-wise kernels must keep their bits.
+@np.errstate(all="ignore")
+def reference_depth_columns(times, params):
+    p = SimpleNamespace(**{name: np.asarray(getattr(params, name), dtype=float) for name in PARAM_FIELDS})
+    start = p.start[..., None]
+    o = times - start
+    w, exponent, factor = _marginal(o[:, -1], p)
+    gaps = gap_matrix(times, o[:, 0])
+    log_sum = (p.u_bar * (np.log(gaps) - np.log(o[:, -1:] * p.u_bar))).sum(axis=1)
+    conditional = np.where((gaps > 0.0).all(axis=1), np.minimum(np.exp(log_sum), 1.0), 0.0)
+    block = dict(zip(BREAKDOWN_FIELDS, (w, exponent, factor, conditional, factor * conditional)))
+    center = (times == start + cumulative_times(p.mu_last, p.u_bar)).all(axis=1)
+    for name, value in block.items():
+        value[center] = 0.0 if name == "exponent" else 1.0
+    return block
+
+
+@np.errstate(all="ignore")
+def reference_hpp_conditional(times, start):
+    k = times.shape[1]
+    o = times - start
+    gaps = gap_matrix(times, o[:, 0])
+    value = np.exp(np.log(k) + np.log(gaps).sum(axis=1) / k - np.log(o[:, -1]))
+    return np.where((gaps > 0.0).all(axis=1), np.minimum(value, 1.0), 0.0)
+
+
+@np.errstate(all="ignore")
+def reference_mahalanobis(times, mean, covariance):
+    k = times.shape[1]
+    c = np.asarray(covariance, dtype=float)
+    c = 0.5 * (c + c.T)
+    try:
+        chol = np.linalg.cholesky(c)
+    except np.linalg.LinAlgError:
+        chol = np.linalg.cholesky(c + 1e-10 * float(np.trace(c)) / k * np.eye(k))
+    whiten = np.linalg.solve(chol, np.eye(k))
+    y = ((times - np.asarray(mean, dtype=float))[:, None, :] * whiten).sum(axis=2)
+    distance = (y * y).sum(axis=1)
+    return 1.0 / (1.0 + np.where(np.isnan(distance), np.inf, distance))
+
+
+SUM_TERMS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e3, max_value=1e3),
+)
+
+
+class TestRowSum:
+    """``_row_sum`` adds columns in numpy's own row-sum order."""
+
+    @given(arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 300)), elements=SUM_TERMS))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_add_reduce_bit_for_bit(self, stack):
+        with np.errstate(all="ignore"):
+            expected = np.add.reduce(stack, axis=-1)
+            assert same_bits(_row_sum(list(stack.T)), expected)
+            assert same_bits(_row_sum(np.ascontiguousarray(stack.T)), expected)
+
+    @pytest.mark.parametrize("k", [1, 7, 8, 9, 15, 16, 17, 128, 129, 130, 136, 300])
+    def test_rounding_order_at_the_thresholds(self, k):
+        # Terms of mixed magnitude, so that any other order rounds differently.
+        rng = np.random.default_rng(k)
+        stack = rng.standard_normal((64, k)) * 10.0 ** rng.integers(-12, 12, (64, k))
+        assert same_bits(_row_sum(list(stack.T)), stack.sum(axis=1))
+
+    def test_sum_of_negative_zeros_is_positive_zero(self):
+        for k in (1, 3, 8, 200):
+            zeros = np.full((2, k), -0.0)
+            assert bits(_row_sum(list(zeros.T))).tolist() == bits(zeros.sum(axis=1)).tolist() == [0, 0]
+
+
+def _kernel_cases(k, n=300, seed=0):
+    """An (n, k) matrix with zero gaps, center rows and overflowing rows, and
+    shared parameters at a nonzero start."""
+    rng = np.random.default_rng(1000 * k + seed)
+    weights = rng.uniform(0.05, 1.0, k)
+    params = DepthParams(start=1.5, mu_last=2.0, var_last=0.7, u_bar=tuple(weights / weights.sum()), horizon=3.0)
+    gaps = rng.exponential(2.0 / k, (n, k))
+    gaps[rng.random((n, k)) < 0.05] = 0.0
+    times = params.start + np.cumsum(gaps, axis=1)
+    times[::13] = params.center
+    times[5::31, -1] = 1e308
+    times[7::37] = 1.7e308
+    return times, params
+
+
+class TestKernelsKeepTheirBits:
+    """Every kernel column equals the last-axis-reduction formulas bit for bit."""
+
+    @pytest.mark.parametrize("k", range(1, 21))
+    def test_depth_columns(self, k):
+        times, params = _kernel_cases(k)
+        columns, reference = depth_columns(times, params), reference_depth_columns(times, params)
+        for name in BREAKDOWN_FIELDS:
+            assert same_bits(columns[name], reference[name]), name
+        assert np.all(columns["product"][::13] == 1.0)
+
+    @pytest.mark.parametrize("k", range(1, 21))
+    def test_depth_columns_per_row_params(self, k):
+        # The refit path: every field holds one entry per row.
+        times, params = _kernel_cases(k)
+        n = times.shape[0]
+        rng = np.random.default_rng(k)
+        u_bar = rng.uniform(0.05, 1.0, (n, k))
+        fields = SimpleNamespace(start=np.full(n, params.start), mu_last=rng.uniform(1.0, 3.0, n),
+                                 var_last=rng.uniform(0.1, 2.0, n), u_bar=u_bar / u_bar.sum(axis=1, keepdims=True),
+                                 horizon=rng.uniform(0.5, 4.0, n))
+        fields.mu_last[::13] = params.mu_last
+        fields.u_bar[::13] = params.u_bar
+        columns, reference = depth_columns(times, fields), reference_depth_columns(times, fields)
+        for name in BREAKDOWN_FIELDS:
+            assert same_bits(columns[name], reference[name]), name
+
+    @pytest.mark.parametrize("k", range(1, 21))
+    def test_hpp_conditional_column(self, k):
+        times, params = _kernel_cases(k)
+        assert same_bits(hpp_conditional_column(times, params.start), reference_hpp_conditional(times, params.start))
+
+    @pytest.mark.parametrize("k", range(1, 21))
+    def test_mahalanobis_column(self, k):
+        times, _ = _kernel_cases(k)
+        finite = times[np.all(times < 1e300, axis=1)]
+        mean, cov = finite.mean(axis=0), np.cov(finite, rowvar=False).reshape(k, k)
+        for m, c in [(mean, cov), (mean, np.outer(cov[0], cov[0])), (np.full(k, -1e308), cov)]:
+            assert same_bits(mahalanobis_column(times, m, c), reference_mahalanobis(times, m, c))
+
+    def test_blocks_and_batches_of_one(self):
+        times, params = _kernel_cases(7, n=BLOCK_ROWS + 5, seed=1)
+        finite = times[np.all(times < 1e300, axis=1)]
+        mean, cov = finite.mean(axis=0), np.cov(finite, rowvar=False)
+        batch = {"depth": depth_columns(times, params), "hpp": hpp_conditional_column(times, params.start),
+                 "mahalanobis": mahalanobis_column(times, mean, cov)}
+        for name in BREAKDOWN_FIELDS:
+            assert same_bits(batch["depth"][name], reference_depth_columns(times, params)[name]), name
+        assert same_bits(batch["hpp"], reference_hpp_conditional(times, params.start))
+        assert same_bits(batch["mahalanobis"], reference_mahalanobis(times, mean, cov))
+        for i in [0, 5, 7, 13, BLOCK_ROWS, BLOCK_ROWS + 4]:
+            row = times[i:i + 1]
+            one = depth_columns(row, params)
+            assert all(same_bits(one[name], batch["depth"][name][i:i + 1]) for name in BREAKDOWN_FIELDS), i
+            assert same_bits(hpp_conditional_column(row, params.start), batch["hpp"][i:i + 1]), i
+            assert same_bits(mahalanobis_column(row, mean, cov), batch["mahalanobis"][i:i + 1]), i

@@ -285,9 +285,46 @@ class TestParamsJson:
         path = tmp_path / "params.json"
         save_params_json(params, path)
         doc = json.loads(path.read_text())
-        assert doc["schema_version"] == 1
-        for field in ("k", "start", "mu_last", "var_last", "u_bar", "eta", "big_m", "center"):
+        assert doc["schema_version"] == 2
+        for field in ("k", "start", "mu_last", "var_last", "u_bar", "horizon", "eta", "big_m", "center"):
             assert field in doc
+
+    def test_horizon_round_trips_exactly(self, tmp_path):
+        # Version 1 stored only big_m = start + horizon; big_m - start gave
+        # the horizon back an ulp off in 427 of these 1000 cases.
+        rng = np.random.default_rng(11)
+        path = tmp_path / "params.json"
+        for start, horizon in zip(rng.uniform(-10, 10, 1000), rng.uniform(0.1, 5, 1000)):
+            params = DepthParams(start=start, mu_last=1.3, var_last=0.2, u_bar=(0.4, 0.6), horizon=horizon)
+            save_params_json(params, path)
+            assert load_params_json(path)[0] == params
+
+    @pytest.mark.parametrize("start", [0.0, 1.5, 1e6])
+    def test_version_1_horizon_from_big_m(self, tmp_path, start):
+        # A file without a horizon loads by the version 1 rule.
+        path = tmp_path / "params.json"
+        save_params_json(DepthParams(start=start, mu_last=1.3, var_last=0.2, u_bar=(0.4, 0.6), horizon=4.0), path)
+        doc = json.loads(path.read_text())
+        del doc["horizon"]
+        path.write_text(json.dumps({**doc, "schema_version": 1}))
+        assert load_params_json(path)[0].horizon == (start + 4.0) - start
+        path.write_text(json.dumps({**doc, "schema_version": 1, "big_m": start + 1.3}))
+        assert load_params_json(path)[0].horizon == 1.3
+
+    def test_big_m_must_match_horizon(self, tmp_path):
+        path = tmp_path / "params.json"
+        save_params_json(DepthParams(start=1.0, mu_last=1.3, var_last=0.2, u_bar=(0.4, 0.6), horizon=4.0), path)
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "big_m": 6.0}))
+        with pytest.raises(DataError, match="big_m must equal start \\+ horizon"):
+            load_params_json(path)
+
+    def test_newer_schema_rejected(self, tmp_path):
+        path = tmp_path / "params.json"
+        save_params_json(DepthParams(start=0.0, mu_last=1.3, var_last=0.2, u_bar=(0.4, 0.6)), path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "schema_version": 3}))
+        with pytest.raises(DataError, match="schema_version 3 is newer than 2"):
+            load_params_json(path)
 
     def test_missing_field(self, tmp_path):
         path = tmp_path / "params.json"
@@ -666,7 +703,7 @@ EXACT_BYTES = [
     (_write_sample, "csv", "0.10000000000000001,0.33333333333333331\r\n1,2.0000000000000004\r\n"),
     (_write_params, "json", _json_text("""
         {
-          "schema_version": 1,
+          "schema_version": 2,
           "k": 2,
           "start": 0.0,
           "mu_last": 2.0,
@@ -675,6 +712,7 @@ EXACT_BYTES = [
             0.25,
             0.75
           ],
+          "horizon": 2.0,
           "eta": 2.0,
           "big_m": 2.0,
           "center": [
