@@ -244,17 +244,18 @@ def contour_grid(
         raise DataError(f"bad s1 range ({xmin}, {xmax})")
     if not (math.isfinite(ymin) and math.isfinite(ymax) and ymin < ymax):
         raise DataError(f"bad s2 range ({ymin}, {ymax})")
-    axis1 = np.linspace(xmin, xmax, resolution)
-    axis2 = np.linspace(ymin, ymax, resolution)
-    s1, s2 = np.meshgrid(axis1, axis2, indexing="ij")
     if method == "mahalanobis":
         if baseline is None:
             raise DataError("mahalanobis contours need a fitted (mean, covariance) baseline")
-        inside = np.ones_like(s1, dtype=bool)
-    elif params.k != 2:
-        raise DataError(f"contour grids for method {method!r} need k=2 parameters, got k={params.k}")
+        k, needed = np.size(baseline[0]), "a k=2 baseline"
     else:
-        inside = (params.start <= s1) & (s1 <= s2)
+        k, needed = params.k, "k=2 parameters"
+    if k != 2:
+        raise DataError(f"contour grids for method {method!r} need {needed}, got k={k}")
+    axis1 = np.linspace(xmin, xmax, resolution)
+    axis2 = np.linspace(ymin, ymax, resolution)
+    s1, s2 = np.meshgrid(axis1, axis2, indexing="ij")
+    inside = np.ones_like(s1, dtype=bool) if method == "mahalanobis" else (params.start <= s1) & (s1 <= s2)
     values = np.zeros((resolution, resolution))
     nodes = np.stack([s1[inside], s2[inside]], axis=1)
     values[inside] = _values(method, nodes, params.start, params, baseline)
@@ -277,10 +278,10 @@ def near_boundary_comparison(
     if not 0 < threshold <= 1:
         raise DataError(f"threshold must be in (0, 1], got {threshold}")
     ranks = np.stack([rank(sample, params, method).ranks for method in ("product", "mahalanobis")])
-    durations = sample.durations()[:, None]
+    durations = sample.durations()
     with np.errstate(divide="ignore", invalid="ignore"):
-        fractions = np.where(durations > 0, sample.gaps() / durations, 0.0)
-    subset = np.flatnonzero(fractions.min(axis=1) < threshold)
+        smallest = np.minimum.reduce(sample.gaps().T / durations)  # over the k rows of (k, n) fractions
+    subset = np.flatnonzero(np.where(durations > 0, smallest, 0.0) < threshold)
     means = ranks[:, subset].mean(axis=1).tolist() if subset.size else (math.nan, math.nan)
     return NearBoundarySummary(float(threshold), sample.n, tuple(subset.tolist()), *means)
 
@@ -376,19 +377,23 @@ def _refit(sample: SampleSet, a: np.ndarray, b: np.ndarray) -> SimpleNamespace:
     """The fitted fields of every moved sample ``a[i] * X + b[i]``.
 
     Stacks of whole samples, at most ``REFIT_ROWS`` rows (or one sample),
-    are fitted at once. The stack and its gaps live in one buffer reused
-    by every block: fresh block-sized arrays would often come from new
-    pages, one page fault per 4 KiB each time.
+    are fitted at once, event-major, from one contiguous (k, n) copy of
+    the sample. The stack and its normalized gaps live in one buffer
+    reused by every block: fresh block-sized arrays would often come from
+    new pages, one page fault per 4 KiB each time.
     """
-    per_block = max(1, REFIT_ROWS // sample.n)
-    buffer = np.empty((2, sample.n, sample.k, min(per_block, a.size)))
+    n, k = sample.n, sample.k
+    per_block = max(1, REFIT_ROWS // n)
+    times = np.ascontiguousarray(sample.times.T)[:, None]
+    buffer = np.empty((2, k * n * min(per_block, a.size)))
     fitted = []
     for lo in range(0, a.size, per_block):
         block = slice(lo, lo + per_block)
-        stack, gaps_out = buffer[..., :a[block].size]
-        np.multiply(sample.times[:, :, None], a[block], out=stack)
-        stack += b[block]
-        fitted.append(fit_stack(stack, a[block] * sample.start + b[block], gaps_out))
+        c = a[block].size
+        stack, gaps_out = (part[:k * c * n] for part in buffer)
+        stack = np.multiply(times, a[block, None], out=stack.reshape(k, c, n))
+        stack += b[block, None]
+        fitted.append(fit_stack(stack, a[block] * sample.start + b[block], gaps_out.reshape(n, c, k)))
     return SimpleNamespace(**{f: np.concatenate([vars(p)[f] for p in fitted]) for f in PARAM_FIELDS})
 
 

@@ -17,9 +17,10 @@ Each formula is written once, in an array kernel over an (n, k) matrix of
 event times: :func:`depth_columns`, :func:`hpp_conditional_column` and
 :func:`mahalanobis_column`. The scalar functions are batches of one, so
 scalar and batch results agree bit for bit. After subtracting the start
-once, the kernels read it only in the exact-center test. A sum over the k
-columns is taken column by column (:func:`_row_sum`), in the order numpy's
-own row sum uses, so each row keeps the bits of ``.sum(axis=1)``.
+once, the kernels read it only in the exact-center test. The gaps of a
+block are one event-major (k, B) array, and a sum over the k columns is
+taken column by column (:func:`_row_sum`), in the order numpy's own row
+sum uses, so each row keeps the bits of ``.sum(axis=1)``.
 """
 
 from __future__ import annotations
@@ -199,12 +200,6 @@ def _row_sum(terms):
     return total
 
 
-def _gap_rows(t, first) -> np.ndarray:
-    # The gaps of a (B, k) block as a contiguous (k, B) array: row j holds
-    # gap column j, so sums and masks over k run column by column.
-    return gap_matrix(t, first, np.empty(t.shape[::-1]).T).T
-
-
 @np.errstate(all="ignore")
 def depth_columns(times, params) -> dict[str, np.ndarray]:
     """Depth breakdown of every row of an (n, k) event-time matrix.
@@ -231,7 +226,7 @@ def depth_columns(times, params) -> dict[str, np.ndarray]:
         p = SimpleNamespace(**{**fields, **{name: fields[name][rows] for name in per_row}})
         first, last = t[:, 0] - p.start, t[:, -1] - p.start
         w, exponent, factor = _marginal(last, p)
-        gaps = _gap_rows(t, first)
+        gaps = gap_matrix(t.T, first)
         u = np.atleast_2d(p.u_bar).T
         log_sum = _row_sum(u * (np.log(gaps) - np.log(last * u)))
         conditional = np.where(np.logical_and.reduce(gaps > 0.0), np.minimum(np.exp(log_sum), 1.0), 0.0)
@@ -257,7 +252,7 @@ def hpp_conditional_column(times, start: float) -> np.ndarray:
     out = np.empty(n)
     for rows in _blocks(n):
         t = times[rows]
-        gaps = _gap_rows(t, t[:, 0] - start)
+        gaps = gap_matrix(t.T, t[:, 0] - start)
         value = np.exp(np.log(k) + _row_sum(np.log(gaps)) / k - np.log(t[:, -1] - start))
         out[rows] = np.where(np.logical_and.reduce(gaps > 0.0), np.minimum(value, 1.0), 0.0)
     return out

@@ -21,35 +21,37 @@ from .sequences import SampleSet, check_times, gap_matrix
 def fit_stack(times: np.ndarray, start: np.ndarray, gaps_out=None) -> SimpleNamespace:
     """The moment fit of c samples at once: the one formula of the fitted fields.
 
-    ``times`` is an (n, k, c) stack (n rows, k events, c samples) and
-    ``start`` holds one start per sample. Returns ``PARAM_FIELDS`` as
-    arrays over c (``u_bar`` is (c, k); ``horizon`` is ``mu_last``).
-    ``gaps_out``, a float array of the stack's shape, receives the gaps, so
-    that a caller fitting stack after stack reuses one buffer.
+    ``times`` is an event-major (k, c, n) stack (k events, c samples, n
+    rows) and ``start`` holds one start per sample. Returns
+    ``PARAM_FIELDS`` as arrays over c (``u_bar`` is (c, k); ``horizon`` is
+    ``mu_last``). ``gaps_out``, a float (n, c, k) array, receives the
+    normalized gaps, so that a caller fitting stack after stack reuses one
+    buffer.
 
     Each sample is checked as :class:`SampleSet`, :func:`fit_params` and
     :class:`DepthParams` check one sample; the first failing sample raises
     their :class:`DataError`. The layout keeps the bits of a fit of one
     sample: the duration moments reduce one contiguous row per sample
-    (pairwise sums), and ``u_bar`` is a mean over the row axis (sequential
-    sums).
+    (pairwise sums), and ``u_bar`` is a mean over the leading row axis of
+    the normalized gaps (sequential sums).
     """
-    n, _, c = times.shape
+    k, c, n = times.shape
     if n < 2:  # after the first sample's own check, as one sample at a time would fail
-        check_times(float(start[0]), times[:, :, 0])
+        check_times(float(start[0]), times[:, 0].T)
         raise DataError(f"need at least 2 realizations to fit, got {n}")
     with np.errstate(all="ignore"):
-        last = times[:, -1] - start
-        durations = np.ascontiguousarray(last.T)
+        durations = np.subtract(times[-1], start[:, None], order="C")
         mu_last = durations.mean(axis=1)
         var_last = durations.var(axis=1, ddof=1)
-        gaps = gap_matrix(times, times[:, 0] - start, gaps_out)
+        gaps = gap_matrix(times, times[0] - start[:, None])
         # The times check: a NaN time leaves a NaN gap, an infinite one a
         # negative or NaN gap or an infinite mean duration. One whole-stack
         # minimum decides; only after a failure is it taken per sample.
-        ok = np.full(c, True) if gaps.min() >= 0 else gaps.min(axis=0).min(axis=0) >= 0
-        gaps /= last[:, None]
-        u_bar = np.ascontiguousarray(gaps.mean(axis=0).T)
+        ok = np.full(c, True) if gaps.min() >= 0 else gaps.min(axis=(0, 2)) >= 0
+        gaps /= durations
+        fractions = np.empty((n, c, k)) if gaps_out is None else gaps_out
+        fractions[...] = gaps.T
+        u_bar = fractions.mean(axis=0)
         center = start[:, None] + cumulative_times(mu_last, u_bar)
         ok &= ((durations > 0).all(axis=1) & np.isfinite(mu_last) & np.isfinite(var_last) & (var_last > 0)
                & ((u_bar > 0) & (u_bar <= 1)).all(axis=1)
@@ -57,7 +59,7 @@ def fit_stack(times: np.ndarray, start: np.ndarray, gaps_out=None) -> SimpleName
                & (np.diff(center, axis=1) > 0).all(axis=1) & (center[:, 0] > start))
     if not ok.all():
         i = int(np.argmin(ok))
-        check_times(float(start[i]), times[:, :, i])
+        check_times(float(start[i]), times[:, i].T)
         bad = np.nonzero(durations[i] <= 0)[0]
         if bad.size:
             raise DataError(f"realization {int(bad[0])} has zero duration; normalized gaps are undefined")
@@ -78,7 +80,7 @@ def fit_params(sample: SampleSet, horizon: float | None = None) -> DepthParams:
     distinct durations are required for a usable variance, and a mean or
     variance of the durations that overflows is a :class:`DataError`.
     """
-    fields = fit_stack(sample.times[:, :, None], np.array([sample.start]))
+    fields = fit_stack(sample.times.T[:, None], np.array([sample.start]))
     return DepthParams(sample.start, fields.mu_last[0], fields.var_last[0], fields.u_bar[0], horizon)
 
 

@@ -30,15 +30,18 @@ def check_times(start: float, times: np.ndarray) -> None:
     """The one check of event times: a nonempty (n, k) matrix, finite and
     nondecreasing along each row from ``start``.
 
-    A few whole-array reductions decide. Only after a failure is the first
-    bad cell (in row-major order) located; it is raised as an
+    A few whole-array reductions decide; neighbouring times are compared
+    event-major (``order="C"`` on the transposed matrix), one long loop per
+    event rather than a short one per row. Only after a failure is the
+    first bad cell (in row-major order) located; it is raised as an
     :class:`EventTimeError`.
     """
     if times.ndim != 2 or times.shape[0] < 1 or times.shape[1] < 1:
         raise DataError(f"event times must form a nonempty (n, k) matrix, got shape {times.shape}")
     if not math.isfinite(start):
         raise DataError(f"the start time {start} is not finite")
-    if np.isfinite(times).all() and (times[:, 0] >= start).all() and (times[:, 1:] >= times[:, :-1]).all():
+    if (np.isfinite(times).all() and (times[:, 0] >= start).all()
+            and np.greater_equal(times.T[1:], times.T[:-1], order="C").all()):
         return
     previous = np.concatenate([np.full((times.shape[0], 1), start), times[:, :-1]], axis=1)
     row, col = divmod(int(np.argmax(~(np.isfinite(times) & (times >= previous)))), times.shape[1])
@@ -52,15 +55,15 @@ def check_times(start: float, times: np.ndarray) -> None:
     raise EventTimeError(row, col + 1, reason)
 
 
-def gap_matrix(times: np.ndarray, first, out=None) -> np.ndarray:
-    """The one formula for inter-event gaps: row i of an (n, k) matrix
-    gives ``times[i, j] - times[i, j-1]``, the first gap being ``first``,
-    the first offset from the start (``times[:, 0] - start``). Trailing
-    axes of ``times`` ride along; ``out`` is an optional float array of
-    the same shape that receives the gaps."""
-    gaps = np.empty(times.shape) if out is None else out
-    np.subtract(times[:, 1:], times[:, :-1], out=gaps[:, 1:])
-    gaps[:, 0] = first
+def gap_matrix(times: np.ndarray, first) -> np.ndarray:
+    """The one formula for inter-event gaps, over an event-major (k, ...)
+    array: ``gaps[j] = times[j] - times[j-1]``, the first gap being
+    ``first``, the first offset from the start (``times[0] - start``).
+    Trailing axes ride along. One subtraction serves the whole array, and
+    the result is contiguous: one row per event."""
+    gaps = np.empty(times.shape)
+    gaps[0] = first
+    np.subtract(times[1:], times[:-1], out=gaps[1:])
     return gaps
 
 
@@ -114,5 +117,6 @@ class SampleSet:
         return self.times[:, -1] - self.start
 
     def gaps(self) -> np.ndarray:
-        """(n, k) matrix of inter-event gaps, first column from the start."""
-        return gap_matrix(self.times, self.times[:, 0] - self.start)
+        """(n, k) view of the inter-event gaps, first column from the start;
+        its transpose is contiguous."""
+        return gap_matrix(self.times.T, self.times[:, 0] - self.start).T

@@ -18,6 +18,7 @@ from tppdepth import (
     SimConfig,
     contour_grid,
     depth_values,
+    fit_mahalanobis,
     fit_params,
     near_boundary_comparison,
     product_depth,
@@ -273,6 +274,14 @@ class TestContourGrid:
         with pytest.raises(DataError, match="baseline"):
             contour_grid(hpp_params, "mahalanobis", (0.0, 2.0), (0.0, 2.0), 11)
 
+    def test_mahalanobis_needs_a_k2_baseline(self, hpp_params):
+        # Checked before the grid is built: the message names the baseline's
+        # k, not the shape of the node matrix.
+        baseline = fit_mahalanobis(simulate(SimConfig(kind="hpp", rates=(2.0,), k=3, n=50, seed=1)))
+        with pytest.raises(DataError) as caught:
+            contour_grid(hpp_params, "mahalanobis", (0.0, 2.0), (0.0, 2.0), 11, baseline=baseline)
+        assert str(caught.value) == "contour grids for method 'mahalanobis' need a k=2 baseline, got k=3"
+
     def test_unsupported_k(self):
         params = DepthParams(start=0.0, mu_last=1.0, var_last=0.2, u_bar=(0.2, 0.3, 0.5))
         with pytest.raises(DataError, match="k=2"):
@@ -309,6 +318,27 @@ class TestNearBoundary:
         assert summary.subset_size == 0
         assert math.isnan(summary.mean_product_rank)
         assert math.isnan(summary.mean_mahalanobis_rank)
+
+    @given(k=st.integers(1, 6), n=st.integers(20, 200), start=st.sampled_from([0.0, 1.5, 1.7e9]),
+           threshold=st.sampled_from([1e-4, 0.05, 0.3, 1.0]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_subset_is_the_row_minimum_rule(self, k, n, start, threshold, seed):
+        # The rule written out over the (n, k) fraction matrix: the smallest
+        # normalized gap of a row, 0 for a zero-duration row.
+        rng = np.random.default_rng(seed)
+        times = start + np.cumsum(rng.exponential(1.0, (n, k)), axis=1)
+        params = fit_params(SampleSet(start, times))
+        tied = np.flatnonzero(rng.random(n) < 0.2)
+        if k > 1:  # a later time moved onto the first: a zero gap after sorting
+            times[tied, rng.integers(1, k, tied.size)] = times[tied, 0]
+        times[rng.random(n) < 0.1] = start  # zero duration
+        times[1] = times[0]  # a repeated row: tied depths
+        sample = SampleSet(start, np.sort(times, axis=1))
+        durations = sample.times[:, -1:] - start
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fractions = np.where(durations > 0, np.diff(sample.times, axis=1, prepend=start) / durations, 0.0)
+        expected = np.flatnonzero(fractions.min(axis=1) < threshold)
+        assert near_boundary_comparison(sample, params, threshold).indices == tuple(expected.tolist())
 
     def test_threshold_validated(self, hpp_sample, hpp_params):
         with pytest.raises(DataError):

@@ -545,6 +545,18 @@ class TestContour:
         assert code == 0
 
 
+    def test_mahalanobis_contour_of_a_k3_fit_is_data_error(self, tmp_path, capsys):
+        sample, params, out = tmp_path / "k3.csv", tmp_path / "k3.json", tmp_path / "contour.csv"
+        assert run("simulate", "--kind", "hpp", "--rates", "2", "--k", "3", "--n", "50", "--seed", "1",
+                   "--out", sample) == 0
+        assert run("fit", "--in", sample, "--params-out", params) == 0
+        code = run("contour", "--params", params, "--method", "mahalanobis",
+                   "--xmin", "0", "--xmax", "2", "--ymin", "0", "--ymax", "2", "--resolution", "3", "--out", out)
+        assert code == 2
+        assert _single_error_line(capsys, "contour grids for method 'mahalanobis' need a k=2 baseline, got k=3")
+        assert not out.exists()
+
+
 def _strict_json(text):
     # json.loads, refusing the NaN and Infinity constants standard JSON lacks.
     def refuse(constant):

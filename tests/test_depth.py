@@ -38,7 +38,6 @@ from tppdepth.depth import (
     mahalanobis_column,
 )
 from tppdepth.io import load_params_json
-from tppdepth.sequences import gap_matrix
 
 from _oracles import (
     direct_conditional,
@@ -543,15 +542,24 @@ def same_bits(a, b) -> bool:
 
 
 # The kernels as they were written with numpy's reductions over the last
-# axis (``.sum(axis=1)``, ``.all(axis=1)`` and a (B, k, k) product); the
-# column-wise kernels must keep their bits.
+# axis (``.sum(axis=1)``, ``.all(axis=1)`` and a (B, k, k) product) and
+# row-wise gaps; the column-wise kernels must keep their bits.
+def reference_gaps(times, first):
+    # The gaps of an (n, k) matrix, row by row. Written out, not taken from
+    # sequences.gap_matrix: a reference shares no code with the kernels.
+    gaps = np.empty(times.shape)
+    gaps[:, 1:] = times[:, 1:] - times[:, :-1]
+    gaps[:, 0] = first
+    return gaps
+
+
 @np.errstate(all="ignore")
 def reference_depth_columns(times, params):
     p = SimpleNamespace(**{name: np.asarray(getattr(params, name), dtype=float) for name in PARAM_FIELDS})
     start = p.start[..., None]
     o = times - start
     w, exponent, factor = _marginal(o[:, -1], p)
-    gaps = gap_matrix(times, o[:, 0])
+    gaps = reference_gaps(times, o[:, 0])
     log_sum = (p.u_bar * (np.log(gaps) - np.log(o[:, -1:] * p.u_bar))).sum(axis=1)
     conditional = np.where((gaps > 0.0).all(axis=1), np.minimum(np.exp(log_sum), 1.0), 0.0)
     block = dict(zip(BREAKDOWN_FIELDS, (w, exponent, factor, conditional, factor * conditional)))
@@ -565,7 +573,7 @@ def reference_depth_columns(times, params):
 def reference_hpp_conditional(times, start):
     k = times.shape[1]
     o = times - start
-    gaps = gap_matrix(times, o[:, 0])
+    gaps = reference_gaps(times, o[:, 0])
     value = np.exp(np.log(k) + np.log(gaps).sum(axis=1) / k - np.log(o[:, -1]))
     return np.where((gaps > 0.0).all(axis=1), np.minimum(value, 1.0), 0.0)
 

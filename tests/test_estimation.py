@@ -213,17 +213,17 @@ class TestFitStack:
         for first in failing:
             later = [name for name in failing if name != first]
             for order in ([first, *later], [first, *later[::-1]]):
-                stack = np.stack([ok, ok] + [failing[name] for name in order], axis=2)
+                stack = np.array([ok, ok] + [failing[name] for name in order]).transpose(2, 0, 1)
                 with pytest.raises(DataError) as caught:
-                    fit_stack(stack, np.zeros(stack.shape[2]))
+                    fit_stack(stack, np.zeros(stack.shape[1]))
                 assert str(caught.value) == expected[first], order
 
     def test_one_row_fails_the_times_check_first(self):
         # A one-row sample fails the fit; a non-finite time in the first
         # sample is still reported first, as SampleSet reports it.
-        stack = np.array([[[1.0, 1.0], [np.inf, 2.0]]])
-        expected = _one_sample_error(0.0, stack[:, :, 0])
+        stack = np.array([[[1.0], [1.0]], [[np.inf], [2.0]]])  # (k, c, n) = (2, 2, 1)
+        expected = _one_sample_error(0.0, stack[:, 0].T)
         assert expected.startswith("realization 0, column 2")
-        for times, message in ((stack, expected), (stack[:, :, 1:], "need at least 2 realizations to fit, got 1")):
+        for times, message in ((stack, expected), (stack[:, 1:], "need at least 2 realizations to fit, got 1")):
             with pytest.raises(DataError, match=message):
-                fit_stack(times, np.zeros(times.shape[2]))
+                fit_stack(times, np.zeros(times.shape[1]))

@@ -107,4 +107,24 @@ class TestGaps:
         reference = np.diff(sample.times, axis=1, prepend=sample.start)
         assert np.array_equal(bits(gaps), bits(reference))
         first = sample.times[:, 0] - sample.start
-        assert np.array_equal(bits(depth.gap_matrix(sample.times, first)), bits(gaps))
+        assert np.array_equal(bits(depth.gap_matrix(sample.times.T, first)), bits(gaps.T))
+
+    @given(k=st.integers(1, 20), n=st.one_of(st.just(1), st.integers(1, 5000)),
+           start=st.sampled_from([0.0, 1.5, 1.7e9]), layout=st.sampled_from(["view", "contiguous"]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_event_major_layouts(self, k, n, start, layout, seed):
+        # The event-major input is the transposed view of a C-ordered (n, k)
+        # sample or a contiguous (k, n) copy; either way one contiguous row
+        # per event comes back, with the bits of the row-wise np.diff.
+        rng = np.random.default_rng(seed)
+        steps = rng.exponential(1.0, (n, k)) * 10.0 ** rng.integers(-8, 3, (n, k))
+        steps[rng.random((n, k)) < 0.05] = 0.0
+        times = start + np.cumsum(steps, axis=1)
+        event_major = times.T if layout == "view" else np.ascontiguousarray(times.T)
+        gaps = depth.gap_matrix(event_major, times[:, 0] - start)
+        assert gaps.shape == (k, n) and gaps.flags.c_contiguous
+        assert np.array_equal(bits(gaps.T), bits(np.diff(times, axis=1, prepend=start)))
+        sample_gaps = SampleSet(start, times).gaps()
+        assert sample_gaps.T.flags.c_contiguous
+        assert np.array_equal(bits(sample_gaps), bits(gaps.T))

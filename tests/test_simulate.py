@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tppdepth import DataError, SimConfig, simulate
 
@@ -100,6 +102,21 @@ class TestDeterminism:
     def test_state_dependent_deterministic(self):
         config = SimConfig(kind="state-dependent", rates=(2.5, 10.0), k=2, n=50, seed=7)
         assert np.array_equal(simulate(config).times, simulate(config).times)
+
+
+class TestOneShotFormula:
+    @given(kind=st.sampled_from(["hpp", "state-dependent"]), k=st.integers(1, 12), n=st.integers(1, 300),
+           start=st.sampled_from([0.0, 1.5, 1.7e9]), seed=st.integers(0, 2**64 - 1), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_times_have_the_bits_of_the_one_shot_cumsum(self, kind, k, n, start, seed, data):
+        # The reference formula, written out: one cumsum along the rows of
+        # the gap matrix drawn from the same Philox stream.
+        count = 1 if kind == "hpp" else k
+        rates = tuple(data.draw(st.lists(st.floats(1e-3, 1e3), min_size=count, max_size=count)))
+        sample = simulate(SimConfig(kind=kind, rates=rates, k=k, n=n, start=start, seed=seed))
+        u = np.random.Generator(np.random.Philox(key=seed)).random((n, k))
+        expected = start + np.cumsum(-np.log1p(-u) / np.asarray(rates), axis=1)
+        assert sample.times.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
 
 class TestValidity:
