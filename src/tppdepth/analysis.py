@@ -16,6 +16,7 @@ import numpy as np
 
 from .depth import (
     BLOCK_ROWS,
+    BREAKDOWN_FIELDS,
     PARAM_FIELDS,
     DepthParams,
     affine_fields,
@@ -163,12 +164,31 @@ def _competition_ranks(values: np.ndarray) -> np.ndarray:
 _COLUMNS = {"product": "product", "marginal": "marginal_factor", "conditional": "conditional"}
 
 
-def _values(method: str, times: np.ndarray, start: float, params, baseline) -> np.ndarray:
+def _no_memo(name, key, compute):
+    # For rows that are no sample (contour nodes): nothing is kept.
+    return compute()
+
+
+def _values(method: str, times: np.ndarray, start: float, params, baseline, memo=_no_memo) -> np.ndarray:
+    """One method's depths of the rows of ``times``, through ``memo`` (a
+    :meth:`SampleSet._memo`, whose result must not be written to, or
+    :func:`_no_memo`). Memo keys are the exact bits of what the kernel
+    reads besides the times: the fitted fields, or the baseline's shapes
+    and values."""
     if method == "mahalanobis":
-        return mahalanobis_column(times, *baseline)
+        mean, cov = (np.asarray(a, dtype=float) for a in baseline)
+        key = (mean.shape, mean.tobytes(), cov.shape, cov.tobytes())
+        return memo("mahalanobis_column", key, lambda: (mahalanobis_column(times, mean, cov),))[0]
     if method == "hpp-conditional":
-        return hpp_conditional_column(times, start)
-    return depth_columns(times, params)[_COLUMNS[method]]
+        return memo("hpp_conditional_column", None, lambda: (hpp_conditional_column(times, start),))[0]
+    return _columns(times, params, memo)[_COLUMNS[method]]
+
+
+def _columns(times: np.ndarray, params, memo) -> dict[str, np.ndarray]:
+    key = np.hstack([getattr(params, name) for name in PARAM_FIELDS]).tobytes()
+    # depth_columns returns its columns in BREAKDOWN_FIELDS order.
+    columns = memo("depth_columns", key, lambda: tuple(depth_columns(times, params).values()))
+    return dict(zip(BREAKDOWN_FIELDS, columns))
 
 
 def _require_params(sample: SampleSet, params: DepthParams | None, method: str) -> None:
@@ -183,11 +203,15 @@ def depth_breakdown(
     baseline: tuple | None = None,
 ) -> dict[str, np.ndarray]:
     """Product-depth breakdown columns (``BREAKDOWN_FIELDS``) of every
-    realization, plus ``baseline_mahalanobis`` when a baseline is given."""
+    realization, plus ``baseline_mahalanobis`` when a baseline is given.
+
+    The columns come from the sample's memo (see :func:`depth_values`);
+    the dict and its arrays are new on every call."""
     _require_params(sample, params, "product")
-    columns = depth_columns(sample.times, params)
+    columns = {name: column.copy() for name, column in _columns(sample.times, params, sample._memo).items()}
     if baseline is not None:
-        columns["baseline_mahalanobis"] = mahalanobis_column(sample.times, *baseline)
+        columns["baseline_mahalanobis"] = _values("mahalanobis", sample.times, sample.start, None, baseline,
+                                                  sample._memo).copy()
     return columns
 
 
@@ -204,6 +228,12 @@ def depth_values(
     orders realizations identically to the unexponentiated form.
     ``mahalanobis`` fits its mean and covariance on the sample itself
     when no baseline is supplied.
+
+    Each kernel runs once per sample and key: the sample remembers the
+    last breakdown (keyed by the exact bits of the fitted fields), its
+    hpp column and its last Mahalanobis column (keyed by the baseline's
+    shapes and bits), so product, marginal and conditional share one
+    kernel call. The returned array is a copy the caller owns.
     """
     if method not in METHODS:
         raise DataError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -211,7 +241,7 @@ def depth_values(
         baseline = baseline if baseline is not None else fit_mahalanobis(sample)
     elif method != "hpp-conditional":
         _require_params(sample, params, method)
-    return _values(method, sample.times, sample.start, params, baseline)
+    return _values(method, sample.times, sample.start, params, baseline, sample._memo).copy()
 
 
 def rank(
@@ -220,7 +250,10 @@ def rank(
     method: str,
     baseline: tuple | None = None,
 ) -> RankTable:
-    """Rank the sample deepest first under the chosen method."""
+    """Rank the sample deepest first under the chosen method.
+
+    The depths are those of :func:`depth_values`, so they come from the
+    sample's memo; the ranks are computed on every call."""
     values = depth_values(sample, params, method, baseline)
     return RankTable(method, values, _competition_ranks(values))
 
@@ -274,6 +307,9 @@ def near_boundary_comparison(
     zero-duration realization counts as fully on the boundary. The
     Mahalanobis ranks use a mean and covariance fitted on this sample.
     An empty subset is reported with NaN mean ranks rather than an error.
+    Both rankings go through :func:`rank`, so after ``rank`` or
+    ``depth_values`` on the same sample and params no kernel and no fit
+    runs again.
     """
     if not 0 < threshold <= 1:
         raise DataError(f"threshold must be in (0, 1], got {threshold}")

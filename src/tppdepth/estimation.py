@@ -88,10 +88,12 @@ def fit_mahalanobis(sample: SampleSet) -> tuple[np.ndarray, np.ndarray]:
     """Componentwise mean and unbiased covariance of the event-time vectors.
 
     A singular covariance is returned as-is; the depth evaluation applies
-    its ridge policy when inverting.
+    its ridge policy when inverting. The sample remembers its fit, so a
+    second call on it computes nothing; every call returns a fresh
+    ``(mean, cov)`` the caller owns.
     """
     if sample.n < 2:
         raise DataError(f"need at least 2 realizations to fit, got {sample.n}")
-    mean = sample.times.mean(axis=0)
-    cov = np.atleast_2d(np.cov(sample.times, rowvar=False, ddof=1))
-    return mean, cov
+    mean, cov = sample._memo("fit_mahalanobis", None, lambda: (
+        sample.times.mean(axis=0), np.atleast_2d(np.cov(sample.times, rowvar=False, ddof=1))))
+    return mean.copy(), cov.copy()

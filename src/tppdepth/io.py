@@ -278,7 +278,8 @@ def load_params_json(path) -> tuple[DepthParams, tuple | None]:
     of its JSON type (``_PARAMS_TYPES``). The horizon is the stored
     ``horizon``; a version 1 file has none, and there it is ``mu_last`` if
     ``big_m == start + mu_last``, else ``big_m - start``. The stored
-    ``k``, ``eta``, ``big_m`` and ``center`` must match the fitted fields.
+    ``k``, ``eta``, ``big_m`` and ``center`` must match the fitted fields,
+    and a baseline must be a k-vector beside a (k, k) covariance.
     """
     doc = _read_typed(path, _PARAMS_TYPES, "params key", PARAMS_SCHEMA_VERSION)
     try:
@@ -297,7 +298,10 @@ def load_params_json(path) -> tuple[DepthParams, tuple | None]:
             raise DataError("center is inconsistent with start, mu_last and u_bar")
         baseline = None
         if not doc.keys().isdisjoint(_BASELINE_KEYS):
-            baseline = tuple(np.asarray(doc[key], dtype=float) for key in _BASELINE_KEYS)
+            baseline = mean, cov = tuple(np.asarray(doc[key], dtype=float) for key in _BASELINE_KEYS)
+            if mean.shape != (params.k,) or cov.shape != (params.k, params.k):
+                raise DataError(f"the baseline needs a mean of {params.k} entries and a {params.k}x{params.k} "
+                                f"covariance, got mean shape {mean.shape} and covariance shape {cov.shape}")
     except KeyError as exc:
         raise DataError(f"{path}: missing field {exc}") from None
     except DataError as exc:

@@ -87,19 +87,45 @@ class EventSequence:
 class SampleSet:
     """A homogeneous collection of realizations sharing k and the start time.
 
-    Stores the event times as an (n, k) float matrix; row order is
-    preserved and meaningful (realization indices refer to rows).
+    Stores the event times as a read-only (n, k) float matrix; row order is
+    preserved and meaningful (realization indices refer to rows). A sample
+    cannot be changed after construction, so it remembers, per depth
+    kernel, the last result computed on it (see :meth:`_memo`).
     """
 
+    __slots__ = ("start", "times", "_memos")
+
     def __init__(self, start: float, times):
-        self.start = float(start)
+        start = float(start)
         try:
+            # Always a copy: a caller's later writes to ``times`` reach
+            # neither the sample nor what it remembers.
             arr = np.array(times, dtype=float)
         except ValueError as exc:  # ragged rows, or a cell that is not a number
             raise DataError(f"event times must form an (n, k) matrix of numbers ({exc})") from None
-        check_times(self.start, arr)
+        check_times(start, arr)
         arr.setflags(write=False)
-        self.times = arr
+        for name, value in (("start", start), ("times", arr), ("_memos", {})):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a SampleSet cannot be changed; cannot set {name!r}")
+
+    def _memo(self, name: str, key, compute) -> tuple[np.ndarray, ...]:
+        """The arrays ``compute()`` returns for this sample, remembered under ``name``.
+
+        One slot per name: the result is reused while ``key`` (bytes, or a
+        tuple of shapes and bytes, so keys compare bits) stays the same,
+        and a new key replaces the old entry. The arrays are made
+        read-only; callers hand out copies.
+        """
+        entry = self._memos.get(name)
+        if entry is None or entry[0] != key:
+            arrays = compute()
+            for a in arrays:
+                a.setflags(write=False)
+            entry = self._memos[name] = (key, arrays)
+        return entry[1]
 
     @property
     def n(self) -> int:

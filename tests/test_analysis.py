@@ -1,6 +1,6 @@
 import math
 import warnings
-from collections import deque
+from collections import Counter, deque
 from dataclasses import replace
 from types import SimpleNamespace
 from unittest.mock import patch
@@ -17,6 +17,7 @@ from tppdepth import (
     SampleSet,
     SimConfig,
     contour_grid,
+    depth_breakdown,
     depth_values,
     fit_mahalanobis,
     fit_params,
@@ -29,6 +30,7 @@ from tppdepth import (
 )
 import tppdepth.analysis as analysis
 from tppdepth.analysis import _competition_ranks
+from tppdepth.analysis import METHODS
 from tppdepth.depth import PARAM_FIELDS
 
 
@@ -346,6 +348,156 @@ class TestNearBoundary:
         with pytest.raises(DataError):
             near_boundary_comparison(hpp_sample, hpp_params, 1.5)
 
+
+
+def _memo_inputs():
+    # A k=3 sample with tied rows (zero gaps, exact-zero depths), a second
+    # set of params (another horizon) and a second baseline (another scale).
+    sample = simulate(SimConfig(kind="state-dependent", rates=(1.0, 2.0, 3.0), k=3, n=300, seed=4))
+    times = sample.times.copy()
+    times[::25, 1] = times[::25, 0]
+    sample = SampleSet(sample.start, times)
+    params = fit_params(sample)
+    mean, cov = fit_mahalanobis(sample)
+    return (sample, (params, replace(params, horizon=2.0 * params.horizon)),
+            ((mean, cov), (mean + 0.5, 3.0 * cov), None))
+
+
+MEMO_SAMPLE, MEMO_PARAMS, MEMO_BASELINES = _memo_inputs()
+MEMO_CALLS = ("depth_values", "depth_breakdown", "rank", "near_boundary_comparison")
+
+
+def cold():
+    """A new sample with the times of MEMO_SAMPLE: nothing remembered yet."""
+    return SampleSet(MEMO_SAMPLE.start, MEMO_SAMPLE.times)
+
+
+def call(sample, op):
+    name, method, p, b = op
+    params, baseline = MEMO_PARAMS[p], MEMO_BASELINES[b]
+    if name == "depth_values":
+        return depth_values(sample, params, method, baseline)
+    if name == "depth_breakdown":
+        return depth_breakdown(sample, params, baseline)
+    if name == "rank":
+        return rank(sample, params, method, baseline)
+    return near_boundary_comparison(sample, params, 0.05)
+
+
+def result_bits(result):
+    """Every value of a result as bytes: equal exactly when the bits are."""
+    if isinstance(result, np.ndarray):
+        return result.dtype.str, result.shape, result.tobytes()
+    if isinstance(result, dict):
+        return tuple((name, result_bits(value)) for name, value in result.items())
+    if isinstance(result, analysis.RankTable):
+        return result.method, result_bits(result.depths), result_bits(result.ranks)
+    return (result.threshold, result.sample_size, result.indices,
+            np.array([result.mean_product_rank, result.mean_mahalanobis_rank]).tobytes())
+
+
+class TestSampleMemo:
+    """A sample remembers one result per depth kernel, keyed by exact bits,
+    and every call returns what a call on a new sample returns."""
+
+    @given(st.lists(st.tuples(st.sampled_from(MEMO_CALLS), st.sampled_from(METHODS), st.integers(0, 1),
+                              st.integers(0, 2)), min_size=1, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_any_call_order_gives_the_bits_of_a_cold_call(self, ops):
+        warm = cold()
+        for op in ops:
+            assert result_bits(call(warm, op)) == result_bits(call(cold(), op)), op
+
+    @pytest.mark.parametrize("field", ["mu_last", "horizon", "start"])
+    def test_params_one_ulp_apart_recompute(self, field):
+        params = MEMO_PARAMS[0]
+        value = getattr(params, field)
+        moved = replace(params, **{field: -0.0 if field == "start" else np.nextafter(value, np.inf)})
+        sample = cold()
+        before = depth_breakdown(sample, params)
+        key = sample._memos["depth_columns"][0]
+        after = depth_breakdown(sample, moved)
+        assert sample._memos["depth_columns"][0] != key
+        assert result_bits(after) == result_bits(depth_breakdown(cold(), moved))
+        if field != "start":  # 0.0 and -0.0 are different keys, but give the same depths
+            assert result_bits(after) != result_bits(before)
+        for method in ("product", "marginal", "conditional"):
+            expected = result_bits(depth_values(cold(), params, method))
+            assert result_bits(depth_values(sample, params, method)) == expected
+
+    def test_another_baseline_recomputes(self):
+        sample = cold()
+        first, second = MEMO_BASELINES[:2]
+        old = depth_values(sample, None, "mahalanobis", first)
+        new = depth_values(sample, None, "mahalanobis", second)
+        assert result_bits(new) == result_bits(depth_values(cold(), None, "mahalanobis", second))
+        assert result_bits(new) != result_bits(old)
+        # The same values under another shape are another key.
+        flat = (first[0].reshape(1, -1), first[1])
+        assert result_bits(depth_values(sample, None, "mahalanobis", flat)) == result_bits(old)
+        assert sample._memos["mahalanobis_column"][0][0] == (1, 3)
+
+    def test_one_entry_per_kernel(self):
+        sample = cold()
+        params = MEMO_PARAMS[0]
+        mean, cov = MEMO_BASELINES[0]
+        for i in range(50):
+            moved = replace(params, horizon=params.horizon * (1.0 + i / 64))
+            for method in METHODS:
+                depth_values(sample, moved, method, (mean + i, cov) if method == "mahalanobis" else None)
+            depth_values(sample, moved, "mahalanobis")  # the sample's own fit
+            near_boundary_comparison(sample, moved, 0.05)
+        assert sorted(sample._memos) == ["depth_columns", "fit_mahalanobis", "hpp_conditional_column",
+                                         "mahalanobis_column"]
+        # Seven columns of n floats, the mean and the covariance: nothing more.
+        held = sum(a.nbytes for _, arrays in sample._memos.values() for a in arrays)
+        assert held == 8 * (7 * sample.n + sample.k + sample.k**2)
+        expected = np.hstack([getattr(moved, name) for name in PARAM_FIELDS]).tobytes()
+        assert sample._memos["depth_columns"][0] == expected
+
+    def test_callers_own_what_they_get(self):
+        sample = cold()
+        params, baseline = MEMO_PARAMS[0], MEMO_BASELINES[0]
+        expected = {op: result_bits(call(cold(), op)) for op in
+                    [("depth_values", m, 0, 0) for m in METHODS] + [("depth_breakdown", "product", 0, 0)]}
+        for method in METHODS:
+            depth_values(sample, params, method, baseline)[:] = 7.0
+            rank(sample, params, method, baseline).depths[:] = 7.0
+        breakdown = depth_breakdown(sample, params, baseline)
+        breakdown["extra"] = np.zeros(sample.n)
+        for column in breakdown.values():
+            column[:] = 7.0
+        mean, cov = fit_mahalanobis(sample)
+        mean[:] = 7.0
+        cov[:] = 7.0
+        for op, bits in expected.items():
+            assert result_bits(call(sample, op)) == bits, op
+        fitted = fit_mahalanobis(cold())
+        assert all(result_bits(a) == result_bits(b) for a, b in zip(fit_mahalanobis(sample), fitted))
+        assert result_bits(depth_values(sample, None, "mahalanobis")) == result_bits(
+            depth_values(cold(), None, "mahalanobis"))
+
+    def test_each_kernel_runs_once(self, monkeypatch):
+        counts = Counter()
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for name in ("depth_columns", "mahalanobis_column", "_competition_ranks"):
+            count(analysis, name)
+        count(np, "cov")  # the covariance of fit_mahalanobis
+        sample, params = cold(), MEMO_PARAMS[0]
+        rank(sample, params, "product")
+        rank(sample, params, "mahalanobis")
+        near_boundary_comparison(sample, params, 0.05)
+        # Ranks are not remembered: one ranking per rank call.
+        assert counts == {"depth_columns": 1, "mahalanobis_column": 1, "cov": 1, "_competition_ranks": 4}
 
 class TestWeightedFraction:
     def test_equal_vectors_are_tight(self):

@@ -169,6 +169,20 @@ class TestMalformedInputs:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command", ["rank", "contour"])
+    def test_baseline_of_another_k_is_data_error(self, tmp_path, sample_csv, params_json, capsys, command):
+        doc = json.loads(params_json.read_text())
+        doc["mahalanobis_cov"] = np.eye(3).tolist()
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "out.csv"
+        where = (("--in", sample_csv) if command == "rank"
+                 else ("--xmin", "0", "--xmax", "2", "--ymin", "0", "--ymax", "2", "--resolution", "5"))
+        assert run(command, *where, "--params", bad, "--method", "mahalanobis", "--out", out) == 2
+        assert _single_error_line(capsys, f"{bad}: bad parameters (the baseline needs a mean of 2 entries "
+                                          "and a 2x2 covariance, got mean shape (2,) and covariance shape (3, 3))")
+        assert not out.exists()
+
 class TestConfigTypes:
     """A --config value must have its JSON type; nothing is converted."""
 

@@ -311,6 +311,23 @@ class TestParamsJson:
         path.write_text(json.dumps({**doc, "schema_version": 1, "big_m": start + 1.3}))
         assert load_params_json(path)[0].horizon == 1.3
 
+    @pytest.mark.parametrize("mean, cov, shapes", [
+        ([0.5, 2.0], np.eye(3).tolist(), "(2,) and covariance shape (3, 3)"),
+        ([0.5, 2.0, 1.0], np.eye(3).tolist(), "(3,) and covariance shape (3, 3)"),
+        ([0.5], np.eye(2).tolist(), "(1,) and covariance shape (2, 2)"),
+        ([0.5, 2.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "(2,) and covariance shape (2, 3)"),
+    ], ids=["cov-3x3", "both-k3", "mean-1", "cov-2x3"])
+    def test_baseline_must_match_k(self, tmp_path, mean, cov, shapes):
+        # A baseline that does not fit k is the file's fault, found on load.
+        path = tmp_path / "params.json"
+        save_params_json(DepthParams(start=0.0, mu_last=1.3, var_last=0.2, u_bar=(0.4, 0.6)), path)
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "mahalanobis_mean": mean, "mahalanobis_cov": cov}))
+        message = (f"{path}: bad parameters (the baseline needs a mean of 2 entries and a 2x2 covariance, "
+                   f"got mean shape {shapes})")
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_params_json(path)
+
     def test_big_m_must_match_horizon(self, tmp_path):
         path = tmp_path / "params.json"
         save_params_json(DepthParams(start=1.0, mu_last=1.3, var_last=0.2, u_bar=(0.4, 0.6), horizon=4.0), path)

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tppdepth import DataError, EventSequence, SampleSet, depth, hpp_conditional_depth
+from tppdepth import DataError, EventSequence, SampleSet, depth, depth_values, fit_params, hpp_conditional_depth
+from tppdepth.analysis import METHODS
 
 
 def bits(values):
@@ -89,6 +90,30 @@ class TestSampleSet:
         sample = SampleSet(0.0, [[1.0, 2.0]])
         with pytest.raises(ValueError):
             sample.times[0, 0] = 5.0
+
+    @pytest.mark.parametrize("name", ["times", "start", "n", "other"])
+    def test_cannot_be_changed(self, name):
+        sample = SampleSet(0.0, [[1.0, 2.0]])
+        with pytest.raises(AttributeError):
+            setattr(sample, name, np.array([[3.0, 4.0]]))
+        assert sample.start == 0.0 and sample.times.tolist() == [[1.0, 2.0]]
+
+    def test_later_writes_to_the_input_change_no_depth(self):
+        # The constructor copies, so neither the sample nor what it
+        # remembers sees a write to the caller's array.
+        rng = np.random.default_rng(3)
+        times = np.cumsum(rng.exponential(1.0, (200, 3)), axis=1)
+        original = times.copy()
+        sample = SampleSet(0.0, times)
+        params = fit_params(sample)
+        before = {m: bits(depth_values(sample, params, m)) for m in METHODS}
+        times *= 2.0
+        times[0] = 0.0
+        assert np.array_equal(bits(sample.times), bits(original))
+        for method in METHODS:
+            assert np.array_equal(bits(depth_values(sample, params, method)), before[method])
+            fresh = SampleSet(0.0, sample.times)
+            assert np.array_equal(bits(depth_values(fresh, params, method)), before[method])
 
 
 class TestGaps:
