@@ -169,15 +169,25 @@ def _no_memo(name, key, compute):
     return compute()
 
 
+def _key(method: str, params, baseline):
+    """The memo key of one method's depth column: the exact bits of what
+    its kernel reads besides the times, that is the fitted fields, or the
+    baseline's shapes and values (the hpp column reads nothing more)."""
+    if method == "mahalanobis":
+        mean, cov = (np.asarray(a, dtype=float) for a in baseline)
+        return mean.shape, mean.tobytes(), cov.shape, cov.tobytes()
+    if method == "hpp-conditional":
+        return None
+    return np.hstack([getattr(params, name) for name in PARAM_FIELDS]).tobytes()
+
+
 def _values(method: str, times: np.ndarray, start: float, params, baseline, memo=_no_memo) -> np.ndarray:
     """One method's depths of the rows of ``times``, through ``memo`` (a
     :meth:`SampleSet._memo`, whose result must not be written to, or
-    :func:`_no_memo`). Memo keys are the exact bits of what the kernel
-    reads besides the times: the fitted fields, or the baseline's shapes
-    and values."""
+    :func:`_no_memo`), keyed by :func:`_key`."""
     if method == "mahalanobis":
-        mean, cov = (np.asarray(a, dtype=float) for a in baseline)
-        key = (mean.shape, mean.tobytes(), cov.shape, cov.tobytes())
+        mean, cov = baseline
+        key = _key(method, params, baseline)
         return memo("mahalanobis_column", key, lambda: (mahalanobis_column(times, mean, cov),))[0]
     if method == "hpp-conditional":
         return memo("hpp_conditional_column", None, lambda: (hpp_conditional_column(times, start),))[0]
@@ -185,9 +195,9 @@ def _values(method: str, times: np.ndarray, start: float, params, baseline, memo
 
 
 def _columns(times: np.ndarray, params, memo) -> dict[str, np.ndarray]:
-    key = np.hstack([getattr(params, name) for name in PARAM_FIELDS]).tobytes()
     # depth_columns returns its columns in BREAKDOWN_FIELDS order.
-    columns = memo("depth_columns", key, lambda: tuple(depth_columns(times, params).values()))
+    columns = memo("depth_columns", _key("product", params, None),
+                   lambda: tuple(depth_columns(times, params).values()))
     return dict(zip(BREAKDOWN_FIELDS, columns))
 
 
@@ -235,13 +245,27 @@ def depth_values(
     shapes and bits), so product, marginal and conditional share one
     kernel call. The returned array is a copy the caller owns.
     """
+    return _sample_values(sample, params, method, baseline)[0].copy()
+
+
+def _sample_values(sample: SampleSet, params: DepthParams | None, method: str, baseline):
+    # The memo's read-only depth column, and the baseline it used: the
+    # sample's own fit for mahalanobis when none is given.
     if method not in METHODS:
         raise DataError(f"unknown method {method!r}; expected one of {METHODS}")
     if method == "mahalanobis":
         baseline = baseline if baseline is not None else fit_mahalanobis(sample)
     elif method != "hpp-conditional":
         _require_params(sample, params, method)
-    return _values(method, sample.times, sample.start, params, baseline, sample._memo).copy()
+    return _values(method, sample.times, sample.start, params, baseline, sample._memo), baseline
+
+
+def _sample_ranks(sample: SampleSet, params: DepthParams | None, method: str, baseline):
+    # The memo's read-only depths and competition ranks: one slot per
+    # method, keyed like that method's depth column.
+    values, baseline = _sample_values(sample, params, method, baseline)
+    key = _key(method, params, baseline)
+    return values, sample._memo(f"rank {method}", key, lambda: (_competition_ranks(values),))[0]
 
 
 def rank(
@@ -252,10 +276,13 @@ def rank(
 ) -> RankTable:
     """Rank the sample deepest first under the chosen method.
 
-    The depths are those of :func:`depth_values`, so they come from the
-    sample's memo; the ranks are computed on every call."""
-    values = depth_values(sample, params, method, baseline)
-    return RankTable(method, values, _competition_ranks(values))
+    The depths are those of :func:`depth_values`. The ranks come from the
+    sample's memo too: one entry per method, keyed like that method's
+    depth column (the Mahalanobis baseline is fitted first when none is
+    given, so its bits are the key), so a second ranking of the same
+    depths computes nothing. The table holds copies the caller owns."""
+    values, ranks = _sample_ranks(sample, params, method, baseline)
+    return RankTable(method, values.copy(), ranks.copy())
 
 
 def contour_grid(
@@ -307,18 +334,18 @@ def near_boundary_comparison(
     zero-duration realization counts as fully on the boundary. The
     Mahalanobis ranks use a mean and covariance fitted on this sample.
     An empty subset is reported with NaN mean ranks rather than an error.
-    Both rankings go through :func:`rank`, so after ``rank`` or
-    ``depth_values`` on the same sample and params no kernel and no fit
-    runs again.
+    Both rankings are those of :func:`rank`, read from the sample's memo,
+    so after ``rank`` on the same sample and params no kernel, no fit and
+    no ranking runs again.
     """
     if not 0 < threshold <= 1:
         raise DataError(f"threshold must be in (0, 1], got {threshold}")
-    ranks = np.stack([rank(sample, params, method).ranks for method in ("product", "mahalanobis")])
+    ranks = [_sample_ranks(sample, params, method, None)[1] for method in ("product", "mahalanobis")]
     durations = sample.durations()
     with np.errstate(divide="ignore", invalid="ignore"):
         smallest = np.minimum.reduce(sample.gaps().T / durations)  # over the k rows of (k, n) fractions
     subset = np.flatnonzero(np.where(durations > 0, smallest, 0.0) < threshold)
-    means = ranks[:, subset].mean(axis=1).tolist() if subset.size else (math.nan, math.nan)
+    means = np.stack([r[subset] for r in ranks]).mean(axis=1).tolist() if subset.size else (math.nan, math.nan)
     return NearBoundarySummary(float(threshold), sample.n, tuple(subset.tolist()), *means)
 
 

@@ -160,13 +160,22 @@ class DepthBreakdown:
 
 
 @np.errstate(all="ignore")
-def _marginal(duration, p):
-    # omega, the distance exponent and the marginal factor of a duration; an
-    # exponent of 0 gives a factor of 1 regardless of the base (at eta).
-    dev = duration - p.mu_last
-    w = 1.0 / (1.0 + (dev * dev) / p.var_last)
-    exponent = np.abs(dev) / p.horizon
-    return w, exponent, np.where(exponent == 0.0, 1.0, np.minimum(w**exponent, 1.0))
+def _marginal(duration, p, out=None):
+    # omega, the distance exponent and the marginal factor of a duration,
+    # written into ``out`` (three arrays) when given. An exponent of 0 gives
+    # a factor of 1 regardless of the base (at eta): w**0 is 1 for every w,
+    # 0, inf and NaN included.
+    dev = np.subtract(duration, p.mu_last)
+    w, exponent, factor = out if out is not None else (np.empty(dev.shape) for _ in range(3))
+    np.multiply(dev, dev, out=w)
+    w /= p.var_last
+    w += 1.0
+    np.divide(1.0, w, out=w)
+    np.abs(dev, out=exponent)
+    exponent /= p.horizon
+    np.power(w, exponent, out=factor)
+    np.minimum(factor, 1.0, out=factor)
+    return w, exponent, factor
 
 
 def _blocks(n: int):
@@ -213,7 +222,10 @@ def depth_columns(times, params) -> dict[str, np.ndarray]:
     exactly 0 on any row with a zero gap. A row equal to the center (in
     absolute time) has every depth field exactly 1 (exponent 0), so
     rounding in the fitted cumulative proportions cannot push the maximum
-    below 1. Rows are evaluated in blocks of ``BLOCK_ROWS``.
+    below 1; only rows whose last time equals the center's last time
+    (``start + mu_last``) are compared in full. Rows are evaluated in
+    blocks of ``BLOCK_ROWS``, each written in place into views of the
+    returned columns.
     """
     times = np.asarray(times, dtype=float)
     n = times.shape[0]
@@ -224,18 +236,25 @@ def depth_columns(times, params) -> dict[str, np.ndarray]:
     for rows in _blocks(n):
         t = times[rows]
         p = SimpleNamespace(**{**fields, **{name: fields[name][rows] for name in per_row}})
+        w, exponent, factor, conditional, product = (out[name][rows] for name in BREAKDOWN_FIELDS)
         first, last = t[:, 0] - p.start, t[:, -1] - p.start
-        w, exponent, factor = _marginal(last, p)
+        _marginal(last, p, (w, exponent, factor))
         gaps = gap_matrix(t.T, first)
         u = np.atleast_2d(p.u_bar).T
-        log_sum = _row_sum(u * (np.log(gaps) - np.log(last * u)))
-        conditional = np.where(np.logical_and.reduce(gaps > 0.0), np.minimum(np.exp(log_sum), 1.0), 0.0)
-        block = dict(zip(BREAKDOWN_FIELDS, (w, exponent, factor, conditional, factor * conditional)))
-        centers = np.atleast_2d(p.start[..., None] + cumulative_times(p.mu_last, p.u_bar)).T
-        center = np.logical_and.reduce(np.equal(t.T, centers, order="C"))
-        for name, value in block.items():
-            value[center] = 0.0 if name == "exponent" else 1.0
-            out[name][rows] = value
+        terms = np.log(gaps)
+        terms -= np.log(last * u)
+        terms *= u
+        np.exp(_row_sum(terms), out=conditional)
+        np.minimum(conditional, 1.0, out=conditional)
+        conditional[~np.logical_and.reduce(gaps > 0.0)] = 0.0
+        np.multiply(factor, conditional, out=product)
+        at_eta = np.flatnonzero(t[:, -1] == p.start + p.mu_last)
+        if at_eta.size:
+            centers = np.broadcast_to(p.start[..., None] + cumulative_times(p.mu_last, p.u_bar), t.shape)
+            center = at_eta[(t[at_eta] == centers[at_eta]).all(axis=1)]
+            exponent[center] = 0.0
+            for column in (w, factor, conditional, product):
+                column[center] = 1.0
     return out
 
 
@@ -245,16 +264,24 @@ def hpp_conditional_column(times, start: float) -> np.ndarray:
 
     ``k * prod(((s_i - s_{i-1}) / (s_k - s_0)) ** (1/k))``, the closed
     form the general conditional depth reduces to when every expected
-    proportion is 1/k; exactly 0 on any row with a zero gap.
+    proportion is 1/k; exactly 0 on any row with a zero gap. Each block is
+    written in place into a view of the returned column.
     """
     times = np.asarray(times, dtype=float)
     n, k = times.shape
     out = np.empty(n)
     for rows in _blocks(n):
         t = times[rows]
+        value = out[rows]
         gaps = gap_matrix(t.T, t[:, 0] - start)
-        value = np.exp(np.log(k) + _row_sum(np.log(gaps)) / k - np.log(t[:, -1] - start))
-        out[rows] = np.where(np.logical_and.reduce(gaps > 0.0), np.minimum(value, 1.0), 0.0)
+        positive = np.logical_and.reduce(gaps > 0.0)
+        log_sum = _row_sum(np.log(gaps, out=gaps))
+        log_sum /= k
+        log_sum += np.log(k)
+        log_sum -= np.log(t[:, -1] - start)
+        np.exp(log_sum, out=value)
+        np.minimum(value, 1.0, out=value)
+        value[~positive] = 0.0
     return out
 
 

@@ -88,12 +88,22 @@ def fit_mahalanobis(sample: SampleSet) -> tuple[np.ndarray, np.ndarray]:
     """Componentwise mean and unbiased covariance of the event-time vectors.
 
     A singular covariance is returned as-is; the depth evaluation applies
-    its ridge policy when inverting. The sample remembers its fit, so a
-    second call on it computes nothing; every call returns a fresh
-    ``(mean, cov)`` the caller owns.
+    its ridge policy when inverting. The column mean is taken once and the
+    covariance follows ``np.cov(times, rowvar=False, ddof=1)`` step by
+    step (centre the (k, n) view, multiply it by its transpose, scale by
+    ``1 / (n - 1)``), so both keep numpy's bits. The sample remembers its
+    fit, so a second call on it computes nothing; every call returns a
+    fresh ``(mean, cov)`` the caller owns.
     """
     if sample.n < 2:
         raise DataError(f"need at least 2 realizations to fit, got {sample.n}")
-    mean, cov = sample._memo("fit_mahalanobis", None, lambda: (
-        sample.times.mean(axis=0), np.atleast_2d(np.cov(sample.times, rowvar=False, ddof=1))))
+    mean, cov = sample._memo("fit_mahalanobis", None, lambda: _mean_and_cov(sample.times))
     return mean.copy(), cov.copy()
+
+
+def _mean_and_cov(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    mean = times.mean(axis=0)
+    centred = np.subtract(times, mean).T  # np.cov's (k, n) view of its centred copy
+    cov = np.dot(centred, centred.T.conj())
+    cov *= np.true_divide(1, times.shape[0] - 1)
+    return mean, cov

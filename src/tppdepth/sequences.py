@@ -98,13 +98,14 @@ class SampleSet:
     def __init__(self, start: float, times):
         start = float(start)
         try:
-            # Always a copy: a caller's later writes to ``times`` reach
-            # neither the sample nor what it remembers.
-            arr = np.array(times, dtype=float)
+            arr = np.asarray(times, dtype=float)
         except ValueError as exc:  # ragged rows, or a cell that is not a number
             raise DataError(f"event times must form an (n, k) matrix of numbers ({exc})") from None
+        # Always a copy, into a buffer owned by immutable bytes: a caller's
+        # later writes to ``times`` reach neither the sample nor what it
+        # remembers, and the times cannot be made writable again.
+        arr = np.frombuffer(arr.tobytes(), dtype=float).reshape(arr.shape)
         check_times(start, arr)
-        arr.setflags(write=False)
         for name, value in (("start", start), ("times", arr), ("_memos", {})):
             object.__setattr__(self, name, value)
 

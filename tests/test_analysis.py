@@ -29,6 +29,7 @@ from tppdepth import (
     weighted_fraction_gap,
 )
 import tppdepth.analysis as analysis
+import tppdepth.estimation as estimation
 from tppdepth.analysis import _competition_ranks
 from tppdepth.analysis import METHODS
 from tppdepth.depth import PARAM_FIELDS
@@ -147,7 +148,9 @@ class TestRank:
 
     def test_ranks_come_from_the_module_formula(self, hpp_sample, hpp_params, monkeypatch):
         # rank reaches the one ranking formula through the module global, so
-        # a one-argument stand-in that swaps two ranks decides the table.
+        # a one-argument stand-in that swaps two ranks decides the table. A
+        # new sample: the module's sample already remembers its ranks.
+        hpp_sample = SampleSet(hpp_sample.start, hpp_sample.times)
         original = analysis._competition_ranks
 
         def swapped(values):
@@ -391,14 +394,28 @@ def result_bits(result):
     if isinstance(result, dict):
         return tuple((name, result_bits(value)) for name, value in result.items())
     if isinstance(result, analysis.RankTable):
-        return result.method, result_bits(result.depths), result_bits(result.ranks)
+        return (result.method, result.n, result_bits(result.depths), result_bits(result.ranks),
+                result_bits(result.order))
     return (result.threshold, result.sample_size, result.indices,
             np.array([result.mean_product_rank, result.mean_mahalanobis_rank]).tobytes())
 
 
+def scribble(result):
+    """Overwrite every array a call handed back."""
+    if isinstance(result, analysis.RankTable):
+        result.depths[:] = 7.0
+        result.ranks[:] = 7
+    elif isinstance(result, dict):
+        for column in result.values():
+            column[:] = 7.0
+    elif isinstance(result, np.ndarray):
+        result[:] = 7.0
+
+
 class TestSampleMemo:
-    """A sample remembers one result per depth kernel, keyed by exact bits,
-    and every call returns what a call on a new sample returns."""
+    """A sample remembers one result per depth kernel and one ranking per
+    method, keyed by exact bits, and every call returns what a call on a
+    new sample returns."""
 
     @given(st.lists(st.tuples(st.sampled_from(MEMO_CALLS), st.sampled_from(METHODS), st.integers(0, 1),
                               st.integers(0, 2)), min_size=1, max_size=12))
@@ -406,7 +423,9 @@ class TestSampleMemo:
     def test_any_call_order_gives_the_bits_of_a_cold_call(self, ops):
         warm = cold()
         for op in ops:
-            assert result_bits(call(warm, op)) == result_bits(call(cold(), op)), op
+            result = call(warm, op)
+            assert result_bits(result) == result_bits(call(cold(), op)), op
+            scribble(result)  # reaches no later call
 
     @pytest.mark.parametrize("field", ["mu_last", "horizon", "start"])
     def test_params_one_ulp_apart_recompute(self, field):
@@ -444,25 +463,34 @@ class TestSampleMemo:
         for i in range(50):
             moved = replace(params, horizon=params.horizon * (1.0 + i / 64))
             for method in METHODS:
-                depth_values(sample, moved, method, (mean + i, cov) if method == "mahalanobis" else None)
+                baseline = (mean + i, cov) if method == "mahalanobis" else None
+                depth_values(sample, moved, method, baseline)
+                rank(sample, moved, method, baseline)
             depth_values(sample, moved, "mahalanobis")  # the sample's own fit
             near_boundary_comparison(sample, moved, 0.05)
         assert sorted(sample._memos) == ["depth_columns", "fit_mahalanobis", "hpp_conditional_column",
-                                         "mahalanobis_column"]
-        # Seven columns of n floats, the mean and the covariance: nothing more.
+                                         "mahalanobis_column", "rank conditional", "rank hpp-conditional",
+                                         "rank mahalanobis", "rank marginal", "rank product"]
+        # Seven columns of n floats, five of n ints (one ranking per method),
+        # the mean and the covariance: nothing more.
         held = sum(a.nbytes for _, arrays in sample._memos.values() for a in arrays)
-        assert held == 8 * (7 * sample.n + sample.k + sample.k**2)
+        n, k = sample.n, sample.k
+        assert held == 8 * (7 * n + k + k**2) + 5 * n * np.dtype(int).itemsize
         expected = np.hstack([getattr(moved, name) for name in PARAM_FIELDS]).tobytes()
-        assert sample._memos["depth_columns"][0] == expected
+        for name in ("depth_columns", "rank product", "rank marginal", "rank conditional"):
+            assert sample._memos[name][0] == expected, name
+        # near_boundary_comparison ranked last, under the sample's own fit.
+        assert sample._memos["rank mahalanobis"][0] == sample._memos["mahalanobis_column"][0]
 
     def test_callers_own_what_they_get(self):
         sample = cold()
         params, baseline = MEMO_PARAMS[0], MEMO_BASELINES[0]
         expected = {op: result_bits(call(cold(), op)) for op in
-                    [("depth_values", m, 0, 0) for m in METHODS] + [("depth_breakdown", "product", 0, 0)]}
+                    [(name, m, 0, 0) for name in ("depth_values", "rank") for m in METHODS]
+                    + [("depth_breakdown", "product", 0, 0)]}
         for method in METHODS:
             depth_values(sample, params, method, baseline)[:] = 7.0
-            rank(sample, params, method, baseline).depths[:] = 7.0
+            scribble(rank(sample, params, method, baseline))
         breakdown = depth_breakdown(sample, params, baseline)
         breakdown["extra"] = np.zeros(sample.n)
         for column in breakdown.values():
@@ -491,13 +519,16 @@ class TestSampleMemo:
 
         for name in ("depth_columns", "mahalanobis_column", "_competition_ranks"):
             count(analysis, name)
-        count(np, "cov")  # the covariance of fit_mahalanobis
+        count(estimation, "_mean_and_cov")  # the mean and covariance of fit_mahalanobis
+        count(np, "dot")  # the covariance's product, inside it
+        count(np, "cov")  # not called: it would take the mean a second time
         sample, params = cold(), MEMO_PARAMS[0]
         rank(sample, params, "product")
         rank(sample, params, "mahalanobis")
         near_boundary_comparison(sample, params, 0.05)
-        # Ranks are not remembered: one ranking per rank call.
-        assert counts == {"depth_columns": 1, "mahalanobis_column": 1, "cov": 1, "_competition_ranks": 4}
+        # near_boundary_comparison reuses both rankings.
+        assert counts == {"depth_columns": 1, "mahalanobis_column": 1, "_mean_and_cov": 1, "dot": 1,
+                          "_competition_ranks": 2}
 
 class TestWeightedFraction:
     def test_equal_vectors_are_tight(self):

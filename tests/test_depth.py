@@ -558,7 +558,10 @@ def reference_depth_columns(times, params):
     p = SimpleNamespace(**{name: np.asarray(getattr(params, name), dtype=float) for name in PARAM_FIELDS})
     start = p.start[..., None]
     o = times - start
-    w, exponent, factor = _marginal(o[:, -1], p)
+    dev = o[:, -1] - p.mu_last
+    w = 1.0 / (1.0 + (dev * dev) / p.var_last)
+    exponent = np.abs(dev) / p.horizon
+    factor = np.where(exponent == 0.0, 1.0, np.minimum(w**exponent, 1.0))
     gaps = reference_gaps(times, o[:, 0])
     log_sum = (p.u_bar * (np.log(gaps) - np.log(o[:, -1:] * p.u_bar))).sum(axis=1)
     conditional = np.where((gaps > 0.0).all(axis=1), np.minimum(np.exp(log_sum), 1.0), 0.0)
@@ -678,6 +681,48 @@ class TestKernelsKeepTheirBits:
         mean, cov = finite.mean(axis=0), np.cov(finite, rowvar=False).reshape(k, k)
         for m, c in [(mean, cov), (mean, np.outer(cov[0], cov[0])), (np.full(k, -1e308), cov)]:
             assert same_bits(mahalanobis_column(times, m, c), reference_mahalanobis(times, m, c))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 12, 20])
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_edge_rows(self, k, shared):
+        # Center rows, rows that end at the center's last time only, zero
+        # gaps, and exponent-0 rows: at eta, and under an infinite horizon
+        # (also where omega is 0), with shared or per-row params.
+        times, params = _kernel_cases(k, n=BLOCK_ROWS + 300, seed=2)
+        n = times.shape[0]
+        center = np.asarray(params.center)
+        times[3::17] = center
+        times[3::17, 0] = params.start + (center[0] - params.start) / 2
+        times[4::19] = center
+        times[4::19, 0] = params.start  # a zero first gap
+        rng = np.random.default_rng(k)
+        horizon = np.where(rng.random(n) < 0.3, math.inf, params.horizon)
+        if shared:
+            fields = SimpleNamespace(**{name: getattr(params, name) for name in PARAM_FIELDS})
+            fields.horizon = math.inf
+        else:
+            fields = SimpleNamespace(start=np.full(n, params.start), mu_last=np.full(n, params.mu_last),
+                                     var_last=rng.uniform(0.1, 2.0, n), u_bar=np.tile(params.u_bar, (n, 1)),
+                                     horizon=horizon)
+            fields.mu_last[1::23] = 2.5
+        columns, reference = depth_columns(times, fields), reference_depth_columns(times, fields)
+        for name in BREAKDOWN_FIELDS:
+            assert same_bits(columns[name], reference[name]), name
+        if k > 1:  # at k = 1 the zero first gap moves the last time off eta
+            at_eta = np.broadcast_to(fields.mu_last, n)[4::19] == params.mu_last
+            assert np.all(columns["exponent"][4::19][at_eta] == 0.0)
+            assert np.all(columns["conditional"][4::19] == 0.0)
+        assert same_bits(hpp_conditional_column(times, params.start), reference_hpp_conditional(times, params.start))
+
+    def test_power_of_zero_is_one(self):
+        # Why the marginal factor needs no special case at exponent 0: numpy
+        # gives w**0 == 1 for every base, in its scalar and its vector loops.
+        bases = np.array([0.0, -0.0, 5e-324, 1.0, math.inf, math.nan])
+        for w in (bases, np.tile(bases, 37), np.repeat(bases, 37)):
+            assert np.all(np.power(w, np.zeros_like(w)) == 1.0)
+            assert np.all(np.power(w, 0.0) == 1.0)
+            assert np.all(_marginal(np.full(w.shape, 2.0), SimpleNamespace(mu_last=2.0, var_last=1.0,
+                                                                          horizon=1.0))[2] == 1.0)
 
     def test_blocks_and_batches_of_one(self):
         times, params = _kernel_cases(7, n=BLOCK_ROWS + 5, seed=1)

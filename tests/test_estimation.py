@@ -121,6 +121,20 @@ class TestFitMahalanobis:
         assert abs(mean[0] - 0.5) < 3 * se1
         assert abs(mean[1] - 1.0) < 3 * se2
 
+    @given(k=st.integers(1, 12), n=st.integers(2, 5000), start=st.sampled_from([0.0, 1.5, 1.7e9, -3.0]),
+           tied=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_numpy_bits(self, k, n, start, tied, seed):
+        # One column mean serves the mean and the centring; the covariance
+        # keeps the bits of np.cov's own steps.
+        rng = np.random.default_rng(seed)
+        times = start + np.cumsum(rng.exponential(1.0, (n, k)) * 10.0 ** rng.integers(-3, 3, k), axis=1)
+        times[rng.integers(0, n, tied)] = times[0]  # tied rows
+        mean, cov = fit_mahalanobis(SampleSet(start, times))
+        assert np.array_equal(_bits(mean), _bits(times.mean(axis=0)))
+        expected = np.atleast_2d(np.cov(times, rowvar=False, ddof=1))
+        assert cov.shape == (k, k) and np.array_equal(_bits(cov), _bits(expected))
+
 
 def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,6 +116,30 @@ class TestSampleSet:
             assert np.array_equal(bits(depth_values(sample, params, method)), before[method])
             fresh = SampleSet(0.0, sample.times)
             assert np.array_equal(bits(depth_values(fresh, params, method)), before[method])
+
+    def test_times_cannot_be_made_writable(self):
+        # The times live in a buffer owned by immutable bytes, so no flag
+        # change reopens them to writes that the memo would not see.
+        sample = SampleSet(0.0, [[1.0, 2.0], [0.5, 3.0]])
+        depth_values(sample, None, "hpp-conditional")
+        with pytest.raises(ValueError):
+            sample.times.setflags(write=True)
+        with pytest.raises(ValueError):
+            sample.times[0, 0] = 0.75
+        assert sample.times.tolist() == [[1.0, 2.0], [0.5, 3.0]]
+
+    def test_a_float64_matrix_is_copied_once(self):
+        # numpy reports its buffers to tracemalloc: building the sample
+        # holds one copy of the times plus the times check's boolean masks.
+        times = np.cumsum(np.random.default_rng(5).exponential(1.0, (50_000, 4)), axis=1)
+        tracemalloc.start()
+        try:
+            sample = SampleSet(0.0, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert times.nbytes <= peak < 1.5 * times.nbytes
+        assert np.array_equal(bits(sample.times), bits(times)) and sample.times.flags.c_contiguous
 
 
 class TestGaps:
