@@ -27,12 +27,19 @@ from .depth import (
     marginal_depth_d1,
     require_match,
 )
-from .errors import DataError
+from .errors import DataError, check_count, check_seed
 from .estimation import fit_mahalanobis, fit_stack
 from .sequences import SampleSet
-from .simulate import check_seed
 
-METHODS = ("product", "marginal", "conditional", "hpp-conditional", "mahalanobis")
+# Each method's kernel, as the name of its memo entry, and its column there.
+_KERNELS = {
+    "product": ("depth_columns", "product"),
+    "marginal": ("depth_columns", "marginal_factor"),
+    "conditional": ("depth_columns", "conditional"),
+    "hpp-conditional": ("hpp_conditional_column", "hpp-conditional"),
+    "mahalanobis": ("mahalanobis_column", "mahalanobis"),
+}
+METHODS = tuple(_KERNELS)
 
 INFINITY_DEPTH_TOL = 1e-6
 SCALE_SHIFT_RTOL = 1e-10
@@ -161,50 +168,48 @@ def _competition_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-_COLUMNS = {"product": "product", "marginal": "marginal_factor", "conditional": "conditional"}
-
-
-def _no_memo(name, key, compute):
-    # For rows that are no sample (contour nodes): nothing is kept.
-    return compute()
-
-
-def _key(method: str, params, baseline):
-    """The memo key of one method's depth column: the exact bits of what
-    its kernel reads besides the times, that is the fitted fields, or the
-    baseline's shapes and values (the hpp column reads nothing more)."""
-    if method == "mahalanobis":
-        mean, cov = (np.asarray(a, dtype=float) for a in baseline)
-        return mean.shape, mean.tobytes(), cov.shape, cov.tobytes()
-    if method == "hpp-conditional":
-        return None
-    return np.hstack([getattr(params, name) for name in PARAM_FIELDS]).tobytes()
-
-
-def _values(method: str, times: np.ndarray, start: float, params, baseline, memo=_no_memo) -> np.ndarray:
-    """One method's depths of the rows of ``times``, through ``memo`` (a
-    :meth:`SampleSet._memo`, whose result must not be written to, or
-    :func:`_no_memo`), keyed by :func:`_key`."""
+def _kernel(method: str, times: np.ndarray, start: float, params, baseline) -> dict[str, np.ndarray]:
+    """The named columns of ``method``'s kernel on the rows of ``times``: those
+    of :func:`depth_columns`, or one column named after the method."""
     if method == "mahalanobis":
         mean, cov = baseline
-        key = _key(method, params, baseline)
-        return memo("mahalanobis_column", key, lambda: (mahalanobis_column(times, mean, cov),))[0]
+        return {method: mahalanobis_column(times, mean, cov)}
     if method == "hpp-conditional":
-        return memo("hpp_conditional_column", None, lambda: (hpp_conditional_column(times, start),))[0]
-    return _columns(times, params, memo)[_COLUMNS[method]]
+        return {method: hpp_conditional_column(times, start)}
+    return depth_columns(times, params)
 
 
-def _columns(times: np.ndarray, params, memo) -> dict[str, np.ndarray]:
-    # depth_columns returns its columns in BREAKDOWN_FIELDS order.
-    columns = memo("depth_columns", _key("product", params, None),
-                   lambda: tuple(depth_columns(times, params).values()))
-    return dict(zip(BREAKDOWN_FIELDS, columns))
+def _kept(sample: SampleSet, params: DepthParams | None, method: str, baseline) -> tuple[dict, str]:
+    """The sample's memo entry for ``method``'s kernel, and the method's column in it.
 
-
-def _require_params(sample: SampleSet, params: DepthParams | None, method: str) -> None:
-    if params is None:
+    Checks the method and the params, and fits the sample's own baseline
+    when none is given. The key is the exact bits of what the kernel reads
+    besides the times: the fitted fields, or the baseline's shapes and values."""
+    if method not in METHODS:
+        raise DataError(f"unknown method {method!r}; expected one of {METHODS}")
+    if method == "mahalanobis":
+        baseline = baseline if baseline is not None else fit_mahalanobis(sample)
+        mean, cov = (np.asarray(a, dtype=float) for a in baseline)
+        key = mean.shape, mean.tobytes(), cov.shape, cov.tobytes()
+    elif method == "hpp-conditional":
+        key = None
+    elif params is None:
         raise DataError(f"method {method!r} needs fitted parameters")
-    require_match(sample, params)
+    else:
+        require_match(sample, params)
+        key = np.hstack([getattr(params, name) for name in PARAM_FIELDS]).tobytes()
+    slot, column = _KERNELS[method]
+    return sample._memo(slot, key, lambda: _kernel(method, sample.times, sample.start, params, baseline)), column
+
+
+def _ranks(entry: dict, column: str) -> np.ndarray:
+    # The competition ranks of one memo column, kept in its entry, so a new
+    # key drops them with the column.
+    name = f"rank {column}"
+    if name not in entry:
+        entry[name] = _competition_ranks(entry[column])
+        entry[name].setflags(write=False)
+    return entry[name]
 
 
 def depth_breakdown(
@@ -217,11 +222,11 @@ def depth_breakdown(
 
     The columns come from the sample's memo (see :func:`depth_values`);
     the dict and its arrays are new on every call."""
-    _require_params(sample, params, "product")
-    columns = {name: column.copy() for name, column in _columns(sample.times, params, sample._memo).items()}
+    entry, _ = _kept(sample, params, "product", None)
+    columns = {name: entry[name].copy() for name in BREAKDOWN_FIELDS}
     if baseline is not None:
-        columns["baseline_mahalanobis"] = _values("mahalanobis", sample.times, sample.start, None, baseline,
-                                                  sample._memo).copy()
+        entry, column = _kept(sample, None, "mahalanobis", baseline)
+        columns["baseline_mahalanobis"] = entry[column].copy()
     return columns
 
 
@@ -239,33 +244,12 @@ def depth_values(
     ``mahalanobis`` fits its mean and covariance on the sample itself
     when no baseline is supplied.
 
-    Each kernel runs once per sample and key: the sample remembers the
-    last breakdown (keyed by the exact bits of the fitted fields), its
-    hpp column and its last Mahalanobis column (keyed by the baseline's
-    shapes and bits), so product, marginal and conditional share one
-    kernel call. The returned array is a copy the caller owns.
+    The sample keeps one memo entry per kernel (product, marginal and
+    conditional share one), so a kernel runs again only for new params or
+    a new baseline. The returned array is a copy the caller owns.
     """
-    return _sample_values(sample, params, method, baseline)[0].copy()
-
-
-def _sample_values(sample: SampleSet, params: DepthParams | None, method: str, baseline):
-    # The memo's read-only depth column, and the baseline it used: the
-    # sample's own fit for mahalanobis when none is given.
-    if method not in METHODS:
-        raise DataError(f"unknown method {method!r}; expected one of {METHODS}")
-    if method == "mahalanobis":
-        baseline = baseline if baseline is not None else fit_mahalanobis(sample)
-    elif method != "hpp-conditional":
-        _require_params(sample, params, method)
-    return _values(method, sample.times, sample.start, params, baseline, sample._memo), baseline
-
-
-def _sample_ranks(sample: SampleSet, params: DepthParams | None, method: str, baseline):
-    # The memo's read-only depths and competition ranks: one slot per
-    # method, keyed like that method's depth column.
-    values, baseline = _sample_values(sample, params, method, baseline)
-    key = _key(method, params, baseline)
-    return values, sample._memo(f"rank {method}", key, lambda: (_competition_ranks(values),))[0]
+    entry, column = _kept(sample, params, method, baseline)
+    return entry[column].copy()
 
 
 def rank(
@@ -276,13 +260,12 @@ def rank(
 ) -> RankTable:
     """Rank the sample deepest first under the chosen method.
 
-    The depths are those of :func:`depth_values`. The ranks come from the
-    sample's memo too: one entry per method, keyed like that method's
-    depth column (the Mahalanobis baseline is fitted first when none is
-    given, so its bits are the key), so a second ranking of the same
-    depths computes nothing. The table holds copies the caller owns."""
-    values, ranks = _sample_ranks(sample, params, method, baseline)
-    return RankTable(method, values.copy(), ranks.copy())
+    The depths are those of :func:`depth_values`. Their ranks are kept in
+    the same memo entry as the depth column, so a second ranking under
+    the same key computes nothing, and a new key drops them. The table
+    holds copies the caller owns."""
+    entry, column = _kept(sample, params, method, baseline)
+    return RankTable(method, entry[column].copy(), _ranks(entry, column).copy())
 
 
 def contour_grid(
@@ -318,7 +301,7 @@ def contour_grid(
     inside = np.ones_like(s1, dtype=bool) if method == "mahalanobis" else (params.start <= s1) & (s1 <= s2)
     values = np.zeros((resolution, resolution))
     nodes = np.stack([s1[inside], s2[inside]], axis=1)
-    values[inside] = _values(method, nodes, params.start, params, baseline)
+    values[inside] = _kernel(method, nodes, params.start, params, baseline)[_KERNELS[method][1]]
     return ContourGrid(method=method, axis1=axis1, axis2=axis2, values=values)
 
 
@@ -340,7 +323,7 @@ def near_boundary_comparison(
     """
     if not 0 < threshold <= 1:
         raise DataError(f"threshold must be in (0, 1], got {threshold}")
-    ranks = [_sample_ranks(sample, params, method, None)[1] for method in ("product", "mahalanobis")]
+    ranks = [_ranks(*_kept(sample, params, method, None)) for method in ("product", "mahalanobis")]
     durations = sample.durations()
     with np.errstate(divide="ignore", invalid="ignore"):
         smallest = np.minimum.reduce(sample.gaps().T / durations)  # over the k rows of (k, n) fractions
@@ -544,12 +527,10 @@ def verify_properties(
     and sample moved to start 0, where the (shift-invariant) depth is the same.
     A transformed field that overflows (a horizon or variance near the
     float maximum, scaled) becomes inf, the limit the depth formulas take.
+    ``seed``, ``trials`` and ``rays`` must be integers (``1e3`` is one;
+    ``True`` and ``2.5`` are not).
     """
-    check_seed(seed)
-    if trials < 1:
-        raise DataError("trials must be at least 1")
-    if rays < 1:
-        raise DataError("rays must be at least 1")
+    seed, trials, rays = check_seed(seed), check_count("trials", trials), check_count("rays", rays)
     if sample is not None:
         require_match(sample, params)
         sample = SampleSet(0.0, sample.times - sample.start)
@@ -565,4 +546,4 @@ def verify_properties(
         _check_young_range(rng, params, trials),
         _check_weighted_fraction(rng, trials),
     )
-    return PropertyReport(seed=int(seed), trials=int(trials), rays=int(rays), checks=checks)
+    return PropertyReport(seed=seed, trials=trials, rays=rays, checks=checks)

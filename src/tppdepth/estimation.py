@@ -72,16 +72,18 @@ def fit_stack(times: np.ndarray, start: np.ndarray, gaps_out=None) -> SimpleName
     return SimpleNamespace(start=start, mu_last=mu_last, var_last=var_last, u_bar=u_bar, horizon=mu_last)
 
 
-def fit_params(sample: SampleSet, horizon: float | None = None) -> DepthParams:
+def fit_params(sample: SampleSet) -> DepthParams:
     """Estimate depth parameters from a sample: :func:`fit_stack` at c = 1.
 
     Every realization must last a positive amount of time (a zero-duration
     realization has no normalized gaps and aborts the fit), at least two
     distinct durations are required for a usable variance, and a mean or
     variance of the durations that overflows is a :class:`DataError`.
+    The horizon is the default, ``mu_last``; ``dataclasses.replace(params,
+    horizon=h)`` gives the params with another.
     """
     fields = fit_stack(sample.times.T[:, None], np.array([sample.start]))
-    return DepthParams(sample.start, fields.mu_last[0], fields.var_last[0], fields.u_bar[0], horizon)
+    return DepthParams(sample.start, fields.mu_last[0], fields.var_last[0], fields.u_bar[0])
 
 
 def fit_mahalanobis(sample: SampleSet) -> tuple[np.ndarray, np.ndarray]:
@@ -97,13 +99,13 @@ def fit_mahalanobis(sample: SampleSet) -> tuple[np.ndarray, np.ndarray]:
     """
     if sample.n < 2:
         raise DataError(f"need at least 2 realizations to fit, got {sample.n}")
-    mean, cov = sample._memo("fit_mahalanobis", None, lambda: _mean_and_cov(sample.times))
-    return mean.copy(), cov.copy()
+    fit = sample._memo("fit_mahalanobis", None, lambda: _mean_and_cov(sample.times))
+    return fit["mean"].copy(), fit["cov"].copy()
 
 
-def _mean_and_cov(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _mean_and_cov(times: np.ndarray) -> dict[str, np.ndarray]:
     mean = times.mean(axis=0)
     centred = np.subtract(times, mean).T  # np.cov's (k, n) view of its centred copy
     cov = np.dot(centred, centred.T.conj())
     cov *= np.true_divide(1, times.shape[0] - 1)
-    return mean, cov
+    return {"mean": mean, "cov": cov}

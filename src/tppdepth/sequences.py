@@ -112,18 +112,18 @@ class SampleSet:
     def __setattr__(self, name, value):
         raise AttributeError(f"a SampleSet cannot be changed; cannot set {name!r}")
 
-    def _memo(self, name: str, key, compute) -> tuple[np.ndarray, ...]:
-        """The arrays ``compute()`` returns for this sample, remembered under ``name``.
+    def _memo(self, name: str, key, compute) -> dict[str, np.ndarray]:
+        """The named arrays ``compute()`` returns for this sample, remembered under ``name``.
 
-        One slot per name: the result is reused while ``key`` (bytes, or a
-        tuple of shapes and bytes, so keys compare bits) stays the same,
-        and a new key replaces the old entry. The arrays are made
-        read-only; callers hand out copies.
+        One entry per name: it is reused while ``key`` (bytes, or a tuple
+        of shapes and bytes, so keys compare bits) stays the same, and a
+        new key replaces the whole entry, with whatever a caller added to
+        it. Its arrays are made read-only; callers hand out copies.
         """
         entry = self._memos.get(name)
         if entry is None or entry[0] != key:
             arrays = compute()
-            for a in arrays:
+            for a in arrays.values():
                 a.setflags(write=False)
             entry = self._memos[name] = (key, arrays)
         return entry[1]

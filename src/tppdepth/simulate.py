@@ -19,17 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, is_integer, is_number
+from .errors import DataError, check_count, check_seed, is_number
 from .sequences import SampleSet
 
 # The process kinds; the kind decides how many rates a config holds.
 KINDS = ("hpp", "state-dependent")
-
-
-def check_seed(seed: int) -> None:
-    """Raise a DataError unless ``0 <= seed < 2**64``, the one seed domain."""
-    if not 0 <= seed < 2**64:
-        raise DataError(f"seed must fit in 64 unsigned bits, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -52,11 +46,8 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("k", "n", "seed"):
-            value = getattr(self, name)
-            if not is_integer(value):
-                raise DataError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        for name in ("k", "n"):
+            object.__setattr__(self, name, check_count(name, getattr(self, name)))
         if not all(map(is_number, self.rates)):
             raise DataError(f"every rate must be a number, got {self.rates!r}")
         if not is_number(self.start):
@@ -65,10 +56,6 @@ class SimConfig:
         object.__setattr__(self, "start", float(self.start))
         if self.kind not in KINDS:
             raise DataError(f"unknown process kind {self.kind!r}")
-        if self.k < 1:
-            raise DataError("k must be at least 1")
-        if self.n < 1:
-            raise DataError("n must be at least 1")
         if self.n * self.k * 8 > np.iinfo(np.intp).max:
             raise DataError(f"n*k = {self.n * self.k:.3g} event times do not fit in one array")
         if not all(math.isfinite(r) and r > 0 for r in self.rates):
@@ -78,7 +65,7 @@ class SimConfig:
             raise DataError(f"{self.kind} with k={self.k} takes {needed} rate(s), got {len(self.rates)}")
         if not math.isfinite(self.start):
             raise DataError("start must be finite")
-        check_seed(self.seed)
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
 
 @np.errstate(over="ignore")

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from collections import Counter, deque
 from dataclasses import replace
@@ -32,7 +33,7 @@ import tppdepth.analysis as analysis
 import tppdepth.estimation as estimation
 from tppdepth.analysis import _competition_ranks
 from tppdepth.analysis import METHODS
-from tppdepth.depth import PARAM_FIELDS
+from tppdepth.depth import BREAKDOWN_FIELDS, PARAM_FIELDS
 
 
 def _refit_one_trial_at_a_time(sample, a, b):
@@ -413,9 +414,9 @@ def scribble(result):
 
 
 class TestSampleMemo:
-    """A sample remembers one result per depth kernel and one ranking per
-    method, keyed by exact bits, and every call returns what a call on a
-    new sample returns."""
+    """A sample remembers one entry per depth kernel, keyed by exact bits,
+    with the rankings of its columns, and every call returns what a call on
+    a new sample returns."""
 
     @given(st.lists(st.tuples(st.sampled_from(MEMO_CALLS), st.sampled_from(METHODS), st.integers(0, 1),
                               st.integers(0, 2)), min_size=1, max_size=12))
@@ -469,18 +470,33 @@ class TestSampleMemo:
             depth_values(sample, moved, "mahalanobis")  # the sample's own fit
             near_boundary_comparison(sample, moved, 0.05)
         assert sorted(sample._memos) == ["depth_columns", "fit_mahalanobis", "hpp_conditional_column",
-                                         "mahalanobis_column", "rank conditional", "rank hpp-conditional",
-                                         "rank mahalanobis", "rank marginal", "rank product"]
+                                         "mahalanobis_column"]
         # Seven columns of n floats, five of n ints (one ranking per method),
         # the mean and the covariance: nothing more.
-        held = sum(a.nbytes for _, arrays in sample._memos.values() for a in arrays)
+        held = sum(a.nbytes for _, arrays in sample._memos.values() for a in arrays.values())
         n, k = sample.n, sample.k
         assert held == 8 * (7 * n + k + k**2) + 5 * n * np.dtype(int).itemsize
-        expected = np.hstack([getattr(moved, name) for name in PARAM_FIELDS]).tobytes()
-        for name in ("depth_columns", "rank product", "rank marginal", "rank conditional"):
-            assert sample._memos[name][0] == expected, name
+        key, columns = sample._memos["depth_columns"]
+        assert key == np.hstack([getattr(moved, name) for name in PARAM_FIELDS]).tobytes()
+        assert list(columns) == [*BREAKDOWN_FIELDS, "rank product", "rank marginal_factor", "rank conditional"]
+        assert list(sample._memos["hpp_conditional_column"][1]) == ["hpp-conditional", "rank hpp-conditional"]
         # near_boundary_comparison ranked last, under the sample's own fit.
-        assert sample._memos["rank mahalanobis"][0] == sample._memos["mahalanobis_column"][0]
+        key, columns = sample._memos["mahalanobis_column"]
+        mean, cov = fit_mahalanobis(sample)
+        assert key == (mean.shape, mean.tobytes(), cov.shape, cov.tobytes())
+        assert list(columns) == ["mahalanobis", "rank mahalanobis"]
+
+    def test_a_new_key_drops_the_old_rankings(self):
+        sample = cold()
+        first, second = MEMO_PARAMS
+        rank(sample, first, "product")
+        depth_values(sample, second, "product")
+        # Only the breakdown under the second params is held: no ranking
+        # made under the first.
+        assert sorted(sample._memos) == ["depth_columns"]
+        key, columns = sample._memos["depth_columns"]
+        assert key == np.hstack([getattr(second, name) for name in PARAM_FIELDS]).tobytes()
+        assert list(columns) == list(BREAKDOWN_FIELDS)
 
     def test_callers_own_what_they_get(self):
         sample = cold()
@@ -663,6 +679,20 @@ class TestVerifyProperties:
             verify_properties(hpp_params, trials=10, seed=seed, rays=2)
         with pytest.raises(DataError, match="seed must fit in 64 unsigned bits"):
             SimConfig(kind="hpp", rates=(1.0,), k=2, n=10, seed=seed)
+
+    @pytest.mark.parametrize("name, value", [
+        ("seed", 1.5), ("seed", True), ("seed", "1"), ("seed", math.nan), ("trials", True), ("trials", 2.5),
+        ("rays", True), ("rays", 2.5), ("rays", None),
+    ])
+    def test_seed_trials_and_rays_are_integers(self, hpp_params, name, value):
+        arguments = {"trials": 10, "seed": 1, "rays": 2, name: value}
+        with pytest.raises(DataError, match=f"^{re.escape(f'{name} must be an integer, got {value!r}')}$"):
+            verify_properties(hpp_params, **arguments)
+
+    def test_integral_floats_are_taken(self, hpp_params):
+        report = verify_properties(hpp_params, trials=50.0, seed=np.float64(3), rays=1e1)
+        assert report == verify_properties(hpp_params, trials=50, seed=3, rays=10)
+        assert all(type(v) is int for v in (report.seed, report.trials, report.rays))
 
     @pytest.mark.parametrize("t0", [1e6, 1e9, 1.7e9])
     def test_passes_on_epoch_timestamps(self, t0):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
@@ -36,7 +37,7 @@ class TestFitParams:
         assert params.center == (2.0, 4.0)
 
     def test_big_m_override(self, two_point_sample):
-        params = fit_params(two_point_sample, horizon=9.0)
+        params = replace(fit_params(two_point_sample), horizon=9.0)
         assert params.big_m == 9.0
         assert params.eta == 4.0
 
