@@ -17,7 +17,6 @@ from .analysis import (
     weighted_fraction_gap,
 )
 from .depth import (
-    DepthBreakdown,
     DepthParams,
     center_times,
     conditional_depth,
@@ -38,7 +37,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ContourGrid",
     "DataError",
-    "DepthBreakdown",
     "DepthParams",
     "EventSequence",
     "NearBoundarySummary",

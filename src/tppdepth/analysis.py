@@ -27,7 +27,7 @@ from .depth import (
     marginal_depth_d1,
     require_match,
 )
-from .errors import DataError, check_count, check_seed
+from .errors import DataError, check_count, check_seed, is_integer, is_number
 from .estimation import fit_mahalanobis, fit_stack
 from .sequences import SampleSet
 
@@ -168,6 +168,15 @@ def _competition_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _pair(baseline) -> tuple[np.ndarray, np.ndarray]:
+    # The mean and covariance arrays of a baseline, which must be a pair of numeric arrays.
+    try:
+        mean, cov = baseline
+        return np.asarray(mean, dtype=float), np.asarray(cov, dtype=float)
+    except (TypeError, ValueError):
+        raise DataError("a baseline must be a (mean, covariance) pair of numeric arrays") from None
+
+
 def _kernel(method: str, times: np.ndarray, start: float, params, baseline) -> dict[str, np.ndarray]:
     """The named columns of ``method``'s kernel on the rows of ``times``: those
     of :func:`depth_columns`, or one column named after the method."""
@@ -189,7 +198,7 @@ def _kept(sample: SampleSet, params: DepthParams | None, method: str, baseline) 
         raise DataError(f"unknown method {method!r}; expected one of {METHODS}")
     if method == "mahalanobis":
         baseline = baseline if baseline is not None else fit_mahalanobis(sample)
-        mean, cov = (np.asarray(a, dtype=float) for a in baseline)
+        mean, cov = _pair(baseline)
         key = mean.shape, mean.tobytes(), cov.shape, cov.tobytes()
     elif method == "hpp-conditional":
         key = None
@@ -276,30 +285,33 @@ def contour_grid(
     resolution: int,
     baseline: tuple | None = None,
 ) -> ContourGrid:
-    """Evaluate a depth on a k=2 rectangle of (s1, s2) nodes."""
+    """Evaluate a depth on a k=2 rectangle of (s1, s2) nodes, ``resolution``
+    per axis: an integer of at least 2 (``3.0`` is one; ``2.5`` and ``True``
+    are not). Every method reads ``params`` (the start masks the nodes)."""
     if method not in METHODS:
         raise DataError(f"unknown method {method!r}; expected one of {METHODS}")
+    if params is None:
+        raise DataError(f"method {method!r} needs fitted parameters")
+    if not is_integer(resolution):
+        raise DataError(f"resolution must be an integer, got {resolution!r}")
     if resolution < 2:
         raise DataError("resolution must be at least 2")
-    xmin, xmax = (float(v) for v in x_range)
-    ymin, ymax = (float(v) for v in y_range)
-    if not (math.isfinite(xmin) and math.isfinite(xmax) and xmin < xmax):
-        raise DataError(f"bad s1 range ({xmin}, {xmax})")
-    if not (math.isfinite(ymin) and math.isfinite(ymax) and ymin < ymax):
-        raise DataError(f"bad s2 range ({ymin}, {ymax})")
+    ranges = [tuple(map(float, r)) for r in (x_range, y_range)]
+    for name, (lo, hi) in zip(("s1", "s2"), ranges):
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise DataError(f"bad {name} range ({lo}, {hi})")
     if method == "mahalanobis":
         if baseline is None:
             raise DataError("mahalanobis contours need a fitted (mean, covariance) baseline")
-        k, needed = np.size(baseline[0]), "a k=2 baseline"
+        k, needed = _pair(baseline)[0].size, "a k=2 baseline"
     else:
         k, needed = params.k, "k=2 parameters"
     if k != 2:
         raise DataError(f"contour grids for method {method!r} need {needed}, got k={k}")
-    axis1 = np.linspace(xmin, xmax, resolution)
-    axis2 = np.linspace(ymin, ymax, resolution)
+    axis1, axis2 = (np.linspace(lo, hi, int(resolution)) for lo, hi in ranges)
     s1, s2 = np.meshgrid(axis1, axis2, indexing="ij")
     inside = np.ones_like(s1, dtype=bool) if method == "mahalanobis" else (params.start <= s1) & (s1 <= s2)
-    values = np.zeros((resolution, resolution))
+    values = np.zeros(s1.shape)
     nodes = np.stack([s1[inside], s2[inside]], axis=1)
     values[inside] = _kernel(method, nodes, params.start, params, baseline)[_KERNELS[method][1]]
     return ContourGrid(method=method, axis1=axis1, axis2=axis2, values=values)
@@ -321,8 +333,8 @@ def near_boundary_comparison(
     so after ``rank`` on the same sample and params no kernel, no fit and
     no ranking runs again.
     """
-    if not 0 < threshold <= 1:
-        raise DataError(f"threshold must be in (0, 1], got {threshold}")
+    if not (is_number(threshold) and 0 < threshold <= 1):
+        raise DataError(f"threshold must be in (0, 1], got {threshold!r}")
     ranks = [_ranks(*_kept(sample, params, method, None)) for method in ("product", "mahalanobis")]
     durations = sample.durations()
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -143,22 +143,6 @@ class DepthParams:
         return center_times(self.start, self.mu_last, self.u_bar)
 
 
-@dataclass(frozen=True)
-class DepthBreakdown:
-    """Per-realization depth decomposition.
-
-    ``product == marginal_factor * conditional`` by construction. All
-    depth-valued fields lie in [0, 1]; ``exponent`` is the nonnegative
-    distance ratio and may exceed 1.
-    """
-
-    omega: float
-    exponent: float
-    marginal_factor: float
-    conditional: float
-    product: float
-
-
 @np.errstate(all="ignore")
 def _marginal(duration, p, out=None):
     # omega, the distance exponent and the marginal factor of a duration,
@@ -377,14 +361,14 @@ def hpp_conditional_depth(seq: EventSequence) -> float:
     return float(hpp_conditional_column(np.array([seq.times]), seq.start)[0])
 
 
-def product_depth(seq: EventSequence, params: DepthParams) -> DepthBreakdown:
+def product_depth(seq: EventSequence, params: DepthParams) -> dict[str, float]:
     """Full depth of a realization: marginal factor times conditional depth.
 
-    The central event-time vector is the unique maximizer with depth
-    exactly 1 (see :func:`depth_columns`).
+    The batch of one of :func:`depth_columns`: one float per name in
+    ``BREAKDOWN_FIELDS``, in that order. The central event-time vector is
+    the unique maximizer, with depth exactly 1.
     """
-    columns = depth_columns(_row(seq, params), params)
-    return DepthBreakdown(**{name: float(v[0]) for name, v in columns.items()})
+    return {name: float(v[0]) for name, v in depth_columns(_row(seq, params), params).items()}
 
 
 def mahalanobis_depth(times, mean, covariance) -> float:

@@ -84,27 +84,31 @@ def json_text(doc: dict, indent: int | None = None) -> str:
 def _write(path, fmt: str, header=None, columns=(), document=None, version: int = SCHEMA_VERSION) -> None:
     """Write one output file; the only code that knows the file formats.
 
-    ``csv``: the ``header`` row (none when it is ``None``), then one row
-    per entry of the equal-length numeric arrays in ``columns``, in the
-    csv module's default dialect (``\\r\\n`` line ends). Float arrays are
-    written as ``%.17g`` and integer arrays as ``%d``. A ``str`` column is
-    a label, the same on every row: it is quoted once, as the csv module
-    quotes it, into the row format. Each block of ``BLOCK_ROWS`` rows
-    becomes text in one ``%`` format over its cells, which also bounds the
-    text held at once.
-    ``json``: ``schema_version`` (``version``), then the fields that
-    ``document()`` returns, indented by 2, with a trailing newline
-    (:func:`json_text`); ``document`` is called only for this format.
+    A table is the ``header`` names beside ``columns``: equal-length
+    numeric arrays, a ``str`` label (the same on every row), or ``None``
+    for a column that is absent from the CSV, header name included.
+    ``csv``: the header row (none when it is ``None``), then one row per
+    entry, in the csv module's default dialect (``\\r\\n`` line ends):
+    floats as ``%.17g``, integers as ``%d``, and the label quoted once, as
+    the csv module quotes it, into the row format. Each block of
+    ``BLOCK_ROWS`` rows becomes text in one ``%`` format over its cells,
+    which also bounds the text held at once.
+    ``json``: ``schema_version`` (``version``), each label under its name,
+    then ``entries``: one object per row, keyed by the numeric names
+    (``null`` for a ``None`` column); or, given ``document``, the fields
+    it returns. Indented by 2, with a trailing newline (:func:`json_text`).
     """
     path = Path(path)
     if fmt == "csv":
+        names = None if header is None else [name for name, c in zip(header, columns) if c is not None]
+        columns = [c for c in columns if c is not None]
         arrays = [c for c in columns if not isinstance(c, str)]
         row = ",".join(_label_format(c) if isinstance(c, str) else _CELL_FORMATS[c.dtype.kind]
                        for c in columns) + "\r\n"
         width = len(arrays)
         with path.open("w", newline="") as handle:
-            if header is not None:
-                csv.writer(handle).writerow(header)
+            if names is not None:
+                csv.writer(handle).writerow(names)
             for lo in range(0, len(arrays[0]), BLOCK_ROWS):
                 cells = [a[lo:lo + BLOCK_ROWS].tolist() for a in arrays]
                 rows = len(cells[0])
@@ -113,8 +117,14 @@ def _write(path, fmt: str, header=None, columns=(), document=None, version: int 
                     flat[j::width] = column
                 handle.write(row * rows % tuple(flat))
     elif fmt == "json":
-        doc = {"schema_version": version, **document()}
-        path.write_text(json_text(doc, indent=2) + "\n")
+        if document is None:
+            doc = {name: c for name, c in zip(header, columns) if isinstance(c, str)}
+            numeric = {name: itertools.repeat(None) if c is None else c.tolist()
+                       for name, c in zip(header, columns) if not isinstance(c, str)}
+            doc["entries"] = [dict(zip(numeric, row)) for row in zip(*numeric.values())]
+        else:
+            doc = document()
+        path.write_text(json_text({"schema_version": version, **doc}, indent=2) + "\n")
     else:
         raise DataError(f"unknown format {fmt!r}")
 
@@ -311,12 +321,8 @@ def load_params_json(path) -> tuple[DepthParams, tuple | None]:
 
 def save_rank_table(table: RankTable, path, fmt: str = "csv") -> None:
     order = table.order
-    columns = [order, table.depths[order], table.ranks[order], table.method]
-    _write(path, fmt, ["index", "depth", "rank", "method"], columns, lambda: {
-        "method": table.method,
-        "entries": [{"index": i, "depth": d, "rank": r}
-                    for i, d, r in zip(*(c.tolist() for c in columns[:3]))],
-    })
+    _write(path, fmt, ["index", "depth", "rank", "method"],
+           [order, table.depths[order], table.ranks[order], table.method])
 
 
 def save_contour(grid: ContourGrid, path, fmt: str = "csv") -> None:
@@ -346,32 +352,17 @@ def save_breakdowns(columns: dict, path, fmt: str = "csv") -> None:
     :func:`tppdepth.analysis.depth_breakdown`). Without a baseline the CSV
     has no ``baseline_mahalanobis`` column and the JSON holds ``null``.
     """
-    names = [name for name in (*BREAKDOWN_FIELDS, "baseline_mahalanobis") if name in columns]
-    values = [np.asarray(columns[name], dtype=float) for name in names]
-    index = np.arange(len(values[0]))
-    _write(path, fmt, ["index", *names], [index, *values], lambda: {"entries": [
-        {"index": i, **entry, "baseline_mahalanobis": entry.get("baseline_mahalanobis")}
-        for i, entry in enumerate(dict(zip(names, row)) for row in zip(*(v.tolist() for v in values)))
-    ]})
+    names = ["index", *BREAKDOWN_FIELDS, "baseline_mahalanobis"]
+    values = [None if columns.get(name) is None else np.asarray(columns[name], dtype=float) for name in names[1:]]
+    _write(path, fmt, names, [np.arange(len(values[0])), *values])
 
 
 def save_values(values, method: str, path, fmt: str = "csv") -> None:
     """Write a plain per-realization value table for one method, indexed by row."""
     values = np.asarray(values, dtype=float)
-    index = np.arange(len(values))
-    _write(path, fmt, ["index", "method", "value"], [index, method, values], lambda: {
-        "method": method,
-        "entries": [{"index": i, "value": v} for i, v in zip(index.tolist(), values.tolist())],
-    })
+    _write(path, fmt, ["index", "method", "value"], [np.arange(len(values)), method, values])
 
 
 def summary_to_dict(summary: NearBoundarySummary) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "threshold": summary.threshold,
-        "sample_size": summary.sample_size,
-        "subset_size": summary.subset_size,
-        "indices": list(summary.indices),
-        "mean_product_rank": summary.mean_product_rank,
-        "mean_mahalanobis_rank": summary.mean_mahalanobis_rank,
-    }
+    fields = ("threshold", "sample_size", "subset_size", "indices", "mean_product_rank", "mean_mahalanobis_rank")
+    return {"schema_version": SCHEMA_VERSION, **{f: getattr(summary, f) for f in fields}}

@@ -135,8 +135,8 @@ def test_criterion_4_closed_form_spot_values():
         assert abs(cond - math.sqrt(0.84)) <= 1e-9
         breakdown = product_depth(EventSequence(0.0, (0.3, 1.5)), params)
         product_oracle = direct_product(0.0, (0.3, 1.5), 1.0, 0.25, 1.0, 1.0, (0.5, 0.5))
-        assert abs(breakdown.product - product_oracle) <= 1e-9
-        assert abs(breakdown.product - 0.56569) <= 5e-6
+        assert abs(breakdown["product"] - product_oracle) <= 1e-9
+        assert abs(breakdown["product"] - 0.56569) <= 5e-6
 
 
 def test_criterion_5_simulator_moments():

@@ -299,6 +299,51 @@ class TestContourGrid:
         with pytest.raises(DataError):
             contour_grid(hpp_params, "product", (0.0, 2.0), (0.0, 2.0), 1)
 
+    def test_integral_float_resolution_is_taken(self, hpp_params):
+        taken = contour_grid(hpp_params, "product", (0.0, 2.0), (0.0, 2.0), 3.0)
+        reference = contour_grid(hpp_params, "product", (0.0, 2.0), (0.0, 2.0), 3)
+        assert taken.values.shape == (3, 3)
+        assert np.array_equal(taken.values, reference.values)
+
+    @pytest.mark.parametrize("resolution", [2.5, True, "3", None])
+    def test_resolution_must_be_an_integer(self, hpp_params, resolution):
+        with pytest.raises(DataError, match="resolution must be an integer"):
+            contour_grid(hpp_params, "product", (0.0, 2.0), (0.0, 2.0), resolution)
+
+    @pytest.mark.parametrize("resolution", [0, 1, 1.0, -3])
+    def test_resolution_below_two(self, hpp_params, resolution):
+        with pytest.raises(DataError, match="^resolution must be at least 2$"):
+            contour_grid(hpp_params, "product", (0.0, 2.0), (0.0, 2.0), resolution)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_missing_params_name_the_method(self, hpp_sample, method):
+        with pytest.raises(DataError, match=f"method '{method}' needs fitted parameters"):
+            contour_grid(None, method, (0.0, 2.0), (0.0, 2.0), 5, baseline=fit_mahalanobis(hpp_sample))
+
+
+class TestBaselinePair:
+    @pytest.mark.parametrize("baseline", [(np.zeros(2),), (np.zeros(2), np.eye(2), np.eye(2)), 3.0,
+                                          ("a", "b"), (np.zeros(2), [[1.0, 0.0], [0.0]])])
+    def test_baseline_that_is_not_a_pair(self, hpp_sample, hpp_params, baseline):
+        calls = (
+            lambda: depth_values(hpp_sample, hpp_params, "mahalanobis", baseline=baseline),
+            lambda: rank(hpp_sample, hpp_params, "mahalanobis", baseline=baseline),
+            lambda: depth_breakdown(hpp_sample, hpp_params, baseline=baseline),
+            lambda: contour_grid(hpp_params, "mahalanobis", (0.0, 2.0), (0.0, 2.0), 5, baseline=baseline),
+        )
+        for call in calls:
+            with pytest.raises(DataError, match=r"a baseline must be a \(mean, covariance\) pair"):
+                call()
+
+    def test_row_mean_is_taken(self, hpp_sample, hpp_params):
+        mean, cov = fit_mahalanobis(hpp_sample)
+        row = (mean.reshape(1, -1), cov)
+        assert np.array_equal(depth_values(hpp_sample, None, "mahalanobis", row),
+                              depth_values(hpp_sample, None, "mahalanobis", (mean, cov)))
+        grid = contour_grid(hpp_params, "mahalanobis", (0.0, 2.0), (0.0, 2.0), 5, baseline=row)
+        reference = contour_grid(hpp_params, "mahalanobis", (0.0, 2.0), (0.0, 2.0), 5, baseline=(mean, cov))
+        assert np.array_equal(grid.values, reference.values)
+
 
 class TestNearBoundary:
     def test_threshold_one_covers_everything(self, hpp_sample, hpp_params):
@@ -351,6 +396,11 @@ class TestNearBoundary:
             near_boundary_comparison(hpp_sample, hpp_params, 0.0)
         with pytest.raises(DataError):
             near_boundary_comparison(hpp_sample, hpp_params, 1.5)
+
+    @pytest.mark.parametrize("threshold", [True, "0.5", None, math.nan])
+    def test_threshold_must_be_a_number(self, hpp_sample, hpp_params, threshold):
+        with pytest.raises(DataError, match=r"^threshold must be in \(0, 1\], got "):
+            near_boundary_comparison(hpp_sample, hpp_params, threshold)
 
 
 
@@ -634,11 +684,11 @@ class TestVerifyProperties:
 
     def test_scale_shift_depth_invariance_via_refit(self, hpp_sample, hpp_params):
         seq = hpp_sample.sequence(5)
-        reference = product_depth(seq, hpp_params).product
+        reference = product_depth(seq, hpp_params)["product"]
         assert reference > 0
         for a, b in ((2.0, 0.0), (0.5, 3.0), (7.5, -4.0), (0.1, 10.0)):
             moved_sample = SampleSet(a * hpp_sample.start + b, a * hpp_sample.times + b)
-            moved = product_depth(moved_sample.sequence(5), fit_params(moved_sample)).product
+            moved = product_depth(moved_sample.sequence(5), fit_params(moved_sample))["product"]
             assert moved == pytest.approx(reference, rel=1e-10)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])

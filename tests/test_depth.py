@@ -24,7 +24,7 @@ from tppdepth import (
     marginal_factor,
     product_depth,
 )
-from tppdepth.analysis import METHODS, depth_values
+from tppdepth.analysis import METHODS, depth_breakdown, depth_values
 from tppdepth.depth import (
     BLOCK_ROWS,
     BREAKDOWN_FIELDS,
@@ -214,29 +214,29 @@ class TestHppConditionalDepth:
 class TestProductDepth:
     def test_composed_spot_value(self, params):
         breakdown = product_depth(EventSequence(0.0, (0.3, 1.5)), params)
-        assert breakdown.marginal_factor == pytest.approx(0.70711, abs=5e-6)
-        assert breakdown.conditional == pytest.approx(0.8, rel=1e-12)
-        assert breakdown.product == pytest.approx(0.56569, abs=5e-6)
-        assert breakdown.product == pytest.approx(
+        assert breakdown["marginal_factor"] == pytest.approx(0.70711, abs=5e-6)
+        assert breakdown["conditional"] == pytest.approx(0.8, rel=1e-12)
+        assert breakdown["product"] == pytest.approx(0.56569, abs=5e-6)
+        assert breakdown["product"] == pytest.approx(
             direct_product(0.0, (0.3, 1.5), 1.0, 0.25, 1.0, 1.0, (0.5, 0.5)), rel=1e-9
         )
 
     def test_breakdown_consistency(self, params):
         breakdown = product_depth(EventSequence(0.0, (0.4, 2.0)), params)
-        assert breakdown.product == breakdown.marginal_factor * breakdown.conditional
-        assert 0.0 <= breakdown.omega <= 1.0
-        assert breakdown.exponent >= 0.0
+        assert breakdown["product"] == breakdown["marginal_factor"] * breakdown["conditional"]
+        assert 0.0 <= breakdown["omega"] <= 1.0
+        assert breakdown["exponent"] >= 0.0
 
     def test_center_is_exactly_one(self, params):
         breakdown = product_depth(EventSequence(params.start, params.center), params)
-        assert breakdown.product == 1.0
-        assert breakdown.omega == 1.0
-        assert breakdown.exponent == 0.0
-        assert breakdown.conditional == 1.0
+        assert breakdown["product"] == 1.0
+        assert breakdown["omega"] == 1.0
+        assert breakdown["exponent"] == 0.0
+        assert breakdown["conditional"] == 1.0
 
     def test_boundary_is_exactly_zero(self, params):
-        assert product_depth(EventSequence(0.0, (0.0, 1.2)), params).product == 0.0
-        assert product_depth(EventSequence(0.0, (0.6, 0.6)), params).product == 0.0
+        assert product_depth(EventSequence(0.0, (0.0, 1.2)), params)["product"] == 0.0
+        assert product_depth(EventSequence(0.0, (0.6, 0.6)), params)["product"] == 0.0
 
     def test_start_mismatch_rejected(self, params):
         with pytest.raises(DataError):
@@ -250,14 +250,14 @@ class TestProductDepth:
     @settings(max_examples=300)
     def test_range_and_maximality(self, seq):
         p = DepthParams(start=0.0, mu_last=1.0, var_last=0.25, u_bar=(0.5, 0.5))
-        value = product_depth(seq, p).product
+        value = product_depth(seq, p)["product"]
         assert 0.0 <= value <= 1.0
-        assert value <= product_depth(EventSequence(p.start, p.center), p).product
+        assert value <= product_depth(EventSequence(p.start, p.center), p)["product"]
 
     def test_vanishing_proxy_far_out(self, params):
         far = params.start + params.mu_last + 100 * math.sqrt(params.var_last)
         seq = EventSequence(0.0, (far / 2, far))
-        assert product_depth(seq, params).product < 1e-6
+        assert product_depth(seq, params)["product"] < 1e-6
 
 
 class TestCenter:
@@ -385,8 +385,8 @@ class TestDepthParams:
         assert q == p
         sample = SampleSet(0.5, [[1.0, 2.5]])
         assert (
-            product_depth(SampleSet(1.0 * sample.start + 0.0, 1.0 * sample.times + 0.0).sequence(0), q).product
-            == product_depth(sample.sequence(0), p).product
+            product_depth(SampleSet(1.0 * sample.start + 0.0, 1.0 * sample.times + 0.0).sequence(0), q)["product"]
+            == product_depth(sample.sequence(0), p)["product"]
         )
 
 
@@ -489,7 +489,7 @@ class TestShiftInvariance:
     def test_center_is_exactly_one_at_any_start(self, start):
         p = DepthParams(start=start, mu_last=1.7, var_last=0.3, u_bar=(0.2, 0.3, 0.5))
         breakdown = product_depth(EventSequence(p.start, p.center), p)
-        assert (breakdown.product, breakdown.exponent) == (1.0, 0.0)
+        assert (breakdown["product"], breakdown["exponent"]) == (1.0, 0.0)
 
 
 class TestBatchKernel:
@@ -501,13 +501,26 @@ class TestBatchKernel:
         for i in range(sample.n):
             breakdown = product_depth(sample.sequence(i), params)
             for name in BREAKDOWN_FIELDS:
-                assert bits(getattr(breakdown, name)) == bits(columns[name][i]), (i, name)
+                assert bits(breakdown[name]) == bits(columns[name][i]), (i, name)
         on_boundary = np.any(sample.gaps() == 0.0, axis=1)
         assert np.all(columns["conditional"][on_boundary] == 0.0)
         assert np.all(columns["product"][on_boundary] == 0.0)
         center = {name: columns[name][-1] for name in BREAKDOWN_FIELDS}
         assert center == {"omega": 1.0, "exponent": 0.0, "marginal_factor": 1.0,
                           "conditional": 1.0, "product": 1.0}
+
+    @given(samples_with_params())
+    @settings(max_examples=50, deadline=None)
+    def test_scalar_is_the_breakdown_row(self, case):
+        # One float per breakdown name, in BREAKDOWN_FIELDS order, with the
+        # bits of the realization's row of depth_breakdown.
+        sample, params = case
+        columns = depth_breakdown(sample, params)
+        for i in range(sample.n):
+            breakdown = product_depth(sample.sequence(i), params)
+            assert tuple(breakdown) == BREAKDOWN_FIELDS
+            assert all(type(v) is float for v in breakdown.values())
+            assert [bits(v) for v in breakdown.values()] == [bits(columns[name][i]) for name in BREAKDOWN_FIELDS]
 
     @pytest.mark.parametrize("n", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
     def test_depth_values_unchanged_across_block_size(self, n):
@@ -520,7 +533,7 @@ class TestBatchKernel:
         sample = SampleSet(0.0, full.times[:n])
         last = sample.sequence(n - 1)
         scalar = {
-            "product": product_depth(last, params).product,
+            "product": product_depth(last, params)["product"],
             "marginal": marginal_factor(last.times[-1], params),
             "conditional": conditional_depth(last, params),
             "hpp-conditional": hpp_conditional_depth(last),

@@ -538,6 +538,51 @@ class TestCsvWriter:
         assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+@st.composite
+def labelled_tables(draw):
+    """A table as the writers pass it: csv_tables' numeric columns, one str
+    label, perhaps one column given as None, and distinct header names."""
+    _, columns = draw(csv_tables())
+    columns = [c for c in columns if not isinstance(c, str)]
+    columns.insert(draw(st.integers(0, len(columns))), draw(CELL_TEXT))
+    if draw(st.booleans()):
+        columns.insert(draw(st.integers(0, len(columns))), None)
+    header = draw(st.lists(CELL_TEXT, min_size=len(columns), max_size=len(columns), unique=True))
+    return header, columns
+
+
+class TestJsonTable:
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(table=labelled_tables())
+    def test_json_entries_are_the_csv_rows(self, tmp_path, table):
+        header, columns = table
+        _write(tmp_path / "out.csv", "csv", header, columns)
+        _write(tmp_path / "out.json", "json", header, columns)
+        with (tmp_path / "out.csv").open(newline="") as handle:
+            rows = list(csv.reader(handle))
+        doc = _strict_json((tmp_path / "out.json").read_text())
+        label, text = next((name, c) for name, c in zip(header, columns) if isinstance(c, str))
+        numeric = {name: c for name, c in zip(header, columns) if not isinstance(c, str)}
+        assert list(doc) == ["schema_version", label, "entries"]
+        assert (doc["schema_version"], doc[label]) == (1, text)
+        assert rows[0] == [name for name, c in zip(header, columns) if c is not None]
+        assert len(doc["entries"]) == len(rows) - 1
+        for entry, row in zip(doc["entries"], rows[1:]):
+            cells = dict(zip(rows[0], row))
+            assert cells.pop(label) == text
+            assert list(entry) == list(numeric)
+            for name, column in numeric.items():
+                value = entry[name]
+                if column is None:
+                    assert value is None and name not in cells
+                elif column.dtype.kind == "i":
+                    assert type(value) is int and value == int(cells[name])
+                elif value is None:  # a NaN or an infinity is null in JSON
+                    assert not math.isfinite(float(cells[name]))
+                else:  # the float's repr, bit for bit the %.17g cell
+                    assert type(value) is float and repr(value) == repr(float(cells[name]))
+
+
 def _json_text(body: str) -> str:
     return textwrap.dedent(body).lstrip("\n")
 
