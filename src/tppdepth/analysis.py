@@ -287,7 +287,8 @@ def contour_grid(
 ) -> ContourGrid:
     """Evaluate a depth on a k=2 rectangle of (s1, s2) nodes, ``resolution``
     per axis: an integer of at least 2 (``3.0`` is one; ``2.5`` and ``True``
-    are not). Every method reads ``params`` (the start masks the nodes)."""
+    are not). Each range is a (low, high) pair of finite numbers, low below
+    high. Every method reads ``params`` (the start masks the nodes)."""
     if method not in METHODS:
         raise DataError(f"unknown method {method!r}; expected one of {METHODS}")
     if params is None:
@@ -296,10 +297,18 @@ def contour_grid(
         raise DataError(f"resolution must be an integer, got {resolution!r}")
     if resolution < 2:
         raise DataError("resolution must be at least 2")
-    ranges = [tuple(map(float, r)) for r in (x_range, y_range)]
-    for name, (lo, hi) in zip(("s1", "s2"), ranges):
+    ranges = []
+    for name, ends in (("s1", x_range), ("s2", y_range)):
+        try:
+            lo, hi = ends
+        except (TypeError, ValueError):
+            lo = hi = None
+        if not (is_number(lo) and is_number(hi)):
+            raise DataError(f"the {name} range must be a (low, high) pair of numbers, got {ends!r}")
+        lo, hi = float(lo), float(hi)
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise DataError(f"bad {name} range ({lo}, {hi})")
+        ranges.append((lo, hi))
     if method == "mahalanobis":
         if baseline is None:
             raise DataError("mahalanobis contours need a fitted (mean, covariance) baseline")
@@ -436,22 +445,30 @@ def _refit(sample: SampleSet, a: np.ndarray, b: np.ndarray) -> SimpleNamespace:
 
     Stacks of whole samples, at most ``REFIT_ROWS`` rows (or one sample),
     are fitted at once, event-major, from one contiguous (k, n) copy of
-    the sample. The stack and its normalized gaps live in one buffer
-    reused by every block: fresh block-sized arrays would often come from
-    new pages, one page fault per 4 KiB each time.
+    the sample. Each block copies the sample into its stack and fills
+    (c, n) scale and shift operands, so the multiply and the add run in
+    place, one contiguous loop per event rather than one per sample. The
+    stack and the operands live in buffers reused by every block: fresh
+    block-sized arrays would often come from new pages, one page fault
+    per 4 KiB each time.
     """
     n, k = sample.n, sample.k
     per_block = max(1, REFIT_ROWS // n)
     times = np.ascontiguousarray(sample.times.T)[:, None]
-    buffer = np.empty((2, k * n * min(per_block, a.size)))
+    size = min(per_block, a.size) * n
+    buffer, operands = np.empty(k * size), np.empty((2, size))
     fitted = []
     for lo in range(0, a.size, per_block):
         block = slice(lo, lo + per_block)
         c = a[block].size
-        stack, gaps_out = (part[:k * c * n] for part in buffer)
-        stack = np.multiply(times, a[block, None], out=stack.reshape(k, c, n))
-        stack += b[block, None]
-        fitted.append(fit_stack(stack, a[block] * sample.start + b[block], gaps_out.reshape(n, c, k)))
+        scale, shift = (part[:c * n].reshape(c, n) for part in operands)
+        scale[...] = a[block, None]
+        shift[...] = b[block, None]
+        stack = buffer[:k * c * n].reshape(k, c, n)
+        stack[...] = times
+        stack *= scale
+        stack += shift
+        fitted.append(fit_stack(stack, a[block] * sample.start + b[block]))
     return SimpleNamespace(**{f: np.concatenate([vars(p)[f] for p in fitted]) for f in PARAM_FIELDS})
 
 

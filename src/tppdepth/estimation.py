@@ -18,22 +18,27 @@ from .errors import DataError
 from .sequences import SampleSet, check_times, gap_matrix
 
 
-def fit_stack(times: np.ndarray, start: np.ndarray, gaps_out=None) -> SimpleNamespace:
+# Bytes of the buffer that u_bar's sum copies one chunk of normalized gaps
+# into: it stays in cache, and it is no larger than malloc's default mmap
+# threshold, so it is reused heap memory, not a fresh mapping per fit.
+U_BAR_CHUNK_BYTES = 1 << 17
+
+
+def fit_stack(times: np.ndarray, start: np.ndarray) -> SimpleNamespace:
     """The moment fit of c samples at once: the one formula of the fitted fields.
 
     ``times`` is an event-major (k, c, n) stack (k events, c samples, n
     rows) and ``start`` holds one start per sample. Returns
     ``PARAM_FIELDS`` as arrays over c (``u_bar`` is (c, k); ``horizon`` is
-    ``mu_last``). ``gaps_out``, a float (n, c, k) array, receives the
-    normalized gaps, so that a caller fitting stack after stack reuses one
-    buffer.
+    ``mu_last``).
 
     Each sample is checked as :class:`SampleSet`, :func:`fit_params` and
     :class:`DepthParams` check one sample; the first failing sample raises
     their :class:`DataError`. The layout keeps the bits of a fit of one
     sample: the duration moments reduce one contiguous row per sample
-    (pairwise sums), and ``u_bar`` is a mean over the leading row axis of
-    the normalized gaps (sequential sums).
+    (pairwise sums), and ``u_bar`` is the mean over the rows of the
+    normalized gaps that numpy takes of an (n, c, k) array (sequential
+    sums), summed a cache-sized chunk at a time (:func:`_row_axis_mean`).
     """
     k, c, n = times.shape
     if n < 2:  # after the first sample's own check, as one sample at a time would fail
@@ -49,9 +54,7 @@ def fit_stack(times: np.ndarray, start: np.ndarray, gaps_out=None) -> SimpleName
         # minimum decides; only after a failure is it taken per sample.
         ok = np.full(c, True) if gaps.min() >= 0 else gaps.min(axis=(0, 2)) >= 0
         gaps /= durations
-        fractions = np.empty((n, c, k)) if gaps_out is None else gaps_out
-        fractions[...] = gaps.T
-        u_bar = fractions.mean(axis=0)
+        u_bar = np.ascontiguousarray(_row_axis_mean(gaps.reshape(k * c, n)).reshape(k, c).T)
         center = start[:, None] + cumulative_times(mu_last, u_bar)
         ok &= ((durations > 0).all(axis=1) & np.isfinite(mu_last) & np.isfinite(var_last) & (var_last > 0)
                & ((u_bar > 0) & (u_bar <= 1)).all(axis=1)
@@ -70,6 +73,31 @@ def fit_stack(times: np.ndarray, start: np.ndarray, gaps_out=None) -> SimpleName
             raise DataError("degenerate variance: all realizations share the same duration")
         DepthParams(start[i], mu_last[i], var_last[i], u_bar[i])
     return SimpleNamespace(start=start, mu_last=mu_last, var_last=var_last, u_bar=u_bar, horizon=mu_last)
+
+
+def _row_axis_mean(columns: np.ndarray) -> np.ndarray:
+    """``np.ascontiguousarray(columns.T).mean(axis=0)`` of an (m, n) array,
+    bit for bit, without that (n, m) copy.
+
+    numpy sums a C-contiguous (n, m) array over its rows one row at a
+    time, each column in row order. So each chunk of ``columns`` is copied,
+    transposed, into rows 1.. of one reused buffer; row 0 carries the
+    running sum (-0.0 at first, which adds exactly), and ``np.add.reduce``
+    continues the sum over the chunk. At m = 1 numpy sums pairwise
+    instead, but there (k = 1, one sample) every normalized gap is 1 or
+    NaN, which any order sums exactly.
+    """
+    m, n = columns.shape
+    rows = min(n, max(1, U_BAR_CHUNK_BYTES // (columns.itemsize * m) - 1))
+    buffer = np.empty((rows + 1, m))
+    total = np.full(m, -0.0)
+    for lo in range(0, n, rows):
+        chunk = columns[:, lo:lo + rows].T
+        part = buffer[:chunk.shape[0] + 1]
+        part[0] = total
+        part[1:] = chunk
+        np.add.reduce(part, axis=0, out=total)
+    return total / n
 
 
 def fit_params(sample: SampleSet) -> DepthParams:

@@ -320,6 +320,19 @@ class TestContourGrid:
         with pytest.raises(DataError, match=f"method '{method}' needs fitted parameters"):
             contour_grid(None, method, (0.0, 2.0), (0.0, 2.0), 5, baseline=fit_mahalanobis(hpp_sample))
 
+    @pytest.mark.parametrize("ends", [(0, "x"), (0, 1, 2), None, (True, 1)])
+    @pytest.mark.parametrize("axis", ["s1", "s2"])
+    def test_range_that_is_not_a_pair_of_numbers(self, hpp_params, ends, axis):
+        ranges = {"s1": (0.0, 2.0), "s2": (0.0, 2.0), axis: ends}
+        with pytest.raises(DataError) as caught:
+            contour_grid(hpp_params, "product", ranges["s1"], ranges["s2"], 5)
+        assert str(caught.value) == f"the {axis} range must be a (low, high) pair of numbers, got {ends!r}"
+
+    def test_numeric_ranges_of_any_pair_type_are_taken(self, hpp_params):
+        reference = contour_grid(hpp_params, "product", (0.0, 2.0), (0.0, 2.0), 5)
+        taken = contour_grid(hpp_params, "product", [0, 2], np.array([0.0, 2.0]), 5)
+        assert np.array_equal(taken.values, reference.values)
+
 
 class TestBaselinePair:
     @pytest.mark.parametrize("baseline", [(np.zeros(2),), (np.zeros(2), np.eye(2), np.eye(2)), 3.0,

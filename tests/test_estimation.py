@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from unittest.mock import patch
 
@@ -18,7 +19,7 @@ from tppdepth import (
     verify_properties,
 )
 from tppdepth.depth import PARAM_FIELDS
-from tppdepth.estimation import fit_stack
+from tppdepth.estimation import U_BAR_CHUNK_BYTES, fit_stack
 
 
 @pytest.fixture
@@ -201,6 +202,40 @@ class TestFitStack:
         assert params.mu_last == durations.mean()
         assert params.var_last == durations.var(ddof=1)
         assert np.array_equal(_bits(params.u_bar), _bits((gaps / durations[:, None]).mean(axis=0)))
+
+    @pytest.mark.parametrize("c", [1, 2, 16])
+    @pytest.mark.parametrize("at", ["two", "rows-1", "rows", "rows+1", "3*rows+2"])
+    def test_stack_bits_across_u_bar_chunks(self, c, at):
+        # u_bar is summed a chunk of `rows` realizations at a time: sample
+        # sizes on both sides of one and three chunk boundaries keep the
+        # fields of one fit per sample, and u_bar the plain row-axis mean.
+        k = 3
+        rows = U_BAR_CHUNK_BYTES // (8 * k * c) - 1
+        n = {"two": 2, "rows-1": rows - 1, "rows": rows, "rows+1": rows + 1, "3*rows+2": 3 * rows + 2}[at]
+        rng = np.random.default_rng([c, n])
+        start = rng.uniform(-5.0, 5.0, c)
+        gaps = rng.exponential(1.0, (c, n, k)) * 10.0 ** rng.integers(-2, 3, (c, 1, k))
+        times = start[:, None, None] + np.cumsum(gaps, axis=2)
+        fields = fit_stack(np.ascontiguousarray(times.transpose(2, 0, 1)), start)
+        for i in range(c):
+            expected = fit_params(SampleSet(start[i], times[i]))
+            for name in PARAM_FIELDS:
+                assert np.array_equal(_bits(getattr(fields, name)[i]), _bits(getattr(expected, name))), (i, name)
+            fractions = np.diff(times[i], axis=1, prepend=start[i]) / (times[i, :, -1] - start[i])[:, None]
+            assert np.array_equal(_bits(fields.u_bar[i]), _bits(fractions.mean(axis=0))), i
+
+    def test_fit_holds_no_copy_of_the_gaps(self):
+        # The normalized gaps are one matrix's worth; u_bar's sum adds a
+        # cache-sized chunk, not a second (n, k) copy.
+        sample = simulate(SimConfig(kind="state-dependent", rates=(2.5, 4.0, 6.0, 8.0, 10.0), k=5, n=200_000,
+                                    seed=17))
+        tracemalloc.start()
+        try:
+            fit_params(sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * sample.times.nbytes
 
     def test_overflow_message(self):
         s = simulate(SimConfig(kind="hpp", rates=(2.0,), k=2, n=100, seed=1))
