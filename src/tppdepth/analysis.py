@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -19,7 +18,6 @@ from .depth import (
     BREAKDOWN_FIELDS,
     PARAM_FIELDS,
     DepthParams,
-    affine_fields,
     cumulative_times,
     depth_columns,
     hpp_conditional_column,
@@ -28,8 +26,8 @@ from .depth import (
     require_match,
 )
 from .errors import DataError, check_count, check_seed, is_integer, is_number
-from .estimation import fit_mahalanobis, fit_stack
-from .sequences import SampleSet
+from .estimation import affine_fields, fit_mahalanobis, fit_moved
+from .sequences import SampleSet, check_times
 
 # Each method's kernel, as the name of its memo entry, and its column there.
 _KERNELS = {
@@ -48,9 +46,6 @@ HPP_CONSISTENCY_RTOL = 1e-12
 FRACTION_SLACK = 1e-9
 DEFAULT_RAYS = 1000
 ALPHA_GRID_POINTS = 101
-# Rows of the stacked samples the scale-shift check refits at once: bounds
-# its temporaries whatever the number of trials.
-REFIT_ROWS = 4 * BLOCK_ROWS
 
 
 @dataclass(frozen=True)
@@ -305,7 +300,10 @@ def contour_grid(
             lo = hi = None
         if not (is_number(lo) and is_number(hi)):
             raise DataError(f"the {name} range must be a (low, high) pair of numbers, got {ends!r}")
-        lo, hi = float(lo), float(hi)
+        try:
+            lo, hi = float(lo), float(hi)
+        except OverflowError:  # an integer or fraction beyond the float range
+            raise DataError(f"the {name} range ends must fit in a float") from None
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise DataError(f"bad {name} range ({lo}, {hi})")
         ranges.append((lo, hi))
@@ -440,44 +438,12 @@ def _check_maximality(rng, params, trials) -> PropertyCheck:
     return _tally("P2", trials, np.concatenate([[abs(center_depth - 1.0), abs(peak - 1.0)], margins]))
 
 
-def _refit(sample: SampleSet, a: np.ndarray, b: np.ndarray) -> SimpleNamespace:
-    """The fitted fields of every moved sample ``a[i] * X + b[i]``.
-
-    Stacks of whole samples, at most ``REFIT_ROWS`` rows (or one sample),
-    are fitted at once, event-major, from one contiguous (k, n) copy of
-    the sample. Each block copies the sample into its stack and fills
-    (c, n) scale and shift operands, so the multiply and the add run in
-    place, one contiguous loop per event rather than one per sample. The
-    stack and the operands live in buffers reused by every block: fresh
-    block-sized arrays would often come from new pages, one page fault
-    per 4 KiB each time.
-    """
-    n, k = sample.n, sample.k
-    per_block = max(1, REFIT_ROWS // n)
-    times = np.ascontiguousarray(sample.times.T)[:, None]
-    size = min(per_block, a.size) * n
-    buffer, operands = np.empty(k * size), np.empty((2, size))
-    fitted = []
-    for lo in range(0, a.size, per_block):
-        block = slice(lo, lo + per_block)
-        c = a[block].size
-        scale, shift = (part[:c * n].reshape(c, n) for part in operands)
-        scale[...] = a[block, None]
-        shift[...] = b[block, None]
-        stack = buffer[:k * c * n].reshape(k, c, n)
-        stack[...] = times
-        stack *= scale
-        stack += shift
-        fitted.append(fit_stack(stack, a[block] * sample.start + b[block]))
-    return SimpleNamespace(**{f: np.concatenate([vars(p)[f] for p in fitted]) for f in PARAM_FIELDS})
-
-
-def _check_scale_shift(rng, params, trials, sample) -> PropertyCheck:
+def _check_scale_shift(rng, params, trials, offsets) -> PropertyCheck:
     a = rng.uniform(0.1, 10.0, size=trials)
     b = rng.uniform(-10.0, 10.0, size=trials)
     times = _interior_times(rng, params, trials, moderate=True)
     reference = _product(times, params)
-    moved_params = affine_fields(params, a, b) if sample is None else _refit(sample, a, b)
+    moved_params = affine_fields(params, a, b) if offsets is None else fit_moved(offsets, params.start, a, b)
     moved = _product(a[:, None] * times + b[:, None], moved_params)
     # Equal depths deviate by 0, also where both underflow to 0.
     deviation = np.abs(moved - reference)
@@ -549,27 +515,30 @@ def verify_properties(
 
     Runs ``trials`` random checks per property (``rays`` rays of 101
     points for the monotonicity check) and reports violation counts with
-    worst margins; the report is a pure function of the inputs. When
-    ``sample`` is given, the scale-shift check refits on the transformed
-    sample; otherwise it transforms the fitted parameters directly, which
-    is the same mapping the estimator applies. The checks run on params
-    and sample moved to start 0, where the (shift-invariant) depth is the same.
+    worst margins; the report is a pure function of the inputs. The checks
+    run on params moved to start 0, where the (shift-invariant) depth is
+    the same. The scale-shift check refits every moved sample
+    (:func:`estimation.fit_moved`) from one event-major copy of ``sample``
+    at start 0 when it is given, and otherwise maps the fitted parameters
+    (:func:`estimation.affine_fields`), the same mapping the estimator applies.
     A transformed field that overflows (a horizon or variance near the
     float maximum, scaled) becomes inf, the limit the depth formulas take.
     ``seed``, ``trials`` and ``rays`` must be integers (``1e3`` is one;
     ``True`` and ``2.5`` are not).
     """
     seed, trials, rays = check_seed(seed), check_count("trials", trials), check_count("rays", rays)
+    offsets = None
     if sample is not None:
         require_match(sample, params)
-        sample = SampleSet(0.0, sample.times - sample.start)
+        offsets = np.subtract(sample.times.T, sample.start, order="C")
+        check_times(0.0, offsets.T)
     params = replace(params, start=0.0)
     rng = np.random.Generator(np.random.Philox(key=seed))
     checks = (
         _check_boundary_vanishing(rng, params, trials),
         _check_vanishing_at_infinity(rng, params, trials),
         _check_maximality(rng, params, trials),
-        _check_scale_shift(rng, params, trials, sample),
+        _check_scale_shift(rng, params, trials, offsets),
         _check_ray_monotonicity(rng, params, rays),
         _check_hpp_consistency(rng, params, trials),
         _check_young_range(rng, params, trials),

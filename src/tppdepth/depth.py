@@ -79,19 +79,6 @@ def center_times(start: float, mu_last: float, u_bar) -> tuple[float, ...]:
     return tuple(float(c) for c in center)
 
 
-def affine_fields(params, a, b) -> SimpleNamespace:
-    """Fitted fields of the population transformed by t -> a*t + b, a > 0.
-
-    Matches what refitting on the transformed sample produces: the start
-    maps through a*t + b (so do eta, big_m and the center, which derive
-    from it), mu and the horizon scale by a, the variance by a**2, and the
-    proportions are untouched. ``a`` and ``b`` may be arrays, one
-    transform per row, for :func:`depth_columns`.
-    """
-    return SimpleNamespace(start=a * params.start + b, mu_last=a * params.mu_last,
-                           var_last=a * a * params.var_last, u_bar=params.u_bar, horizon=a * params.horizon)
-
-
 @dataclass(frozen=True)
 class DepthParams:
     """Fitted quantities needed to evaluate depths for one population.

@@ -4,6 +4,10 @@ Fits the quantities the depth formulas need (mean and variance of the
 duration, mean normalized gaps) and the mean/covariance pair for the
 multivariate Mahalanobis baseline. Variances and covariances use the
 unbiased n-1 denominator.
+
+It is also the one owner of how the estimator answers a moved sample
+``t -> a*t + b`` (P3): in closed form (:func:`affine_fields`) and by
+refitting every moved sample (:func:`fit_moved`).
 """
 
 from __future__ import annotations
@@ -13,10 +17,13 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .depth import U_BAR_SUM_TOL, DepthParams, cumulative_times
+from .depth import BLOCK_ROWS, PARAM_FIELDS, U_BAR_SUM_TOL, DepthParams, cumulative_times
 from .errors import DataError
 from .sequences import SampleSet, check_times, gap_matrix
 
+# Rows of the stacked samples fit_moved fits at once: bounds its
+# temporaries whatever the number of moved samples.
+REFIT_ROWS = 4 * BLOCK_ROWS
 
 # Bytes of the buffer that u_bar's sum copies one chunk of normalized gaps
 # into: it stays in cache, and it is no larger than malloc's default mmap
@@ -98,6 +105,51 @@ def _row_axis_mean(columns: np.ndarray) -> np.ndarray:
         part[1:] = chunk
         np.add.reduce(part, axis=0, out=total)
     return total / n
+
+
+def affine_fields(params, a, b) -> SimpleNamespace:
+    """Fitted fields of the population transformed by t -> a*t + b, a > 0.
+
+    Matches what refitting on the transformed sample produces: the start
+    maps through a*t + b (so do eta, big_m and the center, which derive
+    from it), mu and the horizon scale by a, the variance by a**2, and the
+    proportions are untouched. ``a`` and ``b`` may be arrays, one
+    transform per row, for :func:`depth_columns`.
+    """
+    return SimpleNamespace(start=a * params.start + b, mu_last=a * params.mu_last,
+                           var_last=a * a * params.var_last, u_bar=params.u_bar, horizon=a * params.horizon)
+
+
+def fit_moved(times: np.ndarray, start: float, a: np.ndarray, b: np.ndarray) -> SimpleNamespace:
+    """The fitted fields of every moved sample ``a[i] * X + b[i]``, started at
+    ``a[i] * start + b[i]``, of an event-major (k, n) sample X: bit for bit
+    one :func:`fit_params` per moved sample, with its checks.
+
+    Stacks of whole samples, at most ``REFIT_ROWS`` rows (or one sample),
+    are fitted at once by :func:`fit_stack`. Each block copies the sample
+    into its stack and fills (c, n) scale and shift operands, so the
+    multiply and the add run in place, one contiguous loop per event
+    rather than one per sample. The stack and the operands live in buffers
+    reused by every block: fresh block-sized arrays would often come from
+    new pages, one page fault per 4 KiB each time.
+    """
+    k, n = times.shape
+    per_block = max(1, REFIT_ROWS // n)
+    size = min(per_block, a.size) * n
+    buffer, operands = np.empty(k * size), np.empty((2, size))
+    fitted = []
+    for lo in range(0, a.size, per_block):
+        block = slice(lo, lo + per_block)
+        c = a[block].size
+        scale, shift = (part[:c * n].reshape(c, n) for part in operands)
+        scale[...] = a[block, None]
+        shift[...] = b[block, None]
+        stack = buffer[:k * c * n].reshape(k, c, n)
+        stack[...] = times[:, None]
+        stack *= scale
+        stack += shift
+        fitted.append(fit_stack(stack, a[block] * start + b[block]))
+    return SimpleNamespace(**{f: np.concatenate([vars(p)[f] for p in fitted]) for f in PARAM_FIELDS})
 
 
 def fit_params(sample: SampleSet) -> DepthParams:

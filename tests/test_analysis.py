@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 from collections import Counter, deque
 from dataclasses import replace
@@ -36,8 +37,8 @@ from tppdepth.analysis import METHODS
 from tppdepth.depth import BREAKDOWN_FIELDS, PARAM_FIELDS
 
 
-def _refit_one_trial_at_a_time(sample, a, b):
-    fitted = [fit_params(SampleSet(x * sample.start + y, x * sample.times + y)) for x, y in zip(a, b)]
+def _refit_one_trial_at_a_time(times, start, a, b):
+    fitted = [fit_params(SampleSet(x * start + y, x * times.T + y)) for x, y in zip(a, b)]
     return SimpleNamespace(**{f: np.array([getattr(p, f) for p in fitted]) for f in PARAM_FIELDS})
 
 
@@ -146,6 +147,16 @@ class TestRank:
     def test_unknown_method(self, hpp_sample, hpp_params):
         with pytest.raises(DataError):
             rank(hpp_sample, hpp_params, "tukey")
+
+    @pytest.mark.parametrize("method", ["product", "marginal", "conditional"])
+    @pytest.mark.parametrize("function", [depth_values, rank])
+    def test_missing_params_name_the_method(self, hpp_sample, function, method):
+        with pytest.raises(DataError, match=f"^method '{method}' needs fitted parameters$"):
+            function(hpp_sample, None, method)
+
+    def test_breakdown_needs_params(self, hpp_sample):
+        with pytest.raises(DataError, match="^method 'product' needs fitted parameters$"):
+            depth_breakdown(hpp_sample, None)
 
     def test_ranks_come_from_the_module_formula(self, hpp_sample, hpp_params, monkeypatch):
         # rank reaches the one ranking formula through the module global, so
@@ -327,6 +338,18 @@ class TestContourGrid:
         with pytest.raises(DataError) as caught:
             contour_grid(hpp_params, "product", ranges["s1"], ranges["s2"], 5)
         assert str(caught.value) == f"the {axis} range must be a (low, high) pair of numbers, got {ends!r}"
+
+    @pytest.mark.parametrize("ends", [(0, 10**400), (-10**400, 1), (0, 2**1024)])
+    @pytest.mark.parametrize("axis", ["s1", "s2"])
+    def test_range_end_beyond_the_float_range(self, hpp_params, ends, axis):
+        ranges = {"s1": (0.0, 2.0), "s2": (0.0, 2.0), axis: ends}
+        with pytest.raises(DataError) as caught:
+            contour_grid(hpp_params, "product", ranges["s1"], ranges["s2"], 5)
+        assert str(caught.value) == f"the {axis} range ends must fit in a float"
+
+    def test_unknown_method(self, hpp_params):
+        with pytest.raises(DataError, match=r"^unknown method 'tukey'; expected one of \('product', "):
+            contour_grid(hpp_params, "tukey", (0.0, 2.0), (0.0, 2.0), 5)
 
     def test_numeric_ranges_of_any_pair_type_are_taken(self, hpp_params):
         reference = contour_grid(hpp_params, "product", (0.0, 2.0), (0.0, 2.0), 5)
@@ -713,9 +736,34 @@ class TestVerifyProperties:
                                     seed=seed, start=1.5))
         params = fit_params(sample)
         batched = verify_properties(params, trials=300, seed=seed, rays=10, sample=sample)
-        with patch.object(analysis, "_refit", _refit_one_trial_at_a_time):
+        with patch.object(analysis, "fit_moved", _refit_one_trial_at_a_time):
             reference = verify_properties(params, trials=300, seed=seed, rays=10, sample=sample)
         assert batched.checks == reference.checks
+
+    def test_refit_copies_the_sample_once(self):
+        # The moved samples come from one event-major copy of the sample at
+        # start 0: no second SampleSet, no transposed copy beside it.
+        sample = simulate(SimConfig(kind="state-dependent", rates=(2.5, 4.0, 6.0, 8.0, 10.0), k=5, n=200_000,
+                                    seed=17))
+        params = fit_params(sample)
+        verify_properties(params, trials=20, seed=1, rays=5, sample=sample)
+        tracemalloc.start()
+        try:
+            verify_properties(params, trials=20, seed=1, rays=5, sample=sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.3 * sample.times.nbytes
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_refit_checks_the_offsets_as_a_sample(self, seed):
+        # Row 1's offsets from the start overflow; row 0's are finite but
+        # overflow once scaled by most factors. The error names the sample's
+        # own first bad cell, whatever the moved samples are.
+        sample = SampleSet(-1e308, [[0.0, 0.0], [1e308, 1e308]])
+        params = DepthParams(start=-1e308, mu_last=1e308, var_last=1.0, u_bar=(0.5, 0.5))
+        with pytest.raises(DataError, match="^realization 1, column 1: value is not finite$"):
+            verify_properties(params, trials=10, seed=seed, rays=2, sample=sample)
 
     def test_counts_recorded(self, hpp_params):
         report = verify_properties(hpp_params, trials=50, seed=4, rays=7)

@@ -31,12 +31,12 @@ from tppdepth.depth import (
     PARAM_FIELDS,
     _marginal,
     _row_sum,
-    affine_fields,
     cumulative_times,
     depth_columns,
     hpp_conditional_column,
     mahalanobis_column,
 )
+from tppdepth.estimation import affine_fields
 from tppdepth.io import load_params_json
 
 from _oracles import (
@@ -316,6 +316,13 @@ class TestDepthParams:
     def test_rejects_nonpositive_mu(self):
         with pytest.raises(DataError):
             DepthParams(start=0.0, mu_last=0.0, var_last=1.0, u_bar=(1.0,))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["start", "mu_last", "var_last", "horizon"])
+    def test_rejects_nonfinite_fields(self, field, value):
+        fields = {"start": 0.0, "mu_last": 1.0, "var_last": 1.0, "u_bar": (1.0,), field: value}
+        with pytest.raises(DataError, match="^parameters must be finite$"):
+            DepthParams(**fields)
 
     def test_rejects_degenerate_horizon(self):
         with pytest.raises(DataError, match="horizon"):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-import tppdepth.analysis as analysis
+import tppdepth.estimation as estimation
 from tppdepth import (
     DataError,
     SampleSet,
@@ -178,13 +178,14 @@ class TestFitStack:
         b = rng.uniform(-10.0, 10.0, size=trials)
         moved = [(a[i] * sample.start + b[i], a[i] * sample.times + b[i]) for i in range(trials)]
         errors = [_one_sample_error(*m) for m in moved]
-        with patch.object(analysis, "REFIT_ROWS", rows):
+        times = np.ascontiguousarray(sample.times.T)
+        with patch.object(estimation, "REFIT_ROWS", rows):
             if any(errors):
                 with pytest.raises(DataError) as caught:
-                    analysis._refit(sample, a, b)
+                    estimation.fit_moved(times, sample.start, a, b)
                 assert str(caught.value) == next(e for e in errors if e)
                 return
-            fields = analysis._refit(sample, a, b)
+            fields = estimation.fit_moved(times, sample.start, a, b)
         for i, m in enumerate(moved):
             expected = fit_params(SampleSet(*m))
             for name in PARAM_FIELDS:
