@@ -25,7 +25,7 @@ from .depth import (
     marginal_depth_d1,
     require_match,
 )
-from .errors import DataError, check_count, check_seed, is_integer, is_number
+from .errors import DataError, check_count, check_number, check_seed, is_integer, is_number, shown
 from .estimation import affine_fields, fit_mahalanobis, fit_moved
 from .sequences import SampleSet, check_times
 
@@ -190,7 +190,7 @@ def _kept(sample: SampleSet, params: DepthParams | None, method: str, baseline) 
     when none is given. The key is the exact bits of what the kernel reads
     besides the times: the fitted fields, or the baseline's shapes and values."""
     if method not in METHODS:
-        raise DataError(f"unknown method {method!r}; expected one of {METHODS}")
+        raise DataError(f"unknown method {shown(method)}; expected one of {METHODS}")
     if method == "mahalanobis":
         baseline = baseline if baseline is not None else fit_mahalanobis(sample)
         mean, cov = _pair(baseline)
@@ -285,11 +285,11 @@ def contour_grid(
     are not). Each range is a (low, high) pair of finite numbers, low below
     high. Every method reads ``params`` (the start masks the nodes)."""
     if method not in METHODS:
-        raise DataError(f"unknown method {method!r}; expected one of {METHODS}")
+        raise DataError(f"unknown method {shown(method)}; expected one of {METHODS}")
     if params is None:
         raise DataError(f"method {method!r} needs fitted parameters")
     if not is_integer(resolution):
-        raise DataError(f"resolution must be an integer, got {resolution!r}")
+        raise DataError(f"resolution must be an integer, got {shown(resolution)}")
     if resolution < 2:
         raise DataError("resolution must be at least 2")
     ranges = []
@@ -299,11 +299,8 @@ def contour_grid(
         except (TypeError, ValueError):
             lo = hi = None
         if not (is_number(lo) and is_number(hi)):
-            raise DataError(f"the {name} range must be a (low, high) pair of numbers, got {ends!r}")
-        try:
-            lo, hi = float(lo), float(hi)
-        except OverflowError:  # an integer or fraction beyond the float range
-            raise DataError(f"the {name} range ends must fit in a float") from None
+            raise DataError(f"the {name} range must be a (low, high) pair of numbers, got {shown(ends)}")
+        lo, hi = (check_number(f"the {name} range ends", end) for end in (lo, hi))
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise DataError(f"bad {name} range ({lo}, {hi})")
         ranges.append((lo, hi))
@@ -341,7 +338,7 @@ def near_boundary_comparison(
     no ranking runs again.
     """
     if not (is_number(threshold) and 0 < threshold <= 1):
-        raise DataError(f"threshold must be in (0, 1], got {threshold!r}")
+        raise DataError(f"threshold must be in (0, 1], got {shown(threshold)}")
     ranks = [_ranks(*_kept(sample, params, method, None)) for method in ("product", "mahalanobis")]
     durations = sample.durations()
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -31,7 +31,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_number, check_numbers
 from .sequences import EventSequence, gap_matrix
 
 U_BAR_SUM_TOL = 1e-12
@@ -88,7 +88,9 @@ class DepthParams:
     ``eta`` is where the marginal depth peaks (the mean last event time,
     because the one-dimensional Mahalanobis depth is maximal at the mean,
     with maximum 1, so no numerical normalization is needed). ``horizon``
-    scales the marginal exponent and defaults to ``mu_last``.
+    scales the marginal exponent and defaults to ``mu_last``. Each field,
+    and each entry of ``u_bar``, is a number that fits in a float (see
+    :func:`~tppdepth.errors.check_number`): a bool or a string is an error.
     """
 
     start: float
@@ -98,11 +100,11 @@ class DepthParams:
     horizon: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "start", float(self.start))
-        object.__setattr__(self, "mu_last", float(self.mu_last))
-        object.__setattr__(self, "var_last", float(self.var_last))
-        object.__setattr__(self, "u_bar", tuple(float(u) for u in self.u_bar))
-        object.__setattr__(self, "horizon", self.mu_last if self.horizon is None else float(self.horizon))
+        if self.horizon is None:
+            object.__setattr__(self, "horizon", self.mu_last)
+        for name in ("start", "mu_last", "var_last", "horizon"):
+            object.__setattr__(self, name, check_number(name, getattr(self, name)))
+        object.__setattr__(self, "u_bar", check_numbers("u_bar", self.u_bar, "every u_bar entry"))
         if not all(math.isfinite(v) for v in (self.start, self.mu_last, self.var_last, self.horizon)):
             raise DataError("parameters must be finite")
         if not self.var_last > 0:

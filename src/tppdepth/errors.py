@@ -1,7 +1,8 @@
 """Shared error type for invalid data, parameters, and files, and the
-number tests and checks (counts, seeds) that every input check uses."""
+number tests and checks (numbers, counts, seeds) that every input check uses."""
 
 import numbers
+import reprlib
 
 
 class DataError(ValueError):
@@ -10,6 +11,16 @@ class DataError(ValueError):
     The CLI maps this (and I/O failures) to exit code 2, keeping it
     distinct from usage errors (exit 1).
     """
+
+
+def shown(value) -> str:
+    """A caller's value as a message shows it: its ``repr``, cut short as
+    :mod:`reprlib` cuts it, or its type where even that fails (an int
+    beyond Python's digit limit for ``str``)."""
+    try:
+        return reprlib.repr(value)
+    except ValueError:
+        return f"a value of type {type(value).__name__}"
 
 
 def is_number(value) -> bool:
@@ -22,11 +33,32 @@ def is_integer(value) -> bool:
     return is_number(value) and (isinstance(value, numbers.Integral) or float(value).is_integer())
 
 
+def check_number(name: str, value) -> float:
+    """The one conversion of a caller's scalar: ``value`` as a float, or a
+    DataError naming it unless it is a number (see :func:`is_number`) that
+    fits in a float. Each owner checks its own range and finiteness."""
+    if not is_number(value):
+        raise DataError(f"{name} must be a number, got {shown(value)}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer or fraction beyond the float range
+        raise DataError(f"{name} must fit in a float") from None
+
+
+def check_numbers(name: str, values, each: str) -> tuple[float, ...]:
+    """Each of ``values`` by :func:`check_number`, named ``each``; a
+    DataError naming ``name`` if ``values`` is not iterable."""
+    try:
+        return tuple(check_number(each, value) for value in values)
+    except TypeError:
+        raise DataError(f"{name} must be a sequence of numbers, got {shown(values)}") from None
+
+
 def check_count(name: str, value) -> int:
     """``value`` as an int, or a DataError naming it unless it is an integer
     (see :func:`is_integer`) of at least 1."""
     if not is_integer(value):
-        raise DataError(f"{name} must be an integer, got {value!r}")
+        raise DataError(f"{name} must be an integer, got {shown(value)}")
     if value < 1:
         raise DataError(f"{name} must be at least 1")
     return int(value)
@@ -36,7 +68,7 @@ def check_seed(seed) -> int:
     """The one seed check: ``seed`` as an int, or a DataError unless it is an
     integer (see :func:`is_integer`) with ``0 <= seed < 2**64``."""
     if not is_integer(seed):
-        raise DataError(f"seed must be an integer, got {seed!r}")
+        raise DataError(f"seed must be an integer, got {shown(seed)}")
     if not 0 <= seed < 2**64:
-        raise DataError(f"seed must fit in 64 unsigned bits, got {seed}")
+        raise DataError(f"seed must fit in 64 unsigned bits, got {shown(seed)}")
     return int(seed)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .analysis import ContourGrid, NearBoundarySummary, PropertyReport, RankTable
 from .depth import BLOCK_ROWS, BREAKDOWN_FIELDS, DepthParams
-from .errors import DataError, is_integer, is_number
+from .errors import DataError, is_integer, is_number, shown
 from .sequences import EventTimeError, SampleSet
 
 SCHEMA_VERSION = 1
@@ -225,16 +225,17 @@ def save_sample_csv(sample: SampleSet, path) -> None:
 
 def _read_json(path, newest: int) -> dict:
     # A JSON object with a schema_version (if any) of at most ``newest``.
+    with open(path, encoding="utf-8") as handle:
+        text = "".join(_lines(handle, path))
     try:
-        with open(path, encoding="utf-8") as handle:
-            doc = json.loads("".join(_lines(handle, path)))
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # not JSON, or JSON beyond Python's limits on int() and nesting
         raise DataError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise DataError(f"{path}: expected a JSON object")
     version = doc.get("schema_version", newest)
     if not is_integer(version) or version > newest:
-        raise DataError(f"{path}: schema_version {version!r} is newer than {newest} or not a number")
+        raise DataError(f"{path}: schema_version {shown(version)} is newer than {newest} or not a number")
     return doc
 
 
@@ -256,7 +257,7 @@ def _typed(path, what: str, key: str, value, expected: str, valid, convert):
             return convert(value)
     except (OverflowError, ValueError):  # an integer too large for a float, a ragged matrix
         pass
-    raise DataError(f"{path}: {what} {key!r} must be {expected}, got {value!r}")
+    raise DataError(f"{path}: {what} {key!r} must be {expected}, got {shown(value)}")
 
 
 def load_sim_config_json(path) -> dict:

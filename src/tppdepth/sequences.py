@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_number, check_numbers, is_number
 
 
 class EventTimeError(DataError):
@@ -69,14 +69,15 @@ def gap_matrix(times: np.ndarray, first) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EventSequence:
-    """One realization: start time and k nondecreasing event times."""
+    """One realization: start time and k nondecreasing event times, each a
+    number that fits in a float (see :func:`~tppdepth.errors.check_number`)."""
 
     start: float
     times: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "start", float(self.start))
-        object.__setattr__(self, "times", tuple(float(t) for t in self.times))
+        object.__setattr__(self, "start", check_number("start", self.start))
+        object.__setattr__(self, "times", check_numbers("times", self.times, "every event time"))
         check_times(self.start, np.array([self.times]))
 
     @property
@@ -88,18 +89,25 @@ class SampleSet:
     """A homogeneous collection of realizations sharing k and the start time.
 
     Stores the event times as a read-only (n, k) float matrix; row order is
-    preserved and meaningful (realization indices refer to rows). A sample
-    cannot be changed after construction, so it remembers, per depth
-    kernel, the last result computed on it (see :meth:`_memo`).
+    preserved and meaningful (realization indices refer to rows). The start
+    is a number that fits in a float (see :func:`~tppdepth.errors.check_number`),
+    and the times are a matrix of real numbers: a text, bool or complex cell
+    is an error, not converted. A sample cannot be changed after
+    construction, so it remembers, per depth kernel, the last result
+    computed on it (see :meth:`_memo`).
     """
 
     __slots__ = ("start", "times", "_memos")
 
     def __init__(self, start: float, times):
-        start = float(start)
+        start = check_number("start", start)
         try:
-            arr = np.asarray(times, dtype=float)
-        except ValueError as exc:  # ragged rows, or a cell that is not a number
+            arr = np.asarray(times)
+            # Only real numbers: no text is parsed, and no bool or complex cell converted.
+            if arr.dtype.kind not in "iuf" and not (arr.dtype.kind == "O" and all(map(is_number, arr.flat))):
+                raise ValueError(f"the cells are of type {arr.dtype}")
+            arr = arr.astype(float, copy=False)
+        except (ValueError, OverflowError) as exc:  # ragged rows, other cells, or a number beyond the float range
             raise DataError(f"event times must form an (n, k) matrix of numbers ({exc})") from None
         # Always a copy, into a buffer owned by immutable bytes: a caller's
         # later writes to ``times`` reach neither the sample nor what it

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
-from .errors import DataError, check_count, check_seed, is_number
+from .errors import DataError, check_count, check_number, check_numbers, check_seed, shown
 from .sequences import SampleSet
 
 # The process kinds; the kind decides how many rates a config holds.
@@ -34,8 +35,8 @@ class SimConfig:
     and length k for the state-dependent kind. ``k``, ``n`` and ``seed``
     are integers; a float with an integer value such as ``1e5`` is taken,
     a bool or a fractional value is an error, and the n*k float64 times
-    must fit in one numpy array. Each rate and ``start`` is a number; a
-    bool or a string is an error, not converted.
+    must fit in one numpy array. Each rate and ``start`` is a number that
+    fits in a float (see :func:`~tppdepth.errors.check_number`).
     """
 
     kind: str
@@ -48,16 +49,14 @@ class SimConfig:
     def __post_init__(self):
         for name in ("k", "n"):
             object.__setattr__(self, name, check_count(name, getattr(self, name)))
-        if not all(map(is_number, self.rates)):
-            raise DataError(f"every rate must be a number, got {self.rates!r}")
-        if not is_number(self.start):
-            raise DataError(f"start must be a number, got {self.start!r}")
-        object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
-        object.__setattr__(self, "start", float(self.start))
+        object.__setattr__(self, "rates", check_numbers("rates", self.rates, "every rate"))
+        object.__setattr__(self, "start", check_number("start", self.start))
         if self.kind not in KINDS:
-            raise DataError(f"unknown process kind {self.kind!r}")
-        if self.n * self.k * 8 > np.iinfo(np.intp).max:
-            raise DataError(f"n*k = {self.n * self.k:.3g} event times do not fit in one array")
+            raise DataError(f"unknown process kind {shown(self.kind)}")
+        count = self.n * self.k
+        if count * 8 > np.iinfo(np.intp).max:
+            count = count if count < 2**1024 else Decimal(count)  # an int's .3g goes through a float
+            raise DataError(f"n*k = {count:.3g} event times do not fit in one array")
         if not all(math.isfinite(r) and r > 0 for r in self.rates):
             raise DataError("every rate must be positive and finite")
         needed = 1 if self.kind == "hpp" else self.k

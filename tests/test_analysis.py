@@ -347,6 +347,13 @@ class TestContourGrid:
             contour_grid(hpp_params, "product", ranges["s1"], ranges["s2"], 5)
         assert str(caught.value) == f"the {axis} range ends must fit in a float"
 
+    @pytest.mark.parametrize("axis", ["s1", "s2"])
+    def test_range_beyond_the_digit_limit(self, hpp_params, axis):
+        ranges = {"s1": (0.0, 2.0), "s2": (0.0, 2.0), axis: (0, 1, 10**5000)}
+        with pytest.raises(DataError) as caught:
+            contour_grid(hpp_params, "product", ranges["s1"], ranges["s2"], 5)
+        assert str(caught.value) == f"the {axis} range must be a (low, high) pair of numbers, got a value of type tuple"
+
     def test_unknown_method(self, hpp_params):
         with pytest.raises(DataError, match=r"^unknown method 'tukey'; expected one of \('product', "):
             contour_grid(hpp_params, "tukey", (0.0, 2.0), (0.0, 2.0), 5)
@@ -437,6 +444,10 @@ class TestNearBoundary:
     def test_threshold_must_be_a_number(self, hpp_sample, hpp_params, threshold):
         with pytest.raises(DataError, match=r"^threshold must be in \(0, 1\], got "):
             near_boundary_comparison(hpp_sample, hpp_params, threshold)
+
+    def test_threshold_beyond_the_digit_limit(self, hpp_sample, hpp_params):
+        with pytest.raises(DataError, match=r"^threshold must be in \(0, 1\], got a value of type int$"):
+            near_boundary_comparison(hpp_sample, hpp_params, 10**5000)
 
 
 

@@ -157,6 +157,23 @@ class TestMalformedInputs:
         assert _single_error_line(capsys, f"{path}: not UTF-8 text (byte 0x")
         assert not (tmp_path / "p.json").exists()
 
+    @pytest.mark.parametrize("command", ["params", "config"])
+    @pytest.mark.parametrize("text", ["1" + "0" * 5000, "[" * 100_000 + "]" * 100_000],
+                             ids=["int-beyond-the-digit-limit", "nested-too-deep"])
+    def test_json_that_python_cannot_read_is_data_error(self, tmp_path, sample_csv, capsys, command, text):
+        # Valid JSON, but Python's json module refuses an integer of more
+        # than 4300 digits and arrays nested beyond its recursion limit.
+        path, out = tmp_path / "big.json", tmp_path / "x.csv"
+        if command == "params":
+            path.write_text(json.dumps({**PARAMS, "var_last": "TEXT"}).replace('"TEXT"', text))
+            argv = ("rank", "--in", sample_csv, "--params", path, "--method", "product", "--out", out)
+        else:
+            path.write_text(json.dumps({**SIM, "n": "TEXT"}).replace('"TEXT"', text))
+            argv = ("simulate", "--config", path, "--out", out)
+        assert run(*argv) == 2
+        assert _single_error_line(capsys, f"{path}: not valid JSON (")
+        assert not out.exists()
+
     @pytest.mark.parametrize("missing", ["mahalanobis_mean", "mahalanobis_cov"])
     def test_half_baseline_is_data_error(self, tmp_path, sample_csv, params_json, capsys, missing):
         doc = json.loads(params_json.read_text())
@@ -594,6 +611,20 @@ class TestOversizedSample:
         config.write_text('{"kind": "hpp", "rates": [2], "k": 1, "n": 1e300}')
         assert run("simulate", "--config", config, "--out", out) == 2
         assert _single_error_line(capsys, "error: n*k = 1e+300 event times do not fit in one array")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    def test_n_beyond_the_float_range(self, tmp_path, capsys, source):
+        # n*k is shown in float notation, and this n is beyond the float range.
+        out, n = tmp_path / "x.csv", 10**400
+        if source == "flags":
+            code = run(*self.HPP, "--k", 1, "--n", n, "--out", out)
+        else:
+            config = tmp_path / "sim.json"
+            config.write_text(json.dumps({**SIM, "k": 1, "n": n}))
+            code = run("simulate", "--config", config, "--out", out)
+        assert code == 2
+        assert _single_error_line(capsys, "error: n*k = 1.00e+400 event times do not fit in one array")
         assert not out.exists()
 
     @pytest.mark.parametrize("message, line", [

@@ -3,6 +3,7 @@ import math
 import re
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -327,6 +328,36 @@ class TestDepthParams:
     def test_rejects_degenerate_horizon(self):
         with pytest.raises(DataError, match="horizon"):
             DepthParams(start=0.0, mu_last=1.0, var_last=1.0, u_bar=(1.0,), horizon=0.0)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("start", "0", "start must be a number, got '0'"),
+        ("mu_last", True, "mu_last must be a number, got True"),
+        ("var_last", None, "var_last must be a number, got None"),
+        ("horizon", "1", "horizon must be a number, got '1'"),
+        ("mu_last", 10**400, "mu_last must fit in a float"),
+        ("horizon", -(10**400), "horizon must fit in a float"),
+        ("u_bar", 5, "u_bar must be a sequence of numbers, got 5"),
+        ("u_bar", ("0.5", "0.5"), "every u_bar entry must be a number, got '0.5'"),
+        ("u_bar", (False, 1.0), "every u_bar entry must be a number, got False"),
+        ("u_bar", (1.0, 10**400), "every u_bar entry must fit in a float"),
+    ], ids=["start-text", "mu_last-bool", "var_last-none", "horizon-text", "mu_last-huge", "horizon-huge",
+            "u_bar-number", "u_bar-text", "u_bar-bool", "u_bar-huge"])
+    def test_every_field_is_a_number_that_fits_in_a_float(self, field, value, message):
+        fields = {"start": 0.0, "mu_last": 1.0, "var_last": 1.0, "u_bar": (0.5, 0.5), field: value}
+        with pytest.raises(DataError) as caught:
+            DepthParams(**fields)
+        assert str(caught.value) == message
+
+    def test_numbers_of_any_real_type_are_taken(self):
+        taken = DepthParams(Fraction(1, 2), np.float32(1.5), np.int64(2), [Fraction(1, 4), np.float64(0.75)], 3)
+        assert taken == DepthParams(0.5, 1.5, 2.0, (0.25, 0.75), 3.0)
+        assert all(type(v) is float for v in (taken.start, taken.mu_last, taken.var_last, taken.horizon, *taken.u_bar))
+
+    def test_rejects_empty_proportions(self):
+        with pytest.raises(DataError, match="^gap proportions must be a nonempty vector$"):
+            DepthParams(0.0, 1.0, 1.0, ())
+        with pytest.raises(DataError, match="^gap proportions must be a nonempty vector$"):
+            center_times(0.0, 1.0, [[0.5, 0.5]])
 
     # k, eta and the center are derived; a params file stores them as
     # checked redundancy, so a wrong stored value fails at load.

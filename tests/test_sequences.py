@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -56,6 +57,18 @@ class TestEventSequence:
         with pytest.raises(DataError):
             EventSequence(float("nan"), (1.0,))
 
+    @pytest.mark.parametrize("start, times, message", [
+        ("0", ("1", "2"), "start must be a number, got '0'"),
+        (10**400, (1.0,), "start must fit in a float"),
+        (0.0, ("1", "2"), "every event time must be a number, got '1'"),
+        (0.0, (True,), "every event time must be a number, got True"),
+        (0.0, 5, "times must be a sequence of numbers, got 5"),
+    ], ids=["start-text", "start-huge", "times-text", "times-bool", "times-number"])
+    def test_every_time_is_a_number_that_fits_in_a_float(self, start, times, message):
+        with pytest.raises(DataError) as caught:
+            EventSequence(start, times)
+        assert str(caught.value) == message
+
 
 class TestSampleSet:
     def test_from_matrix(self):
@@ -87,6 +100,33 @@ class TestSampleSet:
     def test_not_a_matrix_of_numbers(self, times):
         with pytest.raises(DataError, match=r"\(n, k\) matrix of numbers"):
             SampleSet(0.0, times)
+
+    @pytest.mark.parametrize("times", [
+        [["1", "2"]], [[1.0, "2"]], [[1 + 2j, 3.0]], [[10**400, 10**401]], [[True, True]], np.ones((2, 2), dtype=bool),
+        [[None, 1.0]], [[b"1", b"2"]],
+    ], ids=["text", "mixed-text", "complex", "int-beyond-the-float-range", "bool", "bool-array", "none", "bytes"])
+    def test_cells_that_are_not_real_numbers(self, times):
+        # Nothing is parsed or converted: text, a bool or a complex cell is
+        # an error, and so is a number beyond the float range.
+        with pytest.raises(DataError, match=r"^event times must form an \(n, k\) matrix of numbers"):
+            SampleSet(0.0, times)
+
+    @pytest.mark.parametrize("times", [
+        [[1, 2]], [[Fraction(1, 2), 2]], [[np.int64(1), np.float32(2.0)]], np.array([[1.0, 2.0]], dtype=np.float32),
+        np.array([[1, 2]], dtype=np.uint8), [[2**64, 2**65]],
+    ], ids=["ints", "fractions", "numpy-scalars", "float32", "uint8", "ints-beyond-int64"])
+    def test_cells_of_any_real_type_are_taken(self, times):
+        expected = [[float(t) for t in row] for row in np.asarray(times, dtype=object)]
+        assert SampleSet(0.0, times).times.tolist() == expected
+
+    @pytest.mark.parametrize("start, message", [
+        ("0", "start must be a number, got '0'"), (True, "start must be a number, got True"),
+        (10**400, "start must fit in a float"),
+    ], ids=["text", "bool", "huge"])
+    def test_start_is_a_number_that_fits_in_a_float(self, start, message):
+        with pytest.raises(DataError) as caught:
+            SampleSet(start, [[1.0, 2.0]])
+        assert str(caught.value) == message
 
     def test_times_are_read_only(self):
         sample = SampleSet(0.0, [[1.0, 2.0]])

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -80,6 +81,24 @@ class TestSimConfig:
         config = SimConfig(kind="hpp", rates=[np.float32(2.0)], k=2, n=5, start=np.int64(1))
         assert config.rates == (2.0,) and config.start == 1.0
         assert type(config.rates[0]) is float and type(config.start) is float
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("rates", 2.0, "rates must be a sequence of numbers, got 2.0"),
+        ("rates", (10**400,), "every rate must fit in a float"),
+        ("rates", (10**5000, "x"), "every rate must fit in a float"),
+        ("start", 10**400, "start must fit in a float"),
+        ("seed", 10**5000, "seed must fit in 64 unsigned bits, got a value of type int"),
+        ("kind", 10**5000, "unknown process kind a value of type int"),
+        ("n", 10**400, "n*k = 1.00e+400 event times do not fit in one array"),
+    ], ids=["rates-number", "rate-beyond-the-float-range", "rate-beyond-the-digit-limit", "start", "seed", "kind", "n"])
+    def test_huge_or_misshapen_values_are_data_errors(self, name, value, message):
+        with pytest.raises(DataError) as caught:
+            SimConfig(**{"kind": "hpp", "rates": (2.0,), "k": 1, "n": 2, name: value})
+        assert str(caught.value) == message
+
+    def test_fractions_are_taken(self):
+        config = SimConfig(kind="hpp", rates=[Fraction(5, 2)], k=2, n=5, start=Fraction(1, 4))
+        assert config.rates == (2.5,) and config.start == 0.25
 
     @pytest.mark.parametrize("start", [math.inf, -math.inf, math.nan])
     def test_start_finite(self, start):
