@@ -18,7 +18,6 @@ from .analysis import (
 )
 from .depth import (
     DepthParams,
-    center_times,
     conditional_depth,
     hpp_conditional_depth,
     mahalanobis_depth,
@@ -45,7 +44,6 @@ __all__ = [
     "RankTable",
     "SampleSet",
     "SimConfig",
-    "center_times",
     "conditional_depth",
     "contour_grid",
     "depth_breakdown",

@@ -25,7 +25,7 @@ from .depth import (
     marginal_depth_d1,
     require_match,
 )
-from .errors import DataError, check_count, check_number, check_seed, is_integer, is_number, shown
+from .errors import DataError, check_count, check_number, check_seed, is_number, shown
 from .estimation import affine_fields, fit_mahalanobis, fit_moved
 from .sequences import SampleSet, check_times
 
@@ -288,10 +288,7 @@ def contour_grid(
         raise DataError(f"unknown method {shown(method)}; expected one of {METHODS}")
     if params is None:
         raise DataError(f"method {method!r} needs fitted parameters")
-    if not is_integer(resolution):
-        raise DataError(f"resolution must be an integer, got {shown(resolution)}")
-    if resolution < 2:
-        raise DataError("resolution must be at least 2")
+    resolution = check_count("resolution", resolution, least=2)
     ranges = []
     for name, ends in (("s1", x_range), ("s2", y_range)):
         try:
@@ -312,7 +309,7 @@ def contour_grid(
         k, needed = params.k, "k=2 parameters"
     if k != 2:
         raise DataError(f"contour grids for method {method!r} need {needed}, got k={k}")
-    axis1, axis2 = (np.linspace(lo, hi, int(resolution)) for lo, hi in ranges)
+    axis1, axis2 = (np.linspace(lo, hi, resolution) for lo, hi in ranges)
     s1, s2 = np.meshgrid(axis1, axis2, indexing="ij")
     inside = np.ones_like(s1, dtype=bool) if method == "mahalanobis" else (params.start <= s1) & (s1 <= s2)
     values = np.zeros(s1.shape)

@@ -56,41 +56,19 @@ def cumulative_times(duration, proportions) -> np.ndarray:
     return np.asarray(duration, dtype=float)[..., None] * cum
 
 
-def center_times(start: float, mu_last: float, u_bar) -> tuple[float, ...]:
-    """Central event-time vector from mean duration and mean gap proportions.
-
-    Entry i is ``start + mu_last * (u_bar[0] + ... + u_bar[i])``. The final
-    cumulative proportion is pinned to exactly 1 so the last entry equals
-    ``start + mu_last`` bitwise; ``u_bar`` must already sum to 1 within
-    1e-12 for this to be a no-op beyond rounding.
-    """
-    u = np.asarray(u_bar, dtype=float)
-    if u.ndim != 1 or u.size < 1:
-        raise DataError("gap proportions must be a nonempty vector")
-    if not np.all((u > 0) & (u <= 1)):  # which also keeps the sum below from overflowing
-        raise DataError("every gap proportion must lie in (0, 1]")
-    if abs(float(u.sum()) - 1.0) > U_BAR_SUM_TOL:
-        raise DataError(f"gap proportions must sum to 1 within {U_BAR_SUM_TOL}, got {u.sum()!r}")
-    if not (mu_last > 0) or not math.isfinite(mu_last):
-        raise DataError("mean duration must be positive and finite")
-    center = start + cumulative_times(mu_last, u)
-    if np.any(np.diff(center) <= 0) or not center[0] > start:
-        raise DataError("central event times must be strictly increasing")
-    return tuple(float(c) for c in center)
-
-
 @dataclass(frozen=True)
 class DepthParams:
-    """Fitted quantities needed to evaluate depths for one population.
+    """Fitted quantities needed to evaluate depths for one population; the
+    one statement of the rules they obey.
 
-    Only the start and the fitted durations and proportions are stored;
-    ``k``, ``eta``, ``big_m = start + horizon`` and ``center`` are derived.
-    ``eta`` is where the marginal depth peaks (the mean last event time,
-    because the one-dimensional Mahalanobis depth is maximal at the mean,
-    with maximum 1, so no numerical normalization is needed). ``horizon``
-    scales the marginal exponent and defaults to ``mu_last``. Each field,
-    and each entry of ``u_bar``, is a number that fits in a float (see
-    :func:`~tppdepth.errors.check_number`): a bool or a string is an error.
+    Only the start and the fitted durations and proportions are fields;
+    ``k``, ``eta``, ``big_m = start + horizon`` and ``center`` are derived
+    (the center once, when built). ``eta`` is where the marginal depth peaks
+    (the mean last event time, because the one-dimensional Mahalanobis
+    depth is maximal at the mean, with maximum 1, so no numerical
+    normalization is needed). ``horizon`` scales the marginal exponent and
+    defaults to ``mu_last``. Each field, and each entry of ``u_bar``, is a
+    number that fits in a float (see :func:`~tppdepth.errors.check_number`).
     """
 
     start: float
@@ -111,7 +89,19 @@ class DepthParams:
             raise DataError(f"degenerate variance of the last event time: {self.var_last}")
         if not self.horizon > 0:
             raise DataError(f"degenerate horizon: {self.horizon} is not positive")
-        center_times(self.start, self.mu_last, self.u_bar)  # checks the proportions
+        u = np.array(self.u_bar)
+        if u.size < 1:
+            raise DataError("gap proportions must be a nonempty vector")
+        if not np.all((u > 0) & (u <= 1)):  # which also keeps the sum below from overflowing
+            raise DataError("every gap proportion must lie in (0, 1]")
+        if abs(float(u.sum()) - 1.0) > U_BAR_SUM_TOL:
+            raise DataError(f"gap proportions must sum to 1 within {U_BAR_SUM_TOL}, got {u.sum()!r}")
+        if not self.mu_last > 0:
+            raise DataError("mean duration must be positive and finite")
+        center = self.start + cumulative_times(self.mu_last, u)
+        if np.any(np.diff(center) <= 0) or not center[0] > self.start:
+            raise DataError("central event times must be strictly increasing")
+        object.__setattr__(self, "_center", tuple(center.tolist()))
 
     @property
     def k(self) -> int:
@@ -128,8 +118,8 @@ class DepthParams:
 
     @property
     def center(self) -> tuple[float, ...]:
-        """The central event-time vector (see :func:`center_times`)."""
-        return center_times(self.start, self.mu_last, self.u_bar)
+        """``start + mu_last * cumsum(u_bar)``, the last entry bitwise ``eta``; kept from construction."""
+        return self._center
 
 
 @np.errstate(all="ignore")
@@ -318,7 +308,7 @@ def marginal_depth_d1(last_time: float, params: DepthParams) -> float:
     ``1 / (1 + (last_time - start - mu_last)**2 / var_last)``; equals 1
     exactly when the duration matches the mean duration.
     """
-    return float(_marginal(np.array([last_time], dtype=float) - params.start, params)[0][0])
+    return float(_marginal(np.array([check_number("last_time", last_time)]) - params.start, params)[0][0])
 
 
 def marginal_factor(last_time: float, params: DepthParams) -> float:
@@ -327,7 +317,7 @@ def marginal_factor(last_time: float, params: DepthParams) -> float:
     The exponent is computed first; when it is 0 the factor is 1
     regardless of the base, which keeps the factor continuous at eta.
     """
-    return float(_marginal(np.array([last_time], dtype=float) - params.start, params)[2][0])
+    return float(_marginal(np.array([check_number("last_time", last_time)]) - params.start, params)[2][0])
 
 
 def conditional_depth(seq: EventSequence, params: DepthParams) -> float:
@@ -363,4 +353,5 @@ def product_depth(seq: EventSequence, params: DepthParams) -> dict[str, float]:
 def mahalanobis_depth(times, mean, covariance) -> float:
     """Multivariate Mahalanobis depth of one event-time vector; the batch of
     one of :func:`mahalanobis_column`."""
-    return float(mahalanobis_column(np.reshape(np.asarray(times, dtype=float), (1, -1)), mean, covariance)[0])
+    row = np.array([check_numbers("times", times, "every entry of times")])
+    return float(mahalanobis_column(row, mean, covariance)[0])

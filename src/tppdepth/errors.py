@@ -29,8 +29,10 @@ def is_number(value) -> bool:
 
 
 def is_integer(value) -> bool:
-    """An integer, or a number with an integer value such as ``1e5``."""
-    return is_number(value) and (isinstance(value, numbers.Integral) or float(value).is_integer())
+    """An integer, or a number with an integer value such as ``1e5``; a
+    fraction is decided by its denominator, with no float."""
+    return is_number(value) and (isinstance(value, numbers.Integral) or (
+        value.denominator == 1 if isinstance(value, numbers.Rational) else float(value).is_integer()))
 
 
 def check_number(name: str, value) -> float:
@@ -54,13 +56,13 @@ def check_numbers(name: str, values, each: str) -> tuple[float, ...]:
         raise DataError(f"{name} must be a sequence of numbers, got {shown(values)}") from None
 
 
-def check_count(name: str, value) -> int:
+def check_count(name: str, value, least: int = 1) -> int:
     """``value`` as an int, or a DataError naming it unless it is an integer
-    (see :func:`is_integer`) of at least 1."""
+    (see :func:`is_integer`) of at least ``least``."""
     if not is_integer(value):
         raise DataError(f"{name} must be an integer, got {shown(value)}")
-    if value < 1:
-        raise DataError(f"{name} must be at least 1")
+    if value < least:
+        raise DataError(f"{name} must be at least {least}")
     return int(value)
 
 

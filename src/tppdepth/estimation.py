@@ -41,9 +41,10 @@ def fit_stack(times: np.ndarray, start: np.ndarray) -> SimpleNamespace:
 
     Each sample is checked as :class:`SampleSet`, :func:`fit_params` and
     :class:`DepthParams` check one sample; the first failing sample raises
-    their :class:`DataError`. The layout keeps the bits of a fit of one
-    sample: the duration moments reduce one contiguous row per sample
-    (pairwise sums), and ``u_bar`` is the mean over the rows of the
+    their :class:`DataError`; :class:`DepthParams` owns the rules of the
+    fitted fields, which this repeats batched. The layout keeps the bits of
+    a fit of one sample: the duration moments reduce one contiguous row per
+    sample (pairwise sums), and ``u_bar`` is the mean over the rows of the
     normalized gaps that numpy takes of an (n, c, k) array (sequential
     sums), summed a cache-sized chunk at a time (:func:`_row_axis_mean`).
     """

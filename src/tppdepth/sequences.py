@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, check_number, check_numbers, is_number
+from .errors import DataError, check_number, check_numbers, is_number, shown
 
 
 class EventTimeError(DataError):
@@ -102,9 +102,13 @@ class SampleSet:
     def __init__(self, start: float, times):
         start = check_number("start", start)
         try:
-            arr = np.asarray(times)
-            # Only real numbers: no text is parsed, and no bool or complex cell converted.
-            if arr.dtype.kind not in "iuf" and not (arr.dtype.kind == "O" and all(map(is_number, arr.flat))):
+            # Only real numbers: a list is read as objects, so no cell is parsed or converted first.
+            arr = times if isinstance(times, np.ndarray) else np.array(times, dtype=object)
+            if arr.dtype.kind == "O":  # a cell of each type decides
+                for cell in dict(zip(map(type, arr.flat), arr.flat)).values():
+                    if not is_number(cell):
+                        raise ValueError(f"{shown(cell)} is not a real number")
+            elif arr.dtype.kind not in "iuf":
                 raise ValueError(f"the cells are of type {arr.dtype}")
             arr = arr.astype(float, copy=False)
         except (ValueError, OverflowError) as exc:  # ragged rows, other cells, or a number beyond the float range

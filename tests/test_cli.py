@@ -751,12 +751,17 @@ class TestTopLevel:
         assert run("--help") == 0
 
     def test_out_dir_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TPPDEPTH_OUT_DIR", str(tmp_path))
-        monkeypatch.chdir(tmp_path)
-        code = run("simulate", "--kind", "hpp", "--rates", "1", "--k", "1",
-                   "--n", "5", "--seed", "0", "--out", "plain.csv")
-        assert code == 0
-        assert (tmp_path / "plain.csv").exists()
+        # Only a name without a directory moves into TPPDEPTH_OUT_DIR.
+        out_dir, work = tmp_path / "out", tmp_path / "work"
+        out_dir.mkdir()
+        (work / "sub").mkdir(parents=True)
+        monkeypatch.setenv("TPPDEPTH_OUT_DIR", str(out_dir))
+        monkeypatch.chdir(work)
+        argv = ("simulate", "--kind", "hpp", "--rates", "1", "--k", "1", "--n", "5", "--seed", "0", "--out")
+        for out in ("bare.csv", "sub/nested.csv", str(work / "absolute.csv")):
+            assert run(*argv, out) == 0
+        written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.csv"))
+        assert written == ["out/bare.csv", "work/absolute.csv", "work/sub/nested.csv"]
 
     def test_inputs_not_mutated(self, tmp_path, sample_csv, params_json):
         before_sample = sample_csv.read_bytes()

@@ -1,8 +1,9 @@
 import json
 import math
 import re
+import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -17,7 +18,6 @@ from tppdepth import (
     DepthParams,
     EventSequence,
     SampleSet,
-    center_times,
     conditional_depth,
     hpp_conditional_depth,
     mahalanobis_depth,
@@ -124,6 +124,39 @@ class TestMarginalFactor:
             assert marginal_factor(last, params) == pytest.approx(
                 direct_marginal_factor(last, 0.0, 1.0, 0.25, 1.0, 1.0), rel=1e-12
             )
+
+
+class TestScalarArguments:
+    # The scalar functions take numbers by the rule of errors.check_number:
+    # no text is parsed and no bool converted; every real number keeps the
+    # bits of its float.
+    @pytest.mark.parametrize("function", [marginal_factor, marginal_depth_d1])
+    @pytest.mark.parametrize("value, text", [("0.5", "'0.5'"), (True, "True"), (None, "None")])
+    def test_last_time_is_a_number(self, params, function, value, text):
+        with pytest.raises(DataError) as caught:
+            function(value, params)
+        assert str(caught.value) == f"last_time must be a number, got {text}"
+
+    @pytest.mark.parametrize("times, message", [
+        (["1", "2"], "every entry of times must be a number, got '1'"),
+        ((True, 2.0), "every entry of times must be a number, got True"),
+        (1.5, "times must be a sequence of numbers, got 1.5"),
+    ], ids=["text", "bool", "scalar"])
+    def test_mahalanobis_times_are_numbers(self, times, message):
+        with pytest.raises(DataError) as caught:
+            mahalanobis_depth(times, (1.0, 2.0), np.eye(2))
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("value", [2, Fraction(3, 2), np.float32(1.25), np.float64(0.7), np.int64(-1)])
+    def test_numbers_keep_their_bits(self, params, value):
+        columns = _marginal(np.array([float(value)]) - params.start, params)
+        assert bits(marginal_depth_d1(value, params)) == bits(columns[0][0])
+        assert bits(marginal_factor(value, params)) == bits(columns[2][0])
+        times = [value, float(value) + 0.5]
+        mean, cov = (0.3, 1.1), np.array([[2.0, 0.7], [0.7, 1.5]])
+        expected = mahalanobis_column(np.array([[float(t) for t in times]]), mean, cov)[0]
+        assert bits(mahalanobis_depth(times, mean, cov)) == bits(expected)
+        assert bits(mahalanobis_depth(np.array(times, dtype=float), mean, cov)) == bits(expected)
 
 
 class TestConditionalDepth:
@@ -263,38 +296,65 @@ class TestProductDepth:
 
 class TestCenter:
     def test_cumulative_sums(self):
-        assert center_times(0.0, 1.0, (0.5, 0.5)) == (0.5, 1.0)
+        assert DepthParams(0.0, 1.0, 1.0, (0.5, 0.5)).center == (0.5, 1.0)
 
     def test_hand_example(self):
-        assert center_times(10.0, 4.0, (0.25, 0.25, 0.5)) == (11.0, 12.0, 14.0)
+        assert DepthParams(10.0, 4.0, 1.0, (0.25, 0.25, 0.5)).center == (11.0, 12.0, 14.0)
 
     def test_constant_rate_center_is_mean_times(self):
         # Uniform proportions with mean duration k/rate puts entry i at i/rate.
         k, rate = 4, 2.0
-        center = center_times(0.0, k / rate, (1 / k,) * k)
+        center = DepthParams(0.0, k / rate, 1.0, (1 / k,) * k).center
         assert center == pytest.approx(tuple((i + 1) / rate for i in range(k)), rel=1e-12)
 
     def test_last_entry_is_start_plus_mean(self):
         u = np.array([0.1, 0.2, 0.3, 0.4])
         u = u / u.sum()
-        center = center_times(5.0, 3.0, tuple(u))
+        center = DepthParams(5.0, 3.0, 1.0, tuple(u)).center
         assert center[-1] == 8.0
 
     def test_strictly_increasing(self):
-        center = center_times(0.0, 2.0, (0.2, 0.3, 0.5))
+        center = DepthParams(0.0, 2.0, 1.0, (0.2, 0.3, 0.5)).center
         assert all(a < b for a, b in zip(center, center[1:]))
 
     def test_rejects_bad_proportions(self):
-        with pytest.raises(DataError):
-            center_times(0.0, 1.0, (0.5, -0.5, 1.0))
-        with pytest.raises(DataError):
-            center_times(0.0, 1.0, (0.5, 0.4))
-        with pytest.raises(DataError):
-            center_times(0.0, 0.0, (0.5, 0.5))
+        with pytest.raises(DataError, match=r"^every gap proportion must lie in \(0, 1\]$"):
+            DepthParams(0.0, 1.0, 1.0, (0.5, -0.5, 1.0))
+        with pytest.raises(DataError, match=r"^gap proportions must sum to 1 within 1e-12, got "):
+            DepthParams(0.0, 1.0, 1.0, (0.5, 0.4))
+        with pytest.raises(DataError, match="^mean duration must be positive and finite$"):
+            DepthParams(0.0, 0.0, 1.0, (0.5, 0.5), horizon=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # checked before a sum that would overflow
             with pytest.raises(DataError, match=r"\(0, 1\]"):
-                center_times(0.0, 1.0, (1e308, 1e308))
+                DepthParams(0.0, 1.0, 1.0, (1e308, 1e308))
+
+    def test_rejects_a_center_that_does_not_increase(self):
+        # A proportion too small to move a large start merges two times.
+        with pytest.raises(DataError, match="^central event times must be strictly increasing$"):
+            DepthParams(1e16, 1.0, 1.0, (1e-3, 1 - 1e-3))
+
+    def test_reading_the_center_runs_no_check_and_no_cumsum(self):
+        p = DepthParams(0.5, 2.0, 1.0, (0.25, 0.25, 0.5))
+        calls = []
+        # Each Python call by its function's name, each C call by the builtin's.
+        sys.setprofile(lambda frame, event, arg: calls.append(
+            (event, arg.__name__ if event.startswith("c_") else frame.f_code.co_name)))
+        try:
+            center = p.center
+        finally:
+            sys.setprofile(None)
+        # The getter alone runs, calling nothing; then the profile is switched off.
+        assert calls == [("call", "center"), ("return", "center"), ("c_call", "setprofile")]
+        assert center is p.center == (1.0, 1.5, 2.5)
+
+    def test_the_kept_center_is_not_a_field(self):
+        p = DepthParams(0.5, 2.0, 1.0, (0.25, 0.75))
+        q = DepthParams(0.5, 2.0, 1.0, (0.25, 0.75))
+        assert p == q and hash(p) == hash(q)
+        assert repr(p) == "DepthParams(start=0.5, mu_last=2.0, var_last=1.0, u_bar=(0.25, 0.75), horizon=2.0)"
+        assert replace(p, mu_last=4.0).center == (1.5, 4.5)
+        assert replace(p, mu_last=4.0) == DepthParams(0.5, 4.0, 1.0, (0.25, 0.75), 2.0)
 
 
 class TestDepthParams:
@@ -356,8 +416,6 @@ class TestDepthParams:
     def test_rejects_empty_proportions(self):
         with pytest.raises(DataError, match="^gap proportions must be a nonempty vector$"):
             DepthParams(0.0, 1.0, 1.0, ())
-        with pytest.raises(DataError, match="^gap proportions must be a nonempty vector$"):
-            center_times(0.0, 1.0, [[0.5, 0.5]])
 
     # k, eta and the center are derived; a params file stores them as
     # checked redundancy, so a wrong stored value fails at load.
@@ -383,7 +441,7 @@ class TestDepthParams:
 
     def test_derived_fields_are_not_stored(self):
         p = DepthParams(start=1.0, mu_last=2.0, var_last=0.5, u_bar=(0.25, 0.75))
-        assert PARAM_FIELDS == tuple(vars(p)) == ("start", "mu_last", "var_last", "u_bar", "horizon")
+        assert PARAM_FIELDS == tuple(f.name for f in fields(p)) == ("start", "mu_last", "var_last", "u_bar", "horizon")
 
     def test_affine_matches_refit_identities(self):
         p = DepthParams(start=1.0, mu_last=2.0, var_last=0.5, u_bar=(0.3, 0.7))

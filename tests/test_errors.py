@@ -1,11 +1,29 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from tppdepth import DataError
-from tppdepth.errors import check_number, check_numbers, check_seed, shown
+from tppdepth import DataError, DepthParams, SimConfig, contour_grid, verify_properties
+from tppdepth.errors import check_count, check_number, check_numbers, check_seed, is_integer, shown
+
+_PARAMS = DepthParams(0.0, 1.0, 1.0, (0.5, 0.5))
+
+# Each caller of is_integer, called with one integer under test, and the
+# message of its range check at -10**400 and (where it has one) 10**400.
+_INTEGER_SITES = {
+    "k": (lambda v: SimConfig(kind="hpp", rates=(2.0,), k=v, n=2), "k must be at least 1",
+          "n*k = 2.00e+400 event times do not fit in one array"),
+    "n": (lambda v: SimConfig(kind="hpp", rates=(2.0,), k=1, n=v), "n must be at least 1",
+          "n*k = 1.00e+400 event times do not fit in one array"),
+    "seed": (lambda v: SimConfig(kind="hpp", rates=(2.0,), k=1, n=2, seed=v), "seed must fit in 64 unsigned bits",
+             "seed must fit in 64 unsigned bits"),
+    "trials": (lambda v: verify_properties(_PARAMS, trials=v, seed=1, rays=2), "trials must be at least 1", None),
+    "rays": (lambda v: verify_properties(_PARAMS, trials=2, seed=1, rays=v), "rays must be at least 1", None),
+    "resolution": (lambda v: contour_grid(_PARAMS, "product", (0, 1), (0, 1), v), "resolution must be at least 2",
+                   None),
+}
 
 
 class TestCheckNumber:
@@ -78,3 +96,35 @@ class TestShown:
             check_seed(-1)
         with pytest.raises(DataError, match=r"^seed must fit in 64 unsigned bits, got a value of type int$"):
             check_seed(10**5000)
+
+
+class TestIsInteger:
+    @pytest.mark.parametrize("value, expected", [
+        (3, True), (np.int64(3), True), (3.0, True), (1e5, True), (np.float32(2.0), True), (Fraction(4, 2), True),
+        (Fraction(10**400), True), (2.5, False), (Fraction(1, 3), False), (Fraction(10**400, 3), False),
+        (math.inf, False), (math.nan, False), (True, False), ("3", False), (None, False),
+    ])
+    def test_integer_values(self, value, expected):
+        assert is_integer(value) is expected
+
+    @pytest.mark.parametrize("site", list(_INTEGER_SITES))
+    def test_a_fraction_beyond_the_float_range(self, site):
+        # A fraction is decided by its denominator, not through a float.
+        call, below, above = _INTEGER_SITES[site]
+        with pytest.raises(DataError, match=rf"^{site} must be an integer, got Fraction\("):
+            call(Fraction(10**400, 3))
+        # An integral one reaches its owner's range check.
+        with pytest.raises(DataError, match=f"^{re.escape(below)}"):
+            call(Fraction(-(10**400)))
+        if above is not None:
+            with pytest.raises(DataError, match=f"^{re.escape(above)}"):
+                call(Fraction(10**400))
+
+
+class TestCheckCount:
+    def test_a_given_floor(self):
+        assert check_count("resolution", Fraction(4, 2), least=2) == 2
+        with pytest.raises(DataError, match="^resolution must be at least 2$"):
+            check_count("resolution", 1, least=2)
+        with pytest.raises(DataError, match=r"^resolution must be an integer, got 2\.5$"):
+            check_count("resolution", 2.5, least=2)

@@ -111,6 +111,16 @@ class TestSampleSet:
         with pytest.raises(DataError, match=r"^event times must form an \(n, k\) matrix of numbers"):
             SampleSet(0.0, times)
 
+    @pytest.mark.parametrize("times, cell", [
+        ([[True, 2.0]], "True"), ([[1.0, 2.0], [3.0, False]], "False"), ([[np.bool_(True), 2.0]], repr(np.bool_(True))),
+        ([np.array([1.0, 2.0]), [True, 3.0]], "True"),
+    ], ids=["first", "last", "numpy-bool", "beside-an-array-row"])
+    def test_a_bool_cell_among_numbers(self, times, cell):
+        # A list is not coerced by numpy before its cells are checked.
+        with pytest.raises(DataError) as caught:
+            SampleSet(0.0, times)
+        assert str(caught.value) == f"event times must form an (n, k) matrix of numbers ({cell} is not a real number)"
+
     @pytest.mark.parametrize("times", [
         [[1, 2]], [[Fraction(1, 2), 2]], [[np.int64(1), np.float32(2.0)]], np.array([[1.0, 2.0]], dtype=np.float32),
         np.array([[1, 2]], dtype=np.uint8), [[2**64, 2**65]],
