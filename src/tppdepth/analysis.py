@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .depth import (
     marginal_depth_d1,
     require_match,
 )
-from .errors import DataError, check_count, check_number, check_seed, is_number, shown
+from .errors import DataError, check_array, check_count, check_number, check_seed, is_number, shown
 from .estimation import affine_fields, fit_mahalanobis, fit_moved
 from .sequences import SampleSet, check_times
 
@@ -45,6 +46,9 @@ RAY_SLACK = 1e-9
 HPP_CONSISTENCY_RTOL = 1e-12
 FRACTION_SLACK = 1e-9
 DEFAULT_RAYS = 1000
+# Caps on the counts that size an allocation (resolution**2 contour nodes,
+# trials x k draws, 101 points per ray); the CLI caps its flags at these too.
+COUNT_CAPS = {"resolution": 2001, "trials": 10**6, "rays": 10**5}
 ALPHA_GRID_POINTS = 101
 
 
@@ -164,12 +168,14 @@ def _competition_ranks(values: np.ndarray) -> np.ndarray:
 
 
 def _pair(baseline) -> tuple[np.ndarray, np.ndarray]:
-    # The mean and covariance arrays of a baseline, which must be a pair of numeric arrays.
+    # The mean and covariance arrays of a baseline, which must be a pair of
+    # arrays of numbers (text and bools are not).
+    what = "a baseline must be a (mean, covariance) pair of numeric arrays"
     try:
         mean, cov = baseline
-        return np.asarray(mean, dtype=float), np.asarray(cov, dtype=float)
     except (TypeError, ValueError):
-        raise DataError("a baseline must be a (mean, covariance) pair of numeric arrays") from None
+        raise DataError(what) from None
+    return check_array(what, mean), check_array(what, cov)
 
 
 def _kernel(method: str, times: np.ndarray, start: float, params, baseline) -> dict[str, np.ndarray]:
@@ -281,14 +287,15 @@ def contour_grid(
     baseline: tuple | None = None,
 ) -> ContourGrid:
     """Evaluate a depth on a k=2 rectangle of (s1, s2) nodes, ``resolution``
-    per axis: an integer of at least 2 (``3.0`` is one; ``2.5`` and ``True``
-    are not). Each range is a (low, high) pair of finite numbers, low below
-    high. Every method reads ``params`` (the start masks the nodes)."""
+    per axis: an integer from 2 to ``COUNT_CAPS["resolution"]`` (``3.0`` is
+    one; ``2.5`` and ``True`` are not). Each range is a (low, high) pair of
+    finite numbers, low below high. Every method reads ``params`` (the
+    start masks the nodes)."""
     if method not in METHODS:
         raise DataError(f"unknown method {shown(method)}; expected one of {METHODS}")
     if params is None:
         raise DataError(f"method {method!r} needs fitted parameters")
-    resolution = check_count("resolution", resolution, least=2)
+    resolution = check_count("resolution", resolution, least=2, most=COUNT_CAPS["resolution"])
     ranges = []
     for name, ends in (("s1", x_range), ("s2", y_range)):
         try:
@@ -436,8 +443,16 @@ def _check_scale_shift(rng, params, trials, offsets) -> PropertyCheck:
     a = rng.uniform(0.1, 10.0, size=trials)
     b = rng.uniform(-10.0, 10.0, size=trials)
     times = _interior_times(rng, params, trials, moderate=True)
-    reference = _product(times, params)
-    moved_params = affine_fields(params, a, b) if offsets is None else fit_moved(offsets, params.start, a, b)
+    if offsets is None:
+        base, moved_params = params, affine_fields(params, a, b)
+    else:
+        # The reference is the refit of the unmoved offsets (one more moved
+        # sample, a = 1 and b = 0), not ``params``: a sample the params were
+        # not fitted from must not read as a failure of the invariance.
+        refits = vars(fit_moved(offsets, params.start, np.append(a, 1.0), np.append(b, 0.0)))
+        base = SimpleNamespace(**{f: refits[f][-1] for f in PARAM_FIELDS})
+        moved_params = SimpleNamespace(**{f: refits[f][:-1] for f in PARAM_FIELDS})
+    reference = _product(times, base)
     moved = _product(a[:, None] * times + b[:, None], moved_params)
     # Equal depths deviate by 0, also where both underflow to 0.
     deviation = np.abs(moved - reference)
@@ -511,16 +526,21 @@ def verify_properties(
     points for the monotonicity check) and reports violation counts with
     worst margins; the report is a pure function of the inputs. The checks
     run on params moved to start 0, where the (shift-invariant) depth is
-    the same. The scale-shift check refits every moved sample
-    (:func:`estimation.fit_moved`) from one event-major copy of ``sample``
-    at start 0 when it is given, and otherwise maps the fitted parameters
+    the same. When ``sample`` is given, the scale-shift check refits every
+    moved sample (:func:`estimation.fit_moved`) from one event-major copy of
+    it at start 0, and compares with the refit of that copy unmoved, so it
+    tests the estimator on the sample it is given, whatever the params were
+    fitted from; otherwise it maps the fitted parameters
     (:func:`estimation.affine_fields`), the same mapping the estimator applies.
     A transformed field that overflows (a horizon or variance near the
     float maximum, scaled) becomes inf, the limit the depth formulas take.
     ``seed``, ``trials`` and ``rays`` must be integers (``1e3`` is one;
-    ``True`` and ``2.5`` are not).
+    ``True`` and ``2.5`` are not), ``trials`` and ``rays`` at least 1 and at
+    most their ``COUNT_CAPS``.
     """
-    seed, trials, rays = check_seed(seed), check_count("trials", trials), check_count("rays", rays)
+    seed = check_seed(seed)
+    trials = check_count("trials", trials, most=COUNT_CAPS["trials"])
+    rays = check_count("rays", rays, most=COUNT_CAPS["rays"])
     offsets = None
     if sample is not None:
         require_match(sample, params)

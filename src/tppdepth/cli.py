@@ -7,7 +7,7 @@ Only ``simulate``, ``fit`` and ``compare-boundary`` take a start time
 (``--t0``); the other commands use the one stored in the params file.
 
 Exit codes: 0 success, 1 usage error (also a flag above its cap in
-``FLAG_CAPS``), 2 data or file error (also an allocation that fails),
+``analysis.COUNT_CAPS``), 2 data or file error (also an allocation that fails),
 3 property violations found by ``verify``.
 
 The only environment override is ``TPPDEPTH_OUT_DIR``: when set, output
@@ -24,6 +24,7 @@ from pathlib import Path
 
 from . import io as tio
 from .analysis import (
+    COUNT_CAPS,
     DEFAULT_RAYS,
     METHODS,
     contour_grid,
@@ -36,11 +37,6 @@ from .analysis import (
 from .errors import DataError
 from .estimation import fit_mahalanobis, fit_params
 from .simulate import KINDS, SimConfig, simulate
-
-
-# Caps on the flags that size an allocation (resolution**2 contour nodes,
-# trials x k draws, 101 points per ray), checked before anything is allocated.
-FLAG_CAPS = {"resolution": 2001, "trials": 10**6, "rays": 10**5}
 
 
 class _UsageError(Exception):
@@ -214,7 +210,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        for flag, cap in FLAG_CAPS.items():
+        for flag, cap in COUNT_CAPS.items():  # before anything is read or allocated
             if getattr(args, flag, 0) > cap:
                 raise _UsageError(f"--{flag} must be at most {cap}, got {getattr(args, flag)}")
         return _COMMANDS[args.command](args)

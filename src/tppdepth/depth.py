@@ -31,7 +31,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import DataError, check_number, check_numbers
+from .errors import DataError, check_array, check_number, check_numbers
 from .sequences import EventSequence, gap_matrix
 
 U_BAR_SUM_TOL = 1e-12
@@ -252,8 +252,9 @@ def hpp_conditional_column(times, start: float) -> np.ndarray:
 def mahalanobis_column(times, mean, covariance) -> np.ndarray:
     """Multivariate Mahalanobis depth ``1 / (1 + (s-m)' C^-1 (s-m))`` per row.
 
-    The mean and the symmetrized covariance must be finite and match the
-    k columns. If the Cholesky factorization of the covariance fails, it
+    The mean and the symmetrized covariance must be finite numbers (text
+    and bools are not; see :func:`~tppdepth.errors.check_array`) and match
+    the k columns. If the Cholesky factorization of the covariance fails, it
     is ridged once with ``1e-10 * trace(C)/k`` on the diagonal; if it is
     still not positive definite a :class:`DataError` is raised. One
     Cholesky factor and one solve serve every row. A row whose distance
@@ -261,8 +262,8 @@ def mahalanobis_column(times, mean, covariance) -> np.ndarray:
     """
     times = np.asarray(times, dtype=float)
     n, k = times.shape
-    m = np.asarray(mean, dtype=float).reshape(-1)
-    c = np.asarray(covariance, dtype=float)
+    m = check_array("the Mahalanobis mean must be an array of numbers", mean).reshape(-1)
+    c = check_array("the Mahalanobis covariance must be an array of numbers", covariance)
     if m.size != k or c.shape != (k, k):
         raise DataError(f"shape mismatch: times {times.shape}, mean {m.shape}, covariance {c.shape}")
     c = 0.5 * (c + c.T)

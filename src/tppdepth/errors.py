@@ -1,8 +1,10 @@
 """Shared error type for invalid data, parameters, and files, and the
-number tests and checks (numbers, counts, seeds) that every input check uses."""
+number tests and checks (numbers, arrays, counts, seeds) that every input check uses."""
 
 import numbers
 import reprlib
+
+import numpy as np
 
 
 class DataError(ValueError):
@@ -56,13 +58,34 @@ def check_numbers(name: str, values, each: str) -> tuple[float, ...]:
         raise DataError(f"{name} must be a sequence of numbers, got {shown(values)}") from None
 
 
-def check_count(name: str, value, least: int = 1) -> int:
+def check_array(what: str, values) -> np.ndarray:
+    """The one conversion of a caller's array: ``values`` as a float array,
+    or a DataError ``what (reason)`` unless every cell is a number (see
+    :func:`is_number`) that fits in a float. Anything but an ndarray is read
+    as objects, so no cell is parsed or converted first; an int or float
+    ndarray is taken as it is (a float64 one without a copy)."""
+    try:
+        arr = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+        if arr.dtype.kind == "O":  # a cell of each type decides
+            for cell in dict(zip(map(type, arr.flat), arr.flat)).values():
+                if not is_number(cell):
+                    raise ValueError(f"{shown(cell)} is not a real number")
+        elif arr.dtype.kind not in "iuf":
+            raise ValueError(f"the cells are of type {arr.dtype}")
+        return arr.astype(float, copy=False)
+    except (ValueError, OverflowError) as exc:  # ragged rows, other cells, or a number beyond the float range
+        raise DataError(f"{what} ({exc})") from None
+
+
+def check_count(name: str, value, least: int = 1, most: int | None = None) -> int:
     """``value`` as an int, or a DataError naming it unless it is an integer
-    (see :func:`is_integer`) of at least ``least``."""
+    (see :func:`is_integer`) of at least ``least`` and, if given, at most ``most``."""
     if not is_integer(value):
         raise DataError(f"{name} must be an integer, got {shown(value)}")
     if value < least:
         raise DataError(f"{name} must be at least {least}")
+    if most is not None and value > most:
+        raise DataError(f"{name} must be at most {most}, got {shown(value)}")
     return int(value)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, check_number, check_numbers, is_number, shown
+from .errors import DataError, check_array, check_number, check_numbers
 
 
 class EventTimeError(DataError):
@@ -101,18 +101,7 @@ class SampleSet:
 
     def __init__(self, start: float, times):
         start = check_number("start", start)
-        try:
-            # Only real numbers: a list is read as objects, so no cell is parsed or converted first.
-            arr = times if isinstance(times, np.ndarray) else np.array(times, dtype=object)
-            if arr.dtype.kind == "O":  # a cell of each type decides
-                for cell in dict(zip(map(type, arr.flat), arr.flat)).values():
-                    if not is_number(cell):
-                        raise ValueError(f"{shown(cell)} is not a real number")
-            elif arr.dtype.kind not in "iuf":
-                raise ValueError(f"the cells are of type {arr.dtype}")
-            arr = arr.astype(float, copy=False)
-        except (ValueError, OverflowError) as exc:  # ragged rows, other cells, or a number beyond the float range
-            raise DataError(f"event times must form an (n, k) matrix of numbers ({exc})") from None
+        arr = check_array("event times must form an (n, k) matrix of numbers", times)
         # Always a copy, into a buffer owned by immutable bytes: a caller's
         # later writes to ``times`` reach neither the sample nor what it
         # remembers, and the times cannot be made writable again.

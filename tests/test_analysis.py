@@ -366,7 +366,9 @@ class TestContourGrid:
 
 class TestBaselinePair:
     @pytest.mark.parametrize("baseline", [(np.zeros(2),), (np.zeros(2), np.eye(2), np.eye(2)), 3.0,
-                                          ("a", "b"), (np.zeros(2), [[1.0, 0.0], [0.0]])])
+                                          ("a", "b"), (np.zeros(2), [[1.0, 0.0], [0.0]]),
+                                          (["0.5", "1"], [["1", "0"], ["0", "1"]]),
+                                          (np.zeros(2), [[True, False], [False, True]])])
     def test_baseline_that_is_not_a_pair(self, hpp_sample, hpp_params, baseline):
         calls = (
             lambda: depth_values(hpp_sample, hpp_params, "mahalanobis", baseline=baseline),
@@ -750,6 +752,19 @@ class TestVerifyProperties:
         with patch.object(analysis, "fit_moved", _refit_one_trial_at_a_time):
             reference = verify_properties(params, trials=300, seed=seed, rays=10, sample=sample)
         assert batched.checks == reference.checks
+
+    def test_refit_tests_the_estimator_on_the_sample_given(self):
+        # Params fitted from one sample, verified with another: P3 compares
+        # each moved refit with the refit of the given sample unmoved, not
+        # with the params, so the mismatch is no violation of the invariance.
+        config = SimConfig(kind="state-dependent", rates=(2.5, 4.0, 6.0, 8.0, 10.0), k=5, n=1000, seed=1)
+        params = fit_params(simulate(config))
+        other = simulate(replace(config, seed=2))
+        report = verify_properties(params, trials=200, seed=1, rays=10, sample=other)
+        assert _check(report, "P3").violations == 0 and report.passed, report
+        # The other checks read the params, as without a sample.
+        alone = verify_properties(params, trials=200, seed=1, rays=10)
+        assert [c for c in report.checks if c.name != "P3"] == [c for c in alone.checks if c.name != "P3"]
 
     def test_refit_copies_the_sample_once(self):
         # The moved samples come from one event-major copy of the sample at

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from tppdepth import DataError, cli, load_csv
-from tppdepth.analysis import METHODS
-from tppdepth.cli import FLAG_CAPS, main
+from tppdepth.analysis import COUNT_CAPS, METHODS
+from tppdepth.cli import main
 from tppdepth.io import load_sim_config_json
 
 
@@ -258,7 +258,7 @@ class TestParamsTypes:
 class TestFlagCaps:
     """--resolution, --trials and --rays are capped before anything is allocated."""
 
-    @pytest.mark.parametrize("flag, cap", sorted(FLAG_CAPS.items()))
+    @pytest.mark.parametrize("flag, cap", sorted(COUNT_CAPS.items()))
     def test_cap(self, tmp_path, params_json, monkeypatch, capsys, flag, cap):
         def library(*args, **kwargs):
             raise DataError("reached the library")
@@ -444,8 +444,8 @@ class TestFuzz:
             assert load_csv(out, t0=load_sim_config_json(config).get("start", 0.0)).n >= 1
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(resolution=_flag_value(FLAG_CAPS["resolution"]), trials=_flag_value(FLAG_CAPS["trials"]),
-           rays=_flag_value(FLAG_CAPS["rays"]), method=st.sampled_from(METHODS))
+    @given(resolution=_flag_value(COUNT_CAPS["resolution"]), trials=_flag_value(COUNT_CAPS["trials"]),
+           rays=_flag_value(COUNT_CAPS["rays"]), method=st.sampled_from(METHODS))
     def test_flag_values(self, tmp_path, params_json, capsys, resolution, trials, rays, method):
         out = tmp_path / "contour.csv"
         out.unlink(missing_ok=True)

@@ -528,6 +528,21 @@ class TestMahalanobisDepth:
         with pytest.raises(DataError, match="finite"):  # finite, but not once symmetrized
             mahalanobis_depth((1.0, 2.0), (1.0, 2.0), [[1e308, 0.0], [0.0, 1e308]])
 
+    @pytest.mark.parametrize("mean, cov", [
+        (("1", "2"), [["1", "0"], ["0", "1"]]),
+        ((1.0, 2.0), [[1.0, "0"], [0.0, 1.0]]),
+        ((True, 2.0), np.eye(2)),
+        (np.array([1.0, 2.0]), np.eye(2, dtype=bool)),
+        ((1.0, None), np.eye(2)),
+    ])
+    def test_a_baseline_of_text_or_bools_is_refused(self, mean, cov):
+        # The number rule for arrays, errors.check_array: numpy would parse
+        # the text and take a bool as 0 or 1.
+        with pytest.raises(DataError, match=r"^the Mahalanobis (mean|covariance) must be an array of numbers \("):
+            mahalanobis_depth((1.0, 2.0), mean, cov)
+        with pytest.raises(DataError, match=r"^the Mahalanobis (mean|covariance) must be an array of numbers \("):
+            mahalanobis_column(np.ones((3, 2)), mean, cov)
+
     def test_overflowing_distance_is_exactly_zero(self):
         # The whitened sum is inf - inf here, which must not read as NaN.
         with warnings.catch_warnings():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tppdepth import DataError, DepthParams, SimConfig, contour_grid, verify_properties
+from tppdepth.analysis import COUNT_CAPS
 from tppdepth.errors import check_count, check_number, check_numbers, check_seed, is_integer, shown
 
 _PARAMS = DepthParams(0.0, 1.0, 1.0, (0.5, 0.5))
@@ -19,10 +20,12 @@ _INTEGER_SITES = {
           "n*k = 1.00e+400 event times do not fit in one array"),
     "seed": (lambda v: SimConfig(kind="hpp", rates=(2.0,), k=1, n=2, seed=v), "seed must fit in 64 unsigned bits",
              "seed must fit in 64 unsigned bits"),
-    "trials": (lambda v: verify_properties(_PARAMS, trials=v, seed=1, rays=2), "trials must be at least 1", None),
-    "rays": (lambda v: verify_properties(_PARAMS, trials=2, seed=1, rays=v), "rays must be at least 1", None),
+    "trials": (lambda v: verify_properties(_PARAMS, trials=v, seed=1, rays=2), "trials must be at least 1",
+               f"trials must be at most {COUNT_CAPS['trials']}"),
+    "rays": (lambda v: verify_properties(_PARAMS, trials=2, seed=1, rays=v), "rays must be at least 1",
+             f"rays must be at most {COUNT_CAPS['rays']}"),
     "resolution": (lambda v: contour_grid(_PARAMS, "product", (0, 1), (0, 1), v), "resolution must be at least 2",
-                   None),
+                   f"resolution must be at most {COUNT_CAPS['resolution']}"),
 }
 
 
@@ -128,3 +131,18 @@ class TestCheckCount:
             check_count("resolution", 1, least=2)
         with pytest.raises(DataError, match=r"^resolution must be an integer, got 2\.5$"):
             check_count("resolution", 2.5, least=2)
+
+    def test_a_given_cap(self):
+        assert check_count("rays", 5, most=5) == 5
+        with pytest.raises(DataError, match="^rays must be at most 5, got 6$"):
+            check_count("rays", 6, most=5)
+
+    @pytest.mark.parametrize("site", sorted(COUNT_CAPS))
+    @pytest.mark.parametrize("over", ["cap+1", "10**400"])
+    def test_the_library_caps_the_counts_the_cli_caps(self, site, over):
+        # Before anything is allocated: beyond the cap, numpy would raise its
+        # own ValueError (or try to allocate the grid).
+        cap = COUNT_CAPS[site]
+        value = cap + 1 if over == "cap+1" else 10**400
+        with pytest.raises(DataError, match=f"^{re.escape(f'{site} must be at most {cap}, got {shown(value)}')}$"):
+            _INTEGER_SITES[site][0](value)

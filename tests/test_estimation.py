@@ -191,6 +191,43 @@ class TestFitStack:
             for name in PARAM_FIELDS:
                 assert np.array_equal(_bits(getattr(fields, name)[i]), _bits(getattr(expected, name))), (i, name)
 
+    @settings(max_examples=100, deadline=None)
+    @given(sample=_samples(), trials=st.integers(1, 3))
+    def test_the_unmoved_refit_is_fit_params(self, sample, trials):
+        # a = 1, b = 0 moves nothing: P3's reference is then the sample's own
+        # fit, bit for bit, or its error.
+        times = np.ascontiguousarray(sample.times.T)
+        ones, zeros = np.ones(trials), np.zeros(trials)
+        expected = _one_sample_error(sample.start, sample.times)
+        if expected:
+            with pytest.raises(DataError) as caught:
+                estimation.fit_moved(times, sample.start, ones, zeros)
+            assert str(caught.value) == expected
+            return
+        fields = estimation.fit_moved(times, sample.start, ones, zeros)
+        params = fit_params(sample)
+        for name in PARAM_FIELDS:
+            assert np.array_equal(_bits(getattr(fields, name)), _bits([getattr(params, name)] * trials)), name
+
+    def test_refit_allocates_its_buffers_once(self):
+        # The stack, the operands and the buffer of u_bar's sum (2.4 stacks
+        # of one block here) are allocated once per call, and a block adds
+        # no allocation of a stack's size, such as a fresh gap matrix.
+        sample = simulate(SimConfig(kind="state-dependent", rates=(2.5, 4.0, 6.0, 8.0, 10.0), k=5, n=1000,
+                                    seed=17))
+        times = np.ascontiguousarray(sample.times.T)
+        rng = np.random.default_rng(1)
+        a, b = rng.uniform(0.1, 10.0, 1000), rng.uniform(-10.0, 10.0, 1000)
+        stack_bytes = times.nbytes * (estimation.REFIT_ROWS // sample.n)
+        estimation.fit_moved(times, 0.0, a, b)
+        tracemalloc.start()
+        try:
+            estimation.fit_moved(times, 0.0, a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * stack_bytes
+
     @pytest.mark.parametrize("n", [100, 1000, 20000, 200000])
     def test_batch_of_one_is_an_independent_fit(self, n):
         # fit_params against plain numpy on the sample's own arrays: the
