@@ -363,16 +363,18 @@ def weighted_fraction_gap(a, b, alpha) -> np.ndarray:
 
     Returns the gap (LHS - RHS); values above a small slack are
     violations. This is the inequality that makes the log-depth
-    nonincreasing along center rays.
+    nonincreasing along center rays. Each of ``a``, ``b`` and ``alpha``
+    must hold numbers (see :func:`~tppdepth.errors.check_array`), and a
+    NaN or an infinity is out of range.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    alpha = np.asarray(alpha, dtype=float).reshape(-1)
+    a = np.atleast_2d(check_array("a must be an array of numbers", a))
+    b = np.atleast_2d(check_array("b must be an array of numbers", b))
+    alpha = check_array("alpha must be an array of numbers", alpha).reshape(-1)
     if a.shape != b.shape or alpha.size != a.shape[0]:
         raise DataError(f"shape mismatch: a {a.shape}, b {b.shape}, alpha {alpha.shape}")
-    if np.any(a < 0) or np.any(b <= 0):
-        raise DataError("requires a >= 0 and b > 0")
-    if np.any(alpha < 0) or np.any(alpha > 1):
+    if not np.all((0 <= a) & (a < np.inf) & (0 < b) & (b < np.inf)):
+        raise DataError("requires finite a >= 0 and b > 0")
+    if not np.all((0 <= alpha) & (alpha <= 1)):
         raise DataError("alpha must lie in [0, 1]")
     al = alpha[:, None]
     lhs = ((a - b) / ((1.0 - al) + al * (a / b))).sum(axis=1)

@@ -25,7 +25,6 @@ sum uses, so each row keeps the bits of ``.sum(axis=1)``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -56,10 +55,43 @@ def cumulative_times(duration, proportions) -> np.ndarray:
     return np.asarray(duration, dtype=float)[..., None] * cum
 
 
+# The message of each rule of broken_rules, in order, formatted with the fields and the u_bar sum.
+RULES = (
+    "parameters must be finite",
+    "degenerate variance of the last event time: {var_last}",
+    "degenerate horizon: {horizon} is not positive",
+    "every gap proportion must lie in (0, 1]",
+    f"gap proportions must sum to 1 within {U_BAR_SUM_TOL}, got {{total!r}}",
+    "mean duration must be positive and finite",
+    "eta, big_m and the central event times must be finite",
+    "central event times must be strictly increasing",
+)
+
+
+@np.errstate(all="ignore")
+def broken_rules(start, mu_last, var_last, u_bar, horizon):
+    """The one statement of the rules of the fitted fields, ``PARAM_FIELDS``
+    as arrays over c samples (``u_bar`` is (c, k), k >= 1). Returns, per
+    sample, the index in ``RULES`` of the first rule broken (``len(RULES)``
+    if none), the ``u_bar`` sum and the center. A NaN breaks every rule."""
+    total = u_bar.sum(axis=1)
+    center = start[:, None] + cumulative_times(mu_last, u_bar)
+    kept = (np.isfinite((start, mu_last, var_last, horizon)).all(axis=0),
+            var_last > 0,
+            horizon > 0,
+            ((u_bar > 0) & (u_bar <= 1)).all(axis=1),
+            np.abs(total - 1.0) <= U_BAR_SUM_TOL,
+            mu_last > 0,
+            np.isfinite(center).all(axis=1) & np.isfinite(start + horizon),  # eta is the center's last time
+            (np.diff(center, axis=1) > 0).all(axis=1) & (center[:, 0] > start),
+            np.zeros(start.shape, bool))  # argmin's pick, len(RULES), where every rule is kept
+    return np.argmin(kept, axis=0), total, center
+
+
 @dataclass(frozen=True)
 class DepthParams:
-    """Fitted quantities needed to evaluate depths for one population; the
-    one statement of the rules they obey.
+    """Fitted quantities needed to evaluate depths for one population, held
+    to the rules of :func:`broken_rules` (the first broken one raises).
 
     Only the start and the fitted durations and proportions are fields;
     ``k``, ``eta``, ``big_m = start + horizon`` and ``center`` are derived
@@ -83,25 +115,12 @@ class DepthParams:
         for name in ("start", "mu_last", "var_last", "horizon"):
             object.__setattr__(self, name, check_number(name, getattr(self, name)))
         object.__setattr__(self, "u_bar", check_numbers("u_bar", self.u_bar, "every u_bar entry"))
-        if not all(math.isfinite(v) for v in (self.start, self.mu_last, self.var_last, self.horizon)):
-            raise DataError("parameters must be finite")
-        if not self.var_last > 0:
-            raise DataError(f"degenerate variance of the last event time: {self.var_last}")
-        if not self.horizon > 0:
-            raise DataError(f"degenerate horizon: {self.horizon} is not positive")
-        u = np.array(self.u_bar)
-        if u.size < 1:
+        if not self.u_bar:
             raise DataError("gap proportions must be a nonempty vector")
-        if not np.all((u > 0) & (u <= 1)):  # which also keeps the sum below from overflowing
-            raise DataError("every gap proportion must lie in (0, 1]")
-        if abs(float(u.sum()) - 1.0) > U_BAR_SUM_TOL:
-            raise DataError(f"gap proportions must sum to 1 within {U_BAR_SUM_TOL}, got {u.sum()!r}")
-        if not self.mu_last > 0:
-            raise DataError("mean duration must be positive and finite")
-        center = self.start + cumulative_times(self.mu_last, u)
-        if np.any(np.diff(center) <= 0) or not center[0] > self.start:
-            raise DataError("central event times must be strictly increasing")
-        object.__setattr__(self, "_center", tuple(center.tolist()))
+        broken, total, center = broken_rules(*(np.array([getattr(self, name)]) for name in PARAM_FIELDS))
+        if broken[0] < len(RULES):
+            raise DataError(RULES[broken[0]].format(**vars(self), total=total[0]))
+        object.__setattr__(self, "_center", tuple(center[0].tolist()))
 
     @property
     def k(self) -> int:

@@ -17,56 +17,19 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .depth import BLOCK_ROWS, U_BAR_SUM_TOL, DepthParams, cumulative_times
+from .depth import BLOCK_ROWS, RULES, DepthParams, broken_rules
 from .errors import DataError
-from .sequences import SampleSet, check_times
+from .sequences import SampleSet
 
 # Rows of the stacked samples fit_moved fits at once: bounds its
 # temporaries whatever the number of moved samples.
 REFIT_ROWS = 4 * BLOCK_ROWS
 
-# Bytes of the buffer that fit_stack's u_bar sum copies one chunk of
+# Bytes of the buffer that fit_params' u_bar sum copies one chunk of
 # normalized gaps into: it stays in cache, and it is no larger than
 # malloc's default mmap threshold, so it is reused heap memory, not a
 # fresh mapping per fit.
 U_BAR_CHUNK_BYTES = 1 << 17
-
-
-def fit_stack(times: np.ndarray, start: np.ndarray) -> SimpleNamespace:
-    """The moment fit of c samples at once, with the checks of a fit of one.
-
-    ``times`` is an event-major (k, c, n) stack (k events, c samples, n
-    rows) and ``start`` holds one start per sample. Returns
-    ``PARAM_FIELDS`` as arrays over c (``u_bar`` is (c, k); ``horizon`` is
-    ``mu_last``), the moments of :func:`_moments`.
-
-    Each sample is checked as :class:`SampleSet`, :func:`fit_params` and
-    :class:`DepthParams` check one sample; the first failing sample raises
-    their :class:`DataError`; :class:`DepthParams` owns the rules of the
-    fitted fields, which :func:`_fields_pass` repeats batched.
-    """
-    k, c, n = times.shape
-    if n < 2:  # after the first sample's own check, as one sample at a time would fail
-        check_times(float(start[0]), times[:, 0].T)
-        raise DataError(f"need at least 2 realizations to fit, got {n}")
-    gaps, durations = np.empty(times.shape), np.empty((c, n))
-    # The deviations go in gaps[0], which holds no gap until they are summed.
-    u_buffer = np.empty(max(U_BAR_CHUNK_BYTES // gaps.itemsize, 2 * k * c))
-    mu_last, var_last, u_bar, ok = _moments(times, start, gaps, (durations, gaps[0]), u_buffer)
-    ok &= _fields_pass(start, mu_last, var_last, u_bar)
-    if not ok.all():
-        i = int(np.argmin(ok))
-        check_times(float(start[i]), times[:, i].T)
-        bad = np.nonzero(durations[i] <= 0)[0]
-        if bad.size:
-            raise DataError(f"realization {int(bad[0])} has zero duration; normalized gaps are undefined")
-        for moment, value in (("mean", mu_last[i]), ("variance", var_last[i])):
-            if not math.isfinite(value):
-                raise DataError(f"the duration {moment} overflows: the largest duration is {durations[i].max():.6g}")
-        if not var_last[i] > 0:
-            raise DataError("degenerate variance: all realizations share the same duration")
-        DepthParams(start[i], mu_last[i], var_last[i], u_bar[i])
-    return SimpleNamespace(start=start, mu_last=mu_last, var_last=var_last, u_bar=u_bar, horizon=mu_last)
 
 
 @np.errstate(all="ignore")
@@ -100,20 +63,6 @@ def _moments(times, start, gaps, scratch, u_buffer):
     gaps /= durations
     u_bar = np.ascontiguousarray(_row_axis_mean(gaps.reshape(k * c, n), u_buffer).reshape(k, c).T)
     return mu_last, var_last, u_bar, times_pass
-
-
-def _fields_pass(start, mu_last, var_last, u_bar) -> np.ndarray:
-    """Per sample, whether its fitted fields keep :class:`DepthParams`' rules,
-    batched: finite moments, a positive variance, each ``u_bar`` entry in
-    (0, 1] with a sum of 1 within ``U_BAR_SUM_TOL``, and a strictly
-    increasing center after the start. A zero duration leaves a NaN
-    ``u_bar``, so it fails here too."""
-    with np.errstate(all="ignore"):
-        center = start[:, None] + cumulative_times(mu_last, u_bar)
-        return (np.isfinite(mu_last) & np.isfinite(var_last) & (var_last > 0)
-                & ((u_bar > 0) & (u_bar <= 1)).all(axis=1)
-                & (np.abs(u_bar.sum(axis=1) - 1.0) <= U_BAR_SUM_TOL)
-                & (np.diff(center, axis=1) > 0).all(axis=1) & (center[:, 0] > start))
 
 
 def _row_axis_mean(columns: np.ndarray, buffer: np.ndarray) -> np.ndarray:
@@ -168,9 +117,9 @@ def fit_moved(times: np.ndarray, start: float, a: np.ndarray, b: np.ndarray) -> 
     the operands and the buffer of ``u_bar``'s sum (one chunk per block)
     are allocated once per call: fresh block-sized arrays would often come
     from new pages, one page fault per 4 KiB each time. The fields' rules
-    are checked after the last block, ``BLOCK_ROWS`` moved samples at a
-    time; the first failing one is refitted alone by :func:`fit_stack`,
-    which raises its error.
+    (:func:`~tppdepth.depth.broken_rules`) are checked after the last
+    block, ``BLOCK_ROWS`` moved samples at a time; the first failing one is
+    refitted alone by :func:`fit_params`, which raises its error.
     """
     k, n = times.shape
     trials = a.size
@@ -194,25 +143,41 @@ def fit_moved(times: np.ndarray, start: float, a: np.ndarray, b: np.ndarray) -> 
             stack, starts[block], stack, (scale, shift), u_buffer)
     for lo in range(0, trials, BLOCK_ROWS):  # BLOCK_ROWS trials at a time bound the temporaries
         rows = slice(lo, lo + BLOCK_ROWS)
-        ok[rows] &= _fields_pass(starts[rows], mu_last[rows], var_last[rows], u_bar[rows])
+        ok[rows] &= broken_rules(*(f[rows] for f in (starts, mu_last, var_last, u_bar, mu_last)))[0] == len(RULES)
     if not ok.all():
         i = int(np.argmin(ok))
-        fit_stack((times * a[i] + b[i])[:, None], starts[i:i + 1])
+        fit_params(SampleSet(starts[i], (times * a[i] + b[i]).T))
     return SimpleNamespace(start=starts, mu_last=mu_last, var_last=var_last, u_bar=u_bar, horizon=mu_last)
 
 
 def fit_params(sample: SampleSet) -> DepthParams:
-    """Estimate depth parameters from a sample: :func:`fit_stack` at c = 1.
+    """Estimate depth parameters from a sample: :func:`_moments` at c = 1.
 
     Every realization must last a positive amount of time (a zero-duration
     realization has no normalized gaps and aborts the fit), at least two
     distinct durations are required for a usable variance, and a mean or
-    variance of the durations that overflows is a :class:`DataError`.
-    The horizon is the default, ``mu_last``; ``dataclasses.replace(params,
-    horizon=h)`` gives the params with another.
+    variance of the durations that overflows is a :class:`DataError`, as
+    are fields that :class:`DepthParams` refuses. The horizon is the
+    default, ``mu_last``; ``dataclasses.replace(params, horizon=h)`` gives
+    the params with another.
     """
-    fields = fit_stack(sample.times.T[:, None], np.array([sample.start]))
-    return DepthParams(sample.start, fields.mu_last[0], fields.var_last[0], fields.u_bar[0])
+    n, k = sample.times.shape
+    if n < 2:
+        raise DataError(f"need at least 2 realizations to fit, got {n}")
+    times, start = sample.times.T[:, None], np.array([sample.start])  # an event-major (k, 1, n) stack
+    gaps, durations = np.empty(times.shape), np.empty((1, n))
+    # The deviations go in gaps[0], which holds no gap until they are summed.
+    u_buffer = np.empty(max(U_BAR_CHUNK_BYTES // gaps.itemsize, 2 * k))
+    (mu_last,), (var_last,), (u_bar,), _ = _moments(times, start, gaps, (durations, gaps[0]), u_buffer)
+    bad = np.flatnonzero(durations <= 0)
+    if bad.size:
+        raise DataError(f"realization {int(bad[0])} has zero duration; normalized gaps are undefined")
+    for moment, value in (("mean", mu_last), ("variance", var_last)):
+        if not math.isfinite(value):
+            raise DataError(f"the duration {moment} overflows: the largest duration is {durations.max():.6g}")
+    if not var_last > 0:
+        raise DataError("degenerate variance: all realizations share the same duration")
+    return DepthParams(sample.start, mu_last, var_last, u_bar)
 
 
 def fit_mahalanobis(sample: SampleSet) -> tuple[np.ndarray, np.ndarray]:

@@ -686,6 +686,23 @@ class TestWeightedFraction:
         with pytest.raises(DataError):
             weighted_fraction_gap([[1.0, 2.0]], [[1.0]], [0.5])
 
+    @pytest.mark.parametrize("a, b, alpha, message", [
+        (["1", "2"], ["2", "3"], ["0.5"], "a must be an array of numbers ('2' is not a real number)"),
+        ([1.0, 2.0], [2.0, True], [0.5], "b must be an array of numbers (True is not a real number)"),
+        ([1.0, 2.0], [2.0, 3.0], [None], "alpha must be an array of numbers (None is not a real number)"),
+        ([[np.nan, 1.0]], [[1.0, 1.0]], [0.5], "requires finite a >= 0 and b > 0"),
+        ([[1.0, 1.0]], [[1.0, np.nan]], [0.5], "requires finite a >= 0 and b > 0"),
+        ([[np.inf, 1.0]], [[1.0, 1.0]], [0.5], "requires finite a >= 0 and b > 0"),
+        ([[1.0, 1.0]], [[1.0, np.inf]], [0.0], "requires finite a >= 0 and b > 0"),
+        ([[1.0, 1.0]], [[1.0, 1.0]], [np.nan], "alpha must lie in [0, 1]"),
+    ], ids=["text", "bool", "none", "nan-a", "nan-b", "inf-a", "inf-b", "nan-alpha"])
+    def test_text_and_non_finite_values_are_refused(self, a, b, alpha, message):
+        # Each argument holds numbers, and a NaN or an infinity is out of
+        # range rather than a NaN gap.
+        with pytest.raises(DataError) as caught:
+            weighted_fraction_gap(a, b, alpha)
+        assert str(caught.value) == message
+
 
 PROPERTY_NAMES = ("P1-boundary", "P1-infinity", "P2", "P3", "P4", "hpp-consistency", "young-range",
                   "weighted-fraction")

@@ -30,8 +30,11 @@ from tppdepth.depth import (
     BLOCK_ROWS,
     BREAKDOWN_FIELDS,
     PARAM_FIELDS,
+    RULES,
+    U_BAR_SUM_TOL,
     _marginal,
     _row_sum,
+    broken_rules,
     cumulative_times,
     depth_columns,
     hpp_conditional_column,
@@ -484,6 +487,51 @@ class TestDepthParams:
             product_depth(SampleSet(1.0 * sample.start + 0.0, 1.0 * sample.times + 0.0).sequence(0), q)["product"]
             == product_depth(sample.sequence(0), p)["product"]
         )
+
+    @pytest.mark.parametrize("fields", [
+        (1e308, 1e307, 1.0, (0.5, 0.5), 1e308),
+        (1.7e308, 1e308, 1.0, (1.0,)),
+        (1.7e308, 1e308, 1.0, (0.5, 0.5)),
+    ], ids=["big_m", "eta-k1", "center"])
+    def test_rejects_derived_times_that_overflow(self, fields):
+        # eta, big_m and the center derive from the fields; a params file
+        # stores them, so each must be a finite number too.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="^eta, big_m and the central event times must be finite$"):
+                DepthParams(*fields)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), c=st.integers(1, 6), k=st.integers(1, 5))
+    def test_batched_rules_are_each_rows_own(self, data, c, k):
+        # Row i of one broken_rules call gives DepthParams' verdict on row i
+        # alone: the same first message, or the same center.
+        special = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1.0 + U_BAR_SUM_TOL,
+                                   1e16, 1e307, 1e308, 1.7e308, -1.7e308])
+        plain = st.floats(0.1, 10.0)
+        number = st.one_of(plain, plain, plain, special, st.floats())
+        rows = []
+        for _ in range(c):
+            scale = data.draw(st.sampled_from([1.0, 1.0, 1.7e307]))  # the last makes derived times overflow
+            start, mu_last, var_last = data.draw(number) * scale, data.draw(number) * scale, data.draw(number)
+            weights = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
+            u_bar = weights / weights.sum()
+            u_bar[-1] += data.draw(st.sampled_from([0.0, 0.0, U_BAR_SUM_TOL, -U_BAR_SUM_TOL, 2 * U_BAR_SUM_TOL]))
+            for j in data.draw(st.lists(st.integers(0, k - 1), max_size=2)):
+                u_bar[j] = data.draw(number)
+            horizon = mu_last if data.draw(st.booleans()) else data.draw(number) * scale
+            rows.append((start, mu_last, var_last, u_bar, horizon))
+        broken, total, center = broken_rules(*(np.array([row[i] for row in rows]) for i in range(5)))
+        for i, (start, mu_last, var_last, u_bar, horizon) in enumerate(rows):
+            try:
+                params = DepthParams(start, mu_last, var_last, tuple(u_bar), horizon)
+            except DataError as exc:
+                assert broken[i] < len(RULES), i
+                assert str(exc) == RULES[broken[i]].format(start=start, mu_last=mu_last, var_last=var_last,
+                                                           horizon=horizon, total=total[i]), i
+                continue
+            assert broken[i] == len(RULES), i
+            assert np.array_equal(bits(params.center), bits(center[i])), i
 
 
 class TestMahalanobisDepth:

@@ -19,7 +19,7 @@ from tppdepth import (
     verify_properties,
 )
 from tppdepth.depth import PARAM_FIELDS
-from tppdepth.estimation import U_BAR_CHUNK_BYTES, fit_stack
+from tppdepth.estimation import U_BAR_CHUNK_BYTES
 
 
 @pytest.fixture
@@ -55,6 +55,24 @@ class TestFitParams:
         sample = SampleSet(1.0, [[1.0, 1.0], [2.0, 3.0]])
         with pytest.raises(DataError, match="zero duration"):
             fit_params(sample)
+
+    @pytest.mark.parametrize("times, message", [
+        ([[1.0, 2.0], [1.5, np.nan], [0.5, 3.0], [2.0, 2.5]], "realization 1, column 2: value is not finite"),
+        ([[1.0, 2.0], [2.5, 2.0], [0.5, 3.0], [2.0, 2.5]],
+         "realization 1, column 2: event time 2.0 precedes the previous event 2.5"),
+        ([[1.0, 2.0], [0.0, 0.0], [0.5, 3.0], [2.0, 2.5]],
+         "realization 1 has zero duration; normalized gaps are undefined"),
+        ([[1.0, 2.0], [1.5, 2.0], [0.5, 2.0], [0.25, 2.0]],
+         "degenerate variance: all realizations share the same duration"),
+        ([[0.0, 2.0], [0.0, 4.0], [0.0, 3.0], [0.0, 2.5]], "every gap proportion must lie in (0, 1]"),
+        # The one nonzero second gap is half an ulp of the mean proportion:
+        # the two center times round together.
+        ([[1.0, np.nextafter(1.0, 2.0)], [2.0, 2.0], [3.0, 3.0], [1.5, 1.5]],
+         "central event times must be strictly increasing"),
+    ], ids=["not-finite", "decreasing", "zero-duration", "degenerate", "proportion", "center"])
+    def test_one_sample_failures(self, times, message):
+        # Each sample fails one check of SampleSet, fit_params or DepthParams.
+        assert _one_sample_error(0.0, np.array(times)) == message
 
     def test_proportions_form_probability_vector(self):
         sample = simulate(SimConfig(kind="hpp", rates=(3.0,), k=4, n=500, seed=5))
@@ -244,23 +262,26 @@ class TestFitStack:
     @pytest.mark.parametrize("c", [1, 2, 16])
     @pytest.mark.parametrize("at", ["two", "rows-1", "rows", "rows+1", "3*rows+2"])
     def test_stack_bits_across_u_bar_chunks(self, c, at):
-        # u_bar is summed a chunk of `rows` realizations at a time: sample
-        # sizes on both sides of one and three chunk boundaries keep the
-        # fields of one fit per sample, and u_bar the plain row-axis mean.
+        # fit_params sums u_bar a chunk of `rows` realizations at a time,
+        # fit_moved one stack of moved samples at a time: sample sizes on
+        # both sides of one and three chunk boundaries keep, for each of c
+        # moved samples, the fields of its own fit and the plain row-axis
+        # mean as u_bar.
         k = 3
-        rows = U_BAR_CHUNK_BYTES // (8 * k * c) - 1
+        rows = U_BAR_CHUNK_BYTES // (8 * k) - 1
         n = {"two": 2, "rows-1": rows - 1, "rows": rows, "rows+1": rows + 1, "3*rows+2": 3 * rows + 2}[at]
         rng = np.random.default_rng([c, n])
-        start = rng.uniform(-5.0, 5.0, c)
-        gaps = rng.exponential(1.0, (c, n, k)) * 10.0 ** rng.integers(-2, 3, (c, 1, k))
-        times = start[:, None, None] + np.cumsum(gaps, axis=2)
-        fields = fit_stack(np.ascontiguousarray(times.transpose(2, 0, 1)), start)
+        start = rng.uniform(-5.0, 5.0)
+        times = start + np.cumsum(rng.exponential(1.0, (n, k)) * 10.0 ** rng.integers(-2, 3, k), axis=1)
+        a, b = rng.uniform(0.1, 10.0, c), rng.uniform(-10.0, 10.0, c)
+        fields = estimation.fit_moved(np.ascontiguousarray(times.T), start, a, b)
         for i in range(c):
-            expected = fit_params(SampleSet(start[i], times[i]))
+            moved = SampleSet(a[i] * start + b[i], a[i] * times + b[i])
+            expected = fit_params(moved)
             for name in PARAM_FIELDS:
                 assert np.array_equal(_bits(getattr(fields, name)[i]), _bits(getattr(expected, name))), (i, name)
-            fractions = np.diff(times[i], axis=1, prepend=start[i]) / (times[i, :, -1] - start[i])[:, None]
-            assert np.array_equal(_bits(fields.u_bar[i]), _bits(fractions.mean(axis=0))), i
+            fractions = np.diff(moved.times, axis=1, prepend=moved.start) / moved.durations()[:, None]
+            assert np.array_equal(_bits(expected.u_bar), _bits(fractions.mean(axis=0))), i
 
     def test_fit_holds_no_copy_of_the_gaps(self):
         # The normalized gaps are one matrix's worth; u_bar's sum adds a
@@ -282,36 +303,31 @@ class TestFitStack:
         assert str(caught.value) == "the duration mean overflows: the largest duration is 1.07941e+308"
 
     def test_mixed_block_raises_for_the_first_failing_sample(self):
-        # Each sample fails one check of SampleSet, fit_params or DepthParams;
-        # whichever comes first in the stack names the error, whatever the
-        # later samples fail.
-        ok = [[1.0, 2.0], [1.5, 4.0], [0.5, 3.0], [2.0, 2.5]]
-        failing = {
-            "not finite": [[1.0, 2.0], [1.5, np.nan], [0.5, 3.0], [2.0, 2.5]],
-            "decreasing": [[1.0, 2.0], [2.5, 2.0], [0.5, 3.0], [2.0, 2.5]],
-            "zero duration": [[1.0, 2.0], [0.0, 0.0], [0.5, 3.0], [2.0, 2.5]],
-            "degenerate": [[1.0, 2.0], [1.5, 2.0], [0.5, 2.0], [0.25, 2.0]],
-            "proportion": [[0.0, 2.0], [0.0, 4.0], [0.0, 3.0], [0.0, 2.5]],
-            # The one nonzero second gap is half an ulp of the mean
-            # proportion: the two center times round together.
-            "center": [[1.0, np.nextafter(1.0, 2.0)], [2.0, 2.0], [3.0, 3.0], [1.5, 1.5]],
-        }
-        expected = {name: _one_sample_error(0.0, np.array(times)) for name, times in failing.items()}
+        # Each moved sample fails one check of SampleSet or fit_params;
+        # whichever comes first among the trials names the error, whatever
+        # the later trials fail, in one block or in a block per trial.
+        sample = SampleSet(0.0, [[1.0, 2.0], [1.5, 4.0], [0.5, 3.0], [2.0, 2.5]])
+        times = np.ascontiguousarray(sample.times.T)
+        failing = {"not finite": (1.0, np.nan), "zero duration": (1.0, 1e300),
+                   "mean overflows": (2.5e307, 0.0), "variance overflows": (1e160, 0.0)}
+        expected = {name: _one_sample_error(b, a * sample.times + b) for name, (a, b) in failing.items()}
         assert all(expected.values()) and len(set(expected.values())) == len(expected)
         for first in failing:
             later = [name for name in failing if name != first]
             for order in ([first, *later], [first, *later[::-1]]):
-                stack = np.array([ok, ok] + [failing[name] for name in order]).transpose(2, 0, 1)
-                with pytest.raises(DataError) as caught:
-                    fit_stack(stack, np.zeros(stack.shape[1]))
-                assert str(caught.value) == expected[first], order
+                a, b = np.array([(1.0, 0.0), (2.0, 1.0)] + [failing[name] for name in order]).T
+                for rows in (estimation.REFIT_ROWS, sample.n):
+                    with patch.object(estimation, "REFIT_ROWS", rows), pytest.raises(DataError) as caught:
+                        estimation.fit_moved(times, sample.start, a, b)
+                    assert str(caught.value) == expected[first], (order, rows)
 
     def test_one_row_fails_the_times_check_first(self):
-        # A one-row sample fails the fit; a non-finite time in the first
-        # sample is still reported first, as SampleSet reports it.
-        stack = np.array([[[1.0], [1.0]], [[np.inf], [2.0]]])  # (k, c, n) = (2, 2, 1)
-        expected = _one_sample_error(0.0, stack[:, 0].T)
-        assert expected.startswith("realization 0, column 2")
-        for times, message in ((stack, expected), (stack[:, 1:], "need at least 2 realizations to fit, got 1")):
-            with pytest.raises(DataError, match=message):
-                fit_stack(times, np.zeros(times.shape[1]))
+        # A one-row sample fails the fit; a moved sample whose times are not
+        # finite is still reported first, as SampleSet reports it.
+        times, ones = np.array([[1.0], [2.0]]), np.ones(2)  # (k, n) = (2, 1)
+        expected = _one_sample_error(np.nan, [[np.nan, np.nan]])
+        assert expected == "the start time nan is not finite"
+        for b, message in (([np.nan, 0.0], expected), ([0.0, np.nan], "need at least 2 realizations to fit, got 1")):
+            with pytest.raises(DataError) as caught:
+                estimation.fit_moved(times, 0.0, ones, np.array(b))
+            assert str(caught.value) == message
