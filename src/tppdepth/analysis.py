@@ -19,6 +19,7 @@ from .depth import (
     BREAKDOWN_FIELDS,
     PARAM_FIELDS,
     DepthParams,
+    _row_sum,
     cumulative_times,
     depth_columns,
     hpp_conditional_column,
@@ -363,23 +364,32 @@ def weighted_fraction_gap(a, b, alpha) -> np.ndarray:
 
     Returns the gap (LHS - RHS); values above a small slack are
     violations. This is the inequality that makes the log-depth
-    nonincreasing along center rays. Each of ``a``, ``b`` and ``alpha``
-    must hold numbers (see :func:`~tppdepth.errors.check_array`), and a
-    NaN or an infinity is out of range.
+    nonincreasing along center rays. ``a`` and ``b`` are one row or a
+    matrix of rows of the same shape, with at least one column, and
+    ``alpha`` holds one weight per row. Each must hold numbers (see
+    :func:`~tppdepth.errors.check_array`), and a NaN or an infinity is out
+    of range.
     """
     a = np.atleast_2d(check_array("a must be an array of numbers", a))
     b = np.atleast_2d(check_array("b must be an array of numbers", b))
     alpha = check_array("alpha must be an array of numbers", alpha).reshape(-1)
+    if a.ndim != 2 or a.shape[1] < 1:
+        raise DataError(f"a must be one row or a matrix of rows, with at least one column, got shape {a.shape}")
     if a.shape != b.shape or alpha.size != a.shape[0]:
         raise DataError(f"shape mismatch: a {a.shape}, b {b.shape}, alpha {alpha.shape}")
     if not np.all((0 <= a) & (a < np.inf) & (0 < b) & (b < np.inf)):
         raise DataError("requires finite a >= 0 and b > 0")
     if not np.all((0 <= alpha) & (alpha <= 1)):
         raise DataError("alpha must lie in [0, 1]")
-    al = alpha[:, None]
-    lhs = ((a - b) / ((1.0 - al) + al * (a / b))).sum(axis=1)
-    sa = a.sum(axis=1)
-    sb = b.sum(axis=1)
+    return _fraction_gap(a.T, b.T, alpha)
+
+
+def _fraction_gap(a, b, alpha) -> np.ndarray:
+    # The gap of weighted_fraction_gap, unchecked, over event-major (k, n)
+    # rows; each sum over k is _row_sum's, so a row keeps ``.sum(axis=1)``'s bits.
+    lhs = _row_sum((a - b) / ((1.0 - alpha) + alpha * (a / b)))
+    sa = _row_sum(a)
+    sb = _row_sum(b)
     rhs = (sa - sb) / ((1.0 - alpha) + alpha * (sa / sb))
     return lhs - rhs
 
@@ -388,12 +398,17 @@ def _proportions(rng: np.random.Generator, shape, moderate: bool = False) -> np.
     # Uniform on the simplex via normalized exponentials. The moderate form
     # is bounded away from the simplex boundary, for identity checks where
     # a vanishing gap would amplify cancellation far beyond the tolerance.
+    # Drawn row by row, in stream order; returned as the transpose of an
+    # event-major (k, trials) array.
     e = rng.exponential(1.0, size=shape)
     if moderate:
         e += 0.5
-    else:
-        e[e.sum(axis=-1) == 0.0] = 1.0
-    return e / e.sum(axis=-1, keepdims=True)
+    total = _row_sum(e.T)
+    if not moderate:
+        empty = total == 0.0
+        e[empty] = 1.0
+        total[empty] = shape[-1]  # the sum of k ones
+    return np.divide(e.T, total, order="C").T
 
 
 def _interior_times(rng, params: DepthParams, trials: int, moderate: bool = False) -> np.ndarray:
@@ -455,7 +470,7 @@ def _check_scale_shift(rng, params, trials, offsets) -> PropertyCheck:
         base = SimpleNamespace(**{f: refits[f][-1] for f in PARAM_FIELDS})
         moved_params = SimpleNamespace(**{f: refits[f][:-1] for f in PARAM_FIELDS})
     reference = _product(times, base)
-    moved = _product(a[:, None] * times + b[:, None], moved_params)
+    moved = _product((a * times.T + b).T, moved_params)
     # Equal depths deviate by 0, also where both underflow to 0.
     deviation = np.abs(moved - reference)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -464,16 +479,17 @@ def _check_scale_shift(rng, params, trials, offsets) -> PropertyCheck:
 
 
 def _check_ray_monotonicity(rng, params, rays) -> PropertyCheck:
-    targets = _boundary_times(rng, params, rays, every=10)
-    alphas = np.linspace(0.0, 1.0, ALPHA_GRID_POINTS)[:, None]
-    center = np.asarray(params.center)
+    targets = _boundary_times(rng, params, rays, every=10).T
+    alphas = np.linspace(0.0, 1.0, ALPHA_GRID_POINTS)
+    # Convex form of offsets: rounding is monotone and nothing falls below 0.
+    # Each chunk is event-major, (k, rays, points).
+    from_center = (1.0 - alphas) * np.asarray(params.center)[:, None, None]
     margins = np.empty(rays)
     chunk = max(1, BLOCK_ROWS // ALPHA_GRID_POINTS)
     for lo in range(0, rays, chunk):
-        target = targets[lo:lo + chunk, None, :]
-        # Convex form of offsets: rounding is monotone and nothing falls below 0.
-        times = (1.0 - alphas) * center + alphas * target
-        values = _product(times.reshape(-1, params.k), params).reshape(-1, ALPHA_GRID_POINTS)
+        times = alphas * targets[:, lo:lo + chunk, None]
+        times += from_center
+        values = _product(times.reshape(params.k, -1).T, params).reshape(-1, ALPHA_GRID_POINTS)
         # Nonincreasing along the ray, with the minimum at the far end (alpha = 1).
         rises = np.max(np.diff(values, axis=1) - RAY_SLACK, axis=1)
         margins[lo:lo + chunk] = np.maximum(rises, values[:, -1] - values.min(axis=1) - RAY_SLACK)
@@ -507,10 +523,10 @@ def _check_weighted_fraction(rng, trials) -> PropertyCheck:
         count = int(np.count_nonzero(sizes == k))
         if count == 0:
             continue
-        a = 10.0 * (1.0 - rng.random((count, k)))
-        b = 10.0 * (1.0 - rng.random((count, k)))
+        a = 10.0 * np.subtract(1.0, rng.random((count, k)).T, order="C")
+        b = 10.0 * np.subtract(1.0, rng.random((count, k)).T, order="C")
         alpha = rng.random(count)
-        margins.append(weighted_fraction_gap(a, b, alpha) - FRACTION_SLACK)
+        margins.append(_fraction_gap(a, b, alpha) - FRACTION_SLACK)
     return _tally("weighted-fraction", trials, np.concatenate(margins))
 
 

@@ -48,11 +48,19 @@ def cumulative_times(duration, proportions) -> np.ndarray:
     The last cumulative proportion is pinned to exactly 1, so the last
     offset is ``duration`` bitwise. ``duration`` may be a scalar or a
     per-row array, ``proportions`` a (k,) vector or one row per
-    realization.
+    realization. The result is the transpose of an event-major (k, ...)
+    array, one contiguous row per event; the sum runs event by event, in
+    the order (and so with the bits) of ``np.cumsum`` along the last axis.
     """
-    cum = np.cumsum(np.asarray(proportions, dtype=float), axis=-1)
-    cum[..., -1] = 1.0
-    return np.asarray(duration, dtype=float)[..., None] * cum
+    columns = np.moveaxis(np.asarray(proportions, dtype=float), -1, 0)
+    duration = np.asarray(duration, dtype=float)
+    out = np.empty((columns.shape[0], *np.broadcast_shapes(duration.shape, columns.shape[1:])))
+    out[0] = columns[0]
+    for j in range(1, columns.shape[0] - 1):
+        out[j] = out[j - 1] + columns[j]
+    out[-1] = 1.0
+    out *= duration
+    return np.moveaxis(out, 0, -1)
 
 
 # The message of each rule of broken_rules, in order, formatted with the fields and the u_bar sum.
@@ -165,8 +173,9 @@ def _blocks(n: int):
 
 
 def _row_sum(terms):
-    """Elementwise sum of a list of equal-shape arrays, in the order
-    ``np.add.reduce`` takes along a contiguous last axis.
+    """Elementwise sum of a list of equal-shape arrays (or of the rows of
+    an array), in the order ``np.add.reduce`` takes along a contiguous
+    last axis.
 
     That is numpy's pairwise summation started from +0.0: fewer than 8
     terms left to right; up to 128 in eight lanes, combined as

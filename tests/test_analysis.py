@@ -685,6 +685,24 @@ class TestWeightedFraction:
             weighted_fraction_gap([[1.0]], [[1.0]], [1.5])
         with pytest.raises(DataError):
             weighted_fraction_gap([[1.0, 2.0]], [[1.0]], [0.5])
+        # A 3-D stack of rows, and rows without entries (a 0/0 gap).
+        for a, alpha in [(np.ones((2, 2, 2)), [0.5, 0.5]), (np.empty((2, 0)), [0.5, 0.5]), ([], [0.5])]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DataError, match="one row or a matrix of rows, with at least one column"):
+                    weighted_fraction_gap(a, a, alpha)
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 8, 9, 16, 129])
+    def test_equals_the_row_major_sums(self, k):
+        # Terms of mixed magnitude, so that another summation order rounds differently.
+        rng = np.random.default_rng(k)
+        a, b = (rng.uniform(0.01, 10.0, (60, k)) * 10.0 ** rng.integers(-6, 6, (60, k)) for _ in range(2))
+        alpha = rng.random(60)
+        al = alpha[:, None]
+        lhs = ((a - b) / ((1.0 - al) + al * (a / b))).sum(axis=1)
+        sa, sb = a.sum(axis=1), b.sum(axis=1)
+        expected = lhs - (sa - sb) / ((1.0 - alpha) + alpha * (sa / sb))
+        assert weighted_fraction_gap(a, b, alpha).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("a, b, alpha, message", [
         (["1", "2"], ["2", "3"], ["0.5"], "a must be an array of numbers ('2' is not a real number)"),
@@ -702,6 +720,33 @@ class TestWeightedFraction:
         with pytest.raises(DataError) as caught:
             weighted_fraction_gap(a, b, alpha)
         assert str(caught.value) == message
+
+
+def _row_major_proportions(rng, shape, moderate=False):
+    # The verify suite's simplex draws as they were written on (trials, k) rows.
+    e = rng.exponential(1.0, size=shape)
+    if moderate:
+        e += 0.5
+    else:
+        e[e.sum(axis=-1) == 0.0] = 1.0
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+class TestProportions:
+    @pytest.mark.parametrize("k", [1, 2, 5, 8, 9, 12, 20, 130])
+    @pytest.mark.parametrize("moderate", [False, True])
+    def test_equal_the_row_major_form(self, k, moderate):
+        for trials in (1, 7, 1000):
+            drawn, expected = (f(np.random.Generator(np.random.Philox(key=k)), (trials, k), moderate)
+                               for f in (analysis._proportions, _row_major_proportions))
+            assert drawn.tobytes(order="C") == expected.tobytes(order="C")
+
+    def test_a_row_of_zero_draws_is_uniform(self):
+        draws = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 4.0], [0.0, 0.0, 5e-324]])
+        rng = SimpleNamespace(exponential=lambda scale, size: draws.copy())
+        expected = _row_major_proportions(rng, draws.shape)
+        assert analysis._proportions(rng, draws.shape).tobytes(order="C") == expected.tobytes(order="C")
+        assert expected[0].tolist() == [1 / 3] * 3
 
 
 PROPERTY_NAMES = ("P1-boundary", "P1-infinity", "P2", "P3", "P4", "hpp-consistency", "young-range",

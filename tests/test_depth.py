@@ -360,6 +360,27 @@ class TestCenter:
         assert replace(p, mu_last=4.0) == DepthParams(0.5, 4.0, 1.0, (0.25, 0.75), 2.0)
 
 
+class TestCumulativeTimes:
+    @pytest.mark.parametrize("k", range(1, 21))
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray], ids=["C", "F"])
+    def test_equals_the_row_major_cumsum(self, k, layout):
+        # Terms of mixed magnitude, so that another summation order rounds differently.
+        rng = np.random.default_rng(k)
+        n, c = 300, 4
+
+        def draw(*shape):
+            return rng.exponential(1.0, shape) * 10.0 ** rng.integers(-8, 8, shape)
+
+        cases = [(2.5, draw(k)), (rng.uniform(0.5, 3.0, n), draw(k)),
+                 (rng.uniform(0.5, 3.0, n), layout(draw(n, k))), (2.5, layout(draw(c, k))),
+                 (rng.uniform(0.5, 3.0, c), layout(draw(c, k)))]
+        for duration, proportions in cases:
+            cum = np.cumsum(proportions, axis=-1)
+            cum[..., -1] = 1.0
+            expected = np.asarray(duration)[..., None] * cum
+            assert same_bits(cumulative_times(duration, proportions), expected), (np.shape(duration), cum.shape)
+
+
 class TestDepthParams:
     def test_from_moments_defaults(self):
         p = DepthParams(start=1.0, mu_last=2.0, var_last=0.5, u_bar=(0.25, 0.75))
@@ -853,6 +874,22 @@ class TestKernelsKeepTheirBits:
         mean, cov = finite.mean(axis=0), np.cov(finite, rowvar=False).reshape(k, k)
         for m, c in [(mean, cov), (mean, np.outer(cov[0], cov[0])), (np.full(k, -1e308), cov)]:
             assert same_bits(mahalanobis_column(times, m, c), reference_mahalanobis(times, m, c))
+
+    @pytest.mark.parametrize("k", range(1, 21))
+    def test_either_memory_layout(self, k):
+        # The verify suite passes its (n, k) matrices as transposes of
+        # event-major arrays (F order): a matrix and its F-ordered copy give
+        # the bits of the references, which run on the C-ordered one.
+        times, params = _kernel_cases(k)
+        finite = times[np.all(times < 1e300, axis=1)]
+        mean, cov = finite.mean(axis=0), np.cov(finite, rowvar=False).reshape(k, k)
+        reference = reference_depth_columns(times, params)
+        for matrix in (times, np.asfortranarray(times)):
+            columns = depth_columns(matrix, params)
+            assert all(same_bits(columns[name], reference[name]) for name in BREAKDOWN_FIELDS)
+            assert same_bits(hpp_conditional_column(matrix, params.start),
+                             reference_hpp_conditional(times, params.start))
+            assert same_bits(mahalanobis_column(matrix, mean, cov), reference_mahalanobis(times, mean, cov))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 12, 20])
     @pytest.mark.parametrize("shared", [True, False])
