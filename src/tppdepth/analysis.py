@@ -19,6 +19,7 @@ from .depth import (
     BREAKDOWN_FIELDS,
     PARAM_FIELDS,
     DepthParams,
+    _blocks,
     _row_sum,
     cumulative_times,
     depth_columns,
@@ -29,7 +30,7 @@ from .depth import (
 )
 from .errors import DataError, check_array, check_count, check_number, check_seed, is_number, shown
 from .estimation import affine_fields, fit_mahalanobis, fit_moved
-from .sequences import SampleSet, check_times
+from .sequences import SampleSet, check_times, gap_matrix
 
 # Each method's kernel, as the name of its memo entry, and its column there.
 _KERNELS = {
@@ -159,10 +160,12 @@ def _competition_ranks(values: np.ndarray) -> np.ndarray:
     n = values.size
     order = np.argsort(-values)
     ordered = values[order]
-    run_start = np.ones(n, dtype=bool)
-    run_start[1:] = ordered[1:] != ordered[:-1]
+    starts = np.arange(1, n + 1)
+    starts[1:][ordered[1:] == ordered[:-1]] = 0  # a row equal to the one before it starts no run
+    del ordered  # freed before the ranks are allocated
+    np.maximum.accumulate(starts, out=starts)
     ranks = np.empty(n, dtype=int)
-    ranks[order] = np.maximum.accumulate(np.where(run_start, np.arange(1, n + 1), 0))
+    ranks[order] = starts
     nan_rows = np.flatnonzero(np.isnan(values))
     ranks[nan_rows] = np.arange(n - nan_rows.size + 1, n + 1)
     return ranks
@@ -345,9 +348,14 @@ def near_boundary_comparison(
     if not (is_number(threshold) and 0 < threshold <= 1):
         raise DataError(f"threshold must be in (0, 1], got {shown(threshold)}")
     ranks = [_ranks(*_kept(sample, params, method, None)) for method in ("product", "mahalanobis")]
-    durations = sample.durations()
+    # The smallest gap of each row, a block of (k, BLOCK_ROWS) gaps at a time,
+    # divided once by its duration: for a duration d > 0, correctly rounded
+    # division is monotone, so min_j(g_j / d) = (min_j g_j) / d bit for bit.
+    times, durations, smallest = sample.times, sample.durations(), np.empty(sample.n)
+    for rows in _blocks(sample.n):
+        np.minimum.reduce(gap_matrix(times[rows].T, times[rows, 0] - sample.start), out=smallest[rows])
     with np.errstate(divide="ignore", invalid="ignore"):
-        smallest = np.minimum.reduce(sample.gaps().T / durations)  # over the k rows of (k, n) fractions
+        smallest /= durations
     subset = np.flatnonzero(np.where(durations > 0, smallest, 0.0) < threshold)
     means = np.stack([r[subset] for r in ranks]).mean(axis=1).tolist() if subset.size else (math.nan, math.nan)
     return NearBoundarySummary(float(threshold), sample.n, tuple(subset.tolist()), *means)

@@ -32,15 +32,18 @@ def check_times(start: float, times: np.ndarray) -> None:
 
     A few whole-array reductions decide; neighbouring times are compared
     event-major (``order="C"`` on the transposed matrix), one long loop per
-    event rather than a short one per row. Only after a failure is the
-    first bad cell (in row-major order) located; it is raised as an
+    event rather than a short one per row. Only the last column is tested
+    for finiteness: a finite start, ``t1 >= start``, every neighbour
+    comparison true (a NaN fails each) and a finite last time put every
+    time between two finite numbers. Only after a failure is the first bad
+    cell (in row-major order) located; it is raised as an
     :class:`EventTimeError`.
     """
     if times.ndim != 2 or times.shape[0] < 1 or times.shape[1] < 1:
         raise DataError(f"event times must form a nonempty (n, k) matrix, got shape {times.shape}")
     if not math.isfinite(start):
         raise DataError(f"the start time {start} is not finite")
-    if (np.isfinite(times).all() and (times[:, 0] >= start).all()
+    if (np.isfinite(times[:, -1]).all() and (times[:, 0] >= start).all()
             and np.greater_equal(times.T[1:], times.T[:-1], order="C").all()):
         return
     previous = np.concatenate([np.full((times.shape[0], 1), start), times[:, :-1]], axis=1)

@@ -74,8 +74,13 @@ def simulate(config: SimConfig) -> SampleSet:
     every gap. A time that overflows (a tiny rate, a start near the float
     maximum) is left to the sample's check."""
     rng = np.random.Generator(np.random.Philox(key=config.seed))
-    u = rng.random((config.n, config.k))
-    offsets = -np.log1p(-u) / np.asarray(config.rates)
+    times = rng.random((config.n, config.k))
+    # -log1p(-u) / rate, one operation at a time in place: no array beside the draws.
+    np.negative(times, out=times)
+    np.log1p(times, out=times)
+    np.negative(times, out=times)
+    times /= np.asarray(config.rates)
     for j in range(1, config.k):  # the cumulative sum of the gaps, in numpy's order, a column at a time
-        offsets[:, j] += offsets[:, j - 1]
-    return SampleSet(config.start, config.start + offsets)
+        times[:, j] += times[:, j - 1]
+    times += config.start
+    return SampleSet(config.start, times)

@@ -34,7 +34,7 @@ import tppdepth.analysis as analysis
 import tppdepth.estimation as estimation
 from tppdepth.analysis import _competition_ranks
 from tppdepth.analysis import METHODS
-from tppdepth.depth import BREAKDOWN_FIELDS, PARAM_FIELDS
+from tppdepth.depth import BLOCK_ROWS, BREAKDOWN_FIELDS, PARAM_FIELDS
 
 
 def _refit_one_trial_at_a_time(times, start, a, b):
@@ -107,6 +107,19 @@ class TestCompetitionRanks:
         assert np.array_equal(ranks[~nan], rankdata(-values[~nan], method="min"))
         assert np.array_equal(ranks[nan], np.arange(n - nan.sum() + 1, n + 1))
         assert np.array_equal(ranks, reference_competition_ranks(values))
+
+    @given(st.lists(st.sampled_from([0.0, -0.0, 0.5, math.nan]) | st.floats(min_value=-1, max_value=1),
+                    min_size=1, max_size=60))
+    @settings(max_examples=200)
+    def test_small_n_ties_signed_zeros_and_nan(self, values):
+        # The rule below numpy's sort cutoffs: rankdata's ranks for the
+        # numbers (0.0 and -0.0 are one block), then n-m+1..n for the m NaN
+        # rows in row order.
+        values = np.asarray(values)
+        nan = np.isnan(values)
+        ranks = _competition_ranks(values)
+        assert np.array_equal(ranks[~nan], rankdata(-values[~nan], method="min"))
+        assert np.array_equal(ranks[nan], np.arange(values.size - nan.sum() + 1, values.size + 1))
 
     def test_nan_product_depth_ranks_last(self):
         # Offsets from a start at -1e308 overflow, and the product depth of
@@ -187,6 +200,22 @@ class TestRank:
         assert np.array_equal(table.order, np.argsort(-depths, kind="stable"))
         assert np.array_equal(table.ranks, rankdata(-depths, method="min"))
         assert table.n == depths.size
+
+    def test_ranks_are_built_in_place(self):
+        # With the depths computed, ranking holds the sort order, the sorted
+        # depths and one int array of run starts, then the ranks and the
+        # table's copies: 0.83x the (n, k) matrix here.
+        sample = simulate(SimConfig(kind="state-dependent", rates=(2.5, 4.0, 6.0, 8.0, 10.0), k=5, n=100_000,
+                                    seed=17))
+        params = fit_params(sample)
+        depth_values(sample, params, "product")
+        tracemalloc.start()
+        try:
+            rank(sample, params, "product")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.15 * sample.times.nbytes
 
     def test_boundary_realization_ranks_last(self, hpp_params, hpp_sample):
         times = hpp_sample.times.copy()
@@ -435,6 +464,46 @@ class TestNearBoundary:
             fractions = np.where(durations > 0, np.diff(sample.times, axis=1, prepend=start) / durations, 0.0)
         expected = np.flatnonzero(fractions.min(axis=1) < threshold)
         assert near_boundary_comparison(sample, params, threshold).indices == tuple(expected.tolist())
+
+    @pytest.mark.parametrize("n", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 5])
+    def test_subset_across_blocks_is_the_fraction_minimum(self, n):
+        # The rule written out over the whole (k, n) gap matrix, one division
+        # per gap: zero-duration rows, zero gaps and repeated rows fall on
+        # both sides of every block boundary, and one threshold equals a
+        # row's smallest fraction.
+        rng = np.random.default_rng(n)
+        start, k = 1.5, 4
+        times = start + np.cumsum(rng.exponential(1.0, (n, k)), axis=1)
+        params = fit_params(SampleSet(start, times))
+        tied = np.flatnonzero(rng.random(n) < 0.05)
+        times[tied, 2] = times[tied, 1]
+        times[rng.random(n) < 0.01] = start
+        times[BLOCK_ROWS - 3::BLOCK_ROWS // 2] = times[0]
+        sample = SampleSet(start, times)
+        durations = sample.durations()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fractions = np.where(durations > 0, np.minimum.reduce(sample.gaps().T / durations), 0.0)
+        for threshold in (0.05, float(np.sort(fractions)[n // 2]), 1.0):
+            expected = np.flatnonzero(fractions < threshold)
+            assert near_boundary_comparison(sample, params, threshold).indices == tuple(expected.tolist())
+
+    def test_a_warm_comparison_takes_the_smallest_gap_block_by_block(self):
+        # After rank, the comparison reads both rankings from the memo and
+        # holds (n,) columns, (k, BLOCK_ROWS) gaps and the subset it returns,
+        # never (k, n) gaps or fractions: 1.41x the (n, k) matrix here.
+        sample = simulate(SimConfig(kind="state-dependent", rates=(2.5, 4.0, 6.0, 8.0, 10.0), k=5, n=100_000,
+                                    seed=17))
+        params = fit_params(sample)
+        for method in ("product", "mahalanobis"):
+            rank(sample, params, method)
+        near_boundary_comparison(sample, params, 0.05)
+        tracemalloc.start()
+        try:
+            near_boundary_comparison(sample, params, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * sample.times.nbytes
 
     def test_threshold_validated(self, hpp_sample, hpp_params):
         with pytest.raises(DataError):

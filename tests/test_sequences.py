@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from tppdepth import DataError, EventSequence, SampleSet, depth, depth_values, fit_params, hpp_conditional_depth
 from tppdepth.analysis import METHODS
+from tppdepth.sequences import EventTimeError, check_times
 
 
 def bits(values):
@@ -190,6 +192,51 @@ class TestSampleSet:
             tracemalloc.stop()
         assert times.nbytes <= peak < 1.5 * times.nbytes
         assert np.array_equal(bits(sample.times), bits(times)) and sample.times.flags.c_contiguous
+
+
+def first_bad_cell(start, times):
+    """The times check written out: None when every time is finite and
+    nondecreasing from the start, else the first bad (row, column) in
+    row-major order."""
+    previous = np.concatenate([np.full((times.shape[0], 1), start), times[:, :-1]], axis=1)
+    with np.errstate(invalid="ignore"):
+        bad = ~(np.isfinite(times) & (times >= previous))
+    return divmod(int(np.argmax(bad)), times.shape[1]) if bad.any() else None
+
+
+class TestCheckTimes:
+    def _assert_same_verdict(self, start, times):
+        expected = first_bad_cell(start, times)
+        if expected is None:
+            check_times(start, times)
+            return
+        with pytest.raises(EventTimeError) as caught:
+            check_times(start, times)
+        row, col = expected
+        assert (caught.value.row, caught.value.column) == (row, col + 1)
+        assert (caught.value.reason == "value is not finite") == (not math.isfinite(times[row, col]))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_a_non_finite_time_in_every_cell(self, k, value):
+        # Only the last column is tested for finiteness; a NaN or an infinity
+        # anywhere else fails a neighbour comparison or the one with the start.
+        base = np.arange(1.0, 3 * k + 1).reshape(3, k)
+        for row in range(3):
+            for col in range(k):
+                times = base.copy()
+                times[row, col] = value
+                self._assert_same_verdict(0.0, times)
+                times[row, col:] = value  # the rest of the row too: equal neighbours
+                self._assert_same_verdict(0.0, times)
+
+    @given(k=st.integers(1, 5), n=st.integers(1, 6), start=st.sampled_from([-1.0, 0.0, 2.0]),
+           ordered=st.booleans(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_accepts_what_the_finite_and_nondecreasing_rule_accepts(self, k, n, start, ordered, data):
+        cell = st.sampled_from([-math.inf, -1.0, 0.0, 1.0, 2.0, 3.0, math.inf, math.nan])
+        times = np.array(data.draw(st.lists(st.lists(cell, min_size=k, max_size=k), min_size=n, max_size=n)))
+        self._assert_same_verdict(start, np.sort(times, axis=1) if ordered else times)
 
 
 class TestGaps:
