@@ -17,6 +17,7 @@ paths given without a directory component are placed there.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -62,7 +63,9 @@ def _out_path(path: str) -> Path:
     return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``tppdepth`` parser, built once per process: ``main`` only parses with it."""
     parser = _Parser(prog="tppdepth", description="Depth-based ranking for first-k-event point processes.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -1,6 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -762,6 +766,44 @@ class TestTopLevel:
             assert run(*argv, out) == 0
         written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.csv"))
         assert written == ["out/bare.csv", "work/absolute.csv", "work/sub/nested.csv"]
+
+    def test_calls_in_one_process_match_separate_processes(self, tmp_path, monkeypatch):
+        # main parses with one parser per process: calls in this process, with
+        # different subcommands, TPPDEPTH_OUT_DIR set and unset and a usage
+        # error between them, give the exit codes and files of the same calls
+        # each in a fresh interpreter.
+        calls = [
+            (None, ["simulate", "--kind", "hpp", "--rates", "2", "--k", "2", "--n", "60", "--seed", "1",
+                    "--out", "a.csv"]),
+            ("out", ["fit", "--in", "a.csv", "--params-out", "p.json"]),
+            ("out", ["rank", "--in", "a.csv", "--params", "out/p.json", "--method", "nope", "--out", "x.csv"]),
+            (None, ["depth", "--in", "a.csv", "--params", "out/p.json", "--method", "product", "--out", "d.csv"]),
+            ("out", ["rank", "--in", "a.csv", "--params", "out/p.json", "--method", "mahalanobis",
+                     "--out", "r.json", "--format", "json"]),
+        ]
+        package_root = str(Path(cli.__file__).resolve().parents[1])
+        results = []
+        for separate in (False, True):
+            work = tmp_path / ("separate" if separate else "one")
+            (work / "out").mkdir(parents=True)
+            monkeypatch.chdir(work)
+            codes = []
+            for out_dir, argv in calls:
+                if out_dir is None:
+                    monkeypatch.delenv("TPPDEPTH_OUT_DIR", raising=False)
+                else:
+                    monkeypatch.setenv("TPPDEPTH_OUT_DIR", out_dir)
+                if separate:
+                    env = {**os.environ, "PYTHONPATH": os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])}
+                    codes.append(subprocess.run([sys.executable, "-m", "tppdepth.cli", *argv], env=env,
+                                                capture_output=True, timeout=120).returncode)
+                else:
+                    codes.append(main(argv))
+            files = {p.relative_to(work).as_posix(): p.read_bytes() for p in sorted(work.rglob("*")) if p.is_file()}
+            results.append((codes, files))
+        assert results[0][0] == [0, 0, 1, 0, 0]
+        assert sorted(results[0][1]) == ["a.csv", "d.csv", "out/p.json", "out/r.json"]
+        assert results[0] == results[1]
 
     def test_inputs_not_mutated(self, tmp_path, sample_csv, params_json):
         before_sample = sample_csv.read_bytes()

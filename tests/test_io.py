@@ -3,7 +3,9 @@ import json
 import math
 import re
 import textwrap
+import tracemalloc
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -536,6 +538,62 @@ class TestCsvWriter:
         _write(tmp_path / "out.csv", "csv", header, columns)
         _reference_csv(tmp_path / "ref.csv", header, columns)
         assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _float_corpus(rng):
+    # Floats that reach every path of the cell kernel, by kind: random bit
+    # patterns (subnormals, zeros, infinities and NaNs too), the powers of
+    # ten and their neighbours (where a guess of the exponent from log10
+    # fails), dyadic values (exact ties at the 17th digit, which Python
+    # rounds), a sample and the special values.
+    powers = 10.0 ** np.arange(-323, 309)
+    dyadic = rng.integers(2**52, 2**53, size=20_000) / 2.0 ** rng.integers(1, 64, size=20_000)
+    return {
+        "bits": rng.integers(-2**63, 2**63, size=200_000, dtype=np.int64).view(np.float64),
+        "powers": np.concatenate([sign * np.nextafter(powers, to) for sign in (1, -1) for to in (0, powers, np.inf)]),
+        "dyadic": np.concatenate([dyadic, -dyadic]),
+        "sample": simulate(SimConfig(kind="state-dependent", rates=(0.5, 2.0, 8.0), k=3, n=5000, seed=4)).times.ravel(),
+        "special": np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                             2.2250738585072009e-308, 1e-280, 1e280]),
+    }
+
+
+class TestCellKernel:
+    """The CSV cells are exactly Python's '%.17g' and '%d' text."""
+
+    def test_floats_are_percent_17g(self, tmp_path):
+        corpus = _float_corpus(np.random.default_rng(26))
+        ties = [d for d in map(Decimal, corpus["dyadic"].tolist()) if len(d.as_tuple().digits) == 18]
+        assert sum(d.as_tuple().digits[-1] == 5 for d in ties) > 100  # exact ties at the 17th digit
+        values = np.concatenate(list(corpus.values()))
+        _write(tmp_path / "out.csv", "csv", None, [values])
+        expected = "".join("%.17g\r\n" % v for v in values.tolist())
+        assert (tmp_path / "out.csv").read_bytes() == expected.encode()
+
+    def test_ints_are_percent_d(self, tmp_path):
+        edges = [2**63 - 1, -2**63, -(2**63 - 1), 0, 1, -1]
+        edges += [sign * 10**k + d for k in range(1, 19) for sign in (1, -1) for d in (-1, 0, 1)]
+        values = np.array(edges, dtype=np.int64)
+        labels = np.arange(len(values))
+        _write(tmp_path / "out.csv", "csv", ["i", "v"], [labels, values])
+        expected = "i,v\r\n" + "".join(f"{i:d},{v:d}\r\n" for i, v in zip(labels.tolist(), edges))
+        assert (tmp_path / "out.csv").read_bytes() == expected.encode()
+
+    def test_memory_does_not_grow_with_rows(self, tmp_path):
+        # numpy reports its buffers to tracemalloc. The writer holds one
+        # block's text at a time, so with its tables built the peak at 4e4
+        # rows is the peak at 1e4: measured 232 bytes apart (k=5, 2.1 MiB
+        # each), against the 480 KiB of one block's float cell matrices.
+        peaks = []
+        for n in (100, 10_000, 40_000):
+            sample = simulate(SimConfig(kind="state-dependent", rates=(1.0, 2.0, 3.0, 2.0, 1.0), k=5, n=n, seed=3))
+            tracemalloc.start()
+            try:
+                save_sample_csv(sample, tmp_path / "sample.csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] - peaks[1] < BLOCK_ROWS * 5 * 24
 
 
 @st.composite
