@@ -574,16 +574,17 @@ class TestCellKernel:
         edges = [2**63 - 1, -2**63, -(2**63 - 1), 0, 1, -1]
         edges += [sign * 10**k + d for k in range(1, 19) for sign in (1, -1) for d in (-1, 0, 1)]
         values = np.array(edges, dtype=np.int64)
-        labels = np.arange(len(values))
-        _write(tmp_path / "out.csv", "csv", ["i", "v"], [labels, values])
-        expected = "i,v\r\n" + "".join(f"{i:d},{v:d}\r\n" for i, v in zip(labels.tolist(), edges))
+        index = np.arange(len(values))
+        _write(tmp_path / "out.csv", "csv", ["i", "v"], [index, values])
+        expected = "i,v\r\n" + "".join(f"{i:d},{v:d}\r\n" for i, v in zip(index.tolist(), edges))
         assert (tmp_path / "out.csv").read_bytes() == expected.encode()
 
     def test_memory_does_not_grow_with_rows(self, tmp_path):
         # numpy reports its buffers to tracemalloc. The writer holds one
-        # block's text at a time, so with its tables built the peak at 4e4
-        # rows is the peak at 1e4: measured 232 bytes apart (k=5, 2.1 MiB
-        # each), against the 480 KiB of one block's float cell matrices.
+        # block's text at a time, so with its tables built (by the write at
+        # n=100) the peak at 4e4 rows is the peak at 1e4: measured 896 bytes
+        # apart (k=5, 2.1 MiB each), against the 480 KiB of one block's float
+        # cell matrices.
         peaks = []
         for n in (100, 10_000, 40_000):
             sample = simulate(SimConfig(kind="state-dependent", rates=(1.0, 2.0, 3.0, 2.0, 1.0), k=5, n=n, seed=3))
