@@ -28,7 +28,7 @@ from .depth import (
 from .errors import DataError
 from .estimation import fit_mahalanobis, fit_params
 from .io import load_csv, load_params_json, save_params_json, save_sample_csv
-from .sequences import EventSequence, SampleSet
+from .sequences import SampleSet
 from .simulate import SimConfig, simulate
 
 __version__ = "0.1.0"
@@ -37,7 +37,6 @@ __all__ = [
     "ContourGrid",
     "DataError",
     "DepthParams",
-    "EventSequence",
     "NearBoundarySummary",
     "PropertyCheck",
     "PropertyReport",

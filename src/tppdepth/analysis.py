@@ -54,13 +54,6 @@ COUNT_CAPS = {"resolution": 2001, "trials": 10**6, "rays": 10**5}
 ALPHA_GRID_POINTS = 101
 
 
-@dataclass(frozen=True)
-class RankEntry:
-    index: int
-    depth: float
-    rank: int
-
-
 @dataclass(frozen=True, eq=False)
 class RankTable:
     """Depths and competition ranks, indexed by row.
@@ -81,9 +74,10 @@ class RankTable:
         return np.argsort(self.ranks, kind="stable")
 
     @property
-    def entries(self) -> tuple[RankEntry, ...]:
-        return tuple(RankEntry(index=int(i), depth=float(self.depths[i]), rank=int(self.ranks[i]))
-                     for i in self.order)
+    def entries(self) -> np.recarray:
+        """The rows deepest first, as one record array with fields ``index``, ``depth`` and ``rank``."""
+        order = self.order
+        return np.rec.fromarrays([order, self.depths[order], self.ranks[order]], names="index,depth,rank")
 
     def ranks_by_index(self) -> np.ndarray:
         return self.ranks.copy()
@@ -107,19 +101,20 @@ class ContourGrid:
     values: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NearBoundarySummary:
-    """Mean ranks of the near-boundary subset under both depths."""
+    """Mean ranks of the near-boundary subset under both depths; ``indices``
+    is the subset's rows, a read-only int64 array."""
 
     threshold: float
     sample_size: int
-    indices: tuple[int, ...]
+    indices: np.ndarray
     mean_product_rank: float
     mean_mahalanobis_rank: float
 
     @property
     def subset_size(self) -> int:
-        return len(self.indices)
+        return self.indices.size
 
 
 @dataclass(frozen=True)
@@ -358,7 +353,8 @@ def near_boundary_comparison(
         smallest /= durations
     subset = np.flatnonzero(np.where(durations > 0, smallest, 0.0) < threshold)
     means = np.stack([r[subset] for r in ranks]).mean(axis=1).tolist() if subset.size else (math.nan, math.nan)
-    return NearBoundarySummary(float(threshold), sample.n, tuple(subset.tolist()), *means)
+    subset.setflags(write=False)
+    return NearBoundarySummary(float(threshold), sample.n, subset, *means)
 
 
 def weighted_fraction_gap(a, b, alpha) -> np.ndarray:

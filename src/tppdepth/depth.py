@@ -15,12 +15,14 @@ comparison baseline.
 
 Each formula is written once, in an array kernel over an (n, k) matrix of
 event times: :func:`depth_columns`, :func:`hpp_conditional_column` and
-:func:`mahalanobis_column`. The scalar functions are batches of one, so
-scalar and batch results agree bit for bit. After subtracting the start
-once, the kernels read it only in the exact-center test. The gaps of a
-block are one event-major (k, B) array, and a sum over the k columns is
-taken column by column (:func:`_row_sum`), in the order numpy's own row
-sum uses, so each row keeps the bits of ``.sum(axis=1)``.
+:func:`mahalanobis_column`. The scalar functions take one realization as a
+(k,) vector of absolute times, from the params' start (or a given one),
+and are batches of one, so scalar and batch results agree bit for bit.
+After subtracting the start once, the kernels read it only in the
+exact-center test. The gaps of a block are one event-major (k, B) array,
+and a sum over the k columns is taken column by column (:func:`_row_sum`),
+in the order numpy's own row sum uses, so each row keeps the bits of
+``.sum(axis=1)``.
 """
 
 from __future__ import annotations
@@ -326,7 +328,9 @@ def require_match(data, params: DepthParams) -> None:
                         f"parameters (k={params.k}, start={params.start})")
 
 
-def _row(seq: EventSequence, params: DepthParams) -> np.ndarray:
+def _row(times, params: DepthParams) -> np.ndarray:
+    # One realization as a (1, k) matrix, checked by EventSequence from the params' start and against their k.
+    seq = EventSequence(params.start, times)
     require_match(seq, params)
     return np.array([seq.times])
 
@@ -349,7 +353,7 @@ def marginal_factor(last_time: float, params: DepthParams) -> float:
     return float(_marginal(np.array([check_number("last_time", last_time)]) - params.start, params)[2][0])
 
 
-def conditional_depth(seq: EventSequence, params: DepthParams) -> float:
+def conditional_depth(times, params: DepthParams) -> float:
     """Weighted geometric mean of normalized gaps against ``u_bar``.
 
     ``prod(((s_i - s_{i-1}) / ((s_k - s_0) * u_bar[i])) ** u_bar[i])``,
@@ -357,26 +361,27 @@ def conditional_depth(seq: EventSequence, params: DepthParams) -> float:
     the weighted AM-GM bound, with equality only when the normalized gaps
     match ``u_bar``.
     """
-    return float(depth_columns(_row(seq, params), params)["conditional"][0])
+    return float(depth_columns(_row(times, params), params)["conditional"][0])
 
 
-def hpp_conditional_depth(seq: EventSequence) -> float:
-    """Conditional depth under uniform expected proportions.
+def hpp_conditional_depth(times, start: float) -> float:
+    """Conditional depth under uniform expected proportions, from ``start``.
 
     The batch of one of :func:`hpp_conditional_column`. Agrees with
     :func:`conditional_depth` at uniform ``u_bar`` to rounding error.
     """
+    seq = EventSequence(start, times)
     return float(hpp_conditional_column(np.array([seq.times]), seq.start)[0])
 
 
-def product_depth(seq: EventSequence, params: DepthParams) -> dict[str, float]:
+def product_depth(times, params: DepthParams) -> dict[str, float]:
     """Full depth of a realization: marginal factor times conditional depth.
 
     The batch of one of :func:`depth_columns`: one float per name in
     ``BREAKDOWN_FIELDS``, in that order. The central event-time vector is
     the unique maximizer, with depth exactly 1.
     """
-    return {name: float(v[0]) for name, v in depth_columns(_row(seq, params), params).items()}
+    return {name: float(v[0]) for name, v in depth_columns(_row(times, params), params).items()}
 
 
 def mahalanobis_depth(times, mean, covariance) -> float:

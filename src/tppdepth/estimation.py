@@ -35,8 +35,7 @@ U_BAR_CHUNK_BYTES = 1 << 17
 @np.errstate(all="ignore")
 def _moments(times, start, gaps, scratch, u_buffer):
     """The one formula of the fitted moments of c stacked samples, unchecked:
-    ``mu_last``, ``var_last``, the (c, k) ``u_bar`` and, per sample, whether
-    its gaps are all >= 0 (a NaN, infinite or decreasing time fails).
+    ``mu_last``, ``var_last`` and the (c, k) ``u_bar``.
 
     ``times`` is an event-major (k, c, n) stack. The normalized gaps go to
     ``gaps``, which may be ``times`` itself (each gap is written one event
@@ -58,11 +57,9 @@ def _moments(times, start, gaps, scratch, u_buffer):
     for j in range(k - 1, 0, -1):
         np.subtract(times[j], times[j - 1], out=gaps[j])
     np.subtract(times[0], start[:, None], out=gaps[0])
-    # One whole-stack minimum decides; only after a failure is it taken per sample.
-    times_pass = np.full(c, True) if gaps.min() >= 0 else gaps.min(axis=(0, 2)) >= 0
     gaps /= durations
     u_bar = np.ascontiguousarray(_row_axis_mean(gaps.reshape(k * c, n), u_buffer).reshape(k, c).T)
-    return mu_last, var_last, u_bar, times_pass
+    return mu_last, var_last, u_bar
 
 
 def _row_axis_mean(columns: np.ndarray, buffer: np.ndarray) -> np.ndarray:
@@ -106,7 +103,9 @@ def affine_fields(params, a, b) -> SimpleNamespace:
 def fit_moved(times: np.ndarray, start: float, a: np.ndarray, b: np.ndarray) -> SimpleNamespace:
     """The fitted fields of every moved sample ``a[i] * X + b[i]``, started at
     ``a[i] * start + b[i]``, of an event-major (k, n) sample X: bit for bit
-    one :func:`fit_params` per moved sample, with its checks.
+    one :func:`fit_params` per moved sample, with its checks. X must pass
+    ``check_times`` from ``start`` and every ``a[i]`` be positive: then no
+    moved sample can fail the times check, only the fields' rules.
 
     Stacks of whole samples, at most ``REFIT_ROWS`` rows (or one sample),
     go through :func:`_moments` at once. Each block copies the sample into
@@ -139,11 +138,11 @@ def fit_moved(times: np.ndarray, start: float, a: np.ndarray, b: np.ndarray) -> 
         stack[...] = times[:, None]
         stack *= scale
         stack += shift
-        mu_last[block], var_last[block], u_bar[block], ok[block] = _moments(
+        mu_last[block], var_last[block], u_bar[block] = _moments(
             stack, starts[block], stack, (scale, shift), u_buffer)
     for lo in range(0, trials, BLOCK_ROWS):  # BLOCK_ROWS trials at a time bound the temporaries
         rows = slice(lo, lo + BLOCK_ROWS)
-        ok[rows] &= broken_rules(*(f[rows] for f in (starts, mu_last, var_last, u_bar, mu_last)))[0] == len(RULES)
+        ok[rows] = broken_rules(*(f[rows] for f in (starts, mu_last, var_last, u_bar, mu_last)))[0] == len(RULES)
     if not ok.all():
         i = int(np.argmin(ok))
         fit_params(SampleSet(starts[i], (times * a[i] + b[i]).T))
@@ -168,7 +167,7 @@ def fit_params(sample: SampleSet) -> DepthParams:
     gaps, durations = np.empty(times.shape), np.empty((1, n))
     # The deviations go in gaps[0], which holds no gap until they are summed.
     u_buffer = np.empty(max(U_BAR_CHUNK_BYTES // gaps.itemsize, 2 * k))
-    (mu_last,), (var_last,), (u_bar,), _ = _moments(times, start, gaps, (durations, gaps[0]), u_buffer)
+    (mu_last,), (var_last,), (u_bar,) = _moments(times, start, gaps, (durations, gaps[0]), u_buffer)
     bad = np.flatnonzero(durations <= 0)
     if bad.size:
         raise DataError(f"realization {int(bad[0])} has zero duration; normalized gaps are undefined")

@@ -362,4 +362,5 @@ def save_values(values, method: str, path, fmt: str = "csv") -> None:
 
 def summary_to_dict(summary: NearBoundarySummary) -> dict:
     fields = ("threshold", "sample_size", "subset_size", "indices", "mean_product_rank", "mean_mahalanobis_rank")
-    return {"schema_version": SCHEMA_VERSION, **{f: getattr(summary, f) for f in fields}}
+    return {"schema_version": SCHEMA_VERSION, **{f: getattr(summary, f) for f in fields},
+            "indices": summary.indices.tolist()}

@@ -1,4 +1,4 @@
-"""Event-time containers: single realizations and homogeneous samples.
+"""Event-time containers: the check of event times and homogeneous samples.
 
 A realization is an ordered vector of k event times together with a shared
 start time. Ties are allowed (they place the realization on the boundary,
@@ -70,6 +70,7 @@ def gap_matrix(times: np.ndarray, first) -> np.ndarray:
     return gaps
 
 
+# Kept only as the check of one realization in depth's scalar functions; perfbench's tracer wraps its __init__.
 @dataclass(frozen=True)
 class EventSequence:
     """One realization: start time and k nondecreasing event times, each a
@@ -139,9 +140,6 @@ class SampleSet:
     @property
     def k(self) -> int:
         return self.times.shape[1]
-
-    def sequence(self, i: int) -> EventSequence:
-        return EventSequence(self.start, tuple(self.times[i]))
 
     def durations(self) -> np.ndarray:
         """Last event time minus start, per realization."""

@@ -16,7 +16,6 @@ import pytest
 import tppdepth.analysis as analysis
 from tppdepth import (
     DepthParams,
-    EventSequence,
     SampleSet,
     SimConfig,
     conditional_depth,
@@ -109,12 +108,11 @@ def test_criterion_3_conditional_forms_agree():
             k = int(rng.integers(1, 11))
             gaps = rng.exponential(1.0, size=k) + 1e-12
             times = tuple(np.cumsum(gaps))
-            seq = EventSequence(0.0, times)
             uniform = DepthParams(
                 start=0.0, mu_last=1.0, var_last=0.5, u_bar=(1.0 / k,) * k
             )
-            closed = hpp_conditional_depth(seq)
-            general = conditional_depth(seq, uniform)
+            closed = hpp_conditional_depth(times, 0.0)
+            general = conditional_depth(times, uniform)
             scale = max(closed, general)
             assert scale > 0.0
             relative = abs(closed - general) / scale
@@ -129,11 +127,11 @@ def test_criterion_4_closed_form_spot_values():
         )
         # One standard deviation from the mean halves the marginal depth.
         assert marginal_depth_d1(1.5, params) == 0.5
-        cond = conditional_depth(EventSequence(0.0, (0.3, 1.0)), params)
+        cond = conditional_depth((0.3, 1.0), params)
         cond_oracle = direct_conditional(0.0, (0.3, 1.0), (0.5, 0.5))
         assert abs(cond - cond_oracle) <= 1e-9
         assert abs(cond - math.sqrt(0.84)) <= 1e-9
-        breakdown = product_depth(EventSequence(0.0, (0.3, 1.5)), params)
+        breakdown = product_depth((0.3, 1.5), params)
         product_oracle = direct_product(0.0, (0.3, 1.5), 1.0, 0.25, 1.0, 1.0, (0.5, 0.5))
         assert abs(breakdown["product"] - product_oracle) <= 1e-9
         assert abs(breakdown["product"] - 0.56569) <= 5e-6

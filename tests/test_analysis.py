@@ -150,6 +150,20 @@ class TestRank:
         # Continuous data: no ties, so ranks are a permutation of 1..n.
         assert sorted(e.rank for e in table.entries) == list(range(1, 101))
 
+    def test_entries_are_one_record_array_of_the_columns(self, hpp_sample, hpp_params):
+        times = hpp_sample.times.copy()
+        times[[3, 40]] = times[7]  # tied depths, listed by row index
+        sample = SampleSet(hpp_sample.start, times)
+        table = rank(sample, hpp_params, "product")
+        entries = table.entries
+        assert isinstance(entries, np.recarray) and entries.dtype.names == ("index", "depth", "rank")
+        order = table.order
+        assert np.array_equal(entries.index, order)
+        assert np.array_equal(entries.depth.view(np.int64), table.depths[order].view(np.int64))
+        assert np.array_equal(entries.rank, table.ranks[order])
+        assert [(e.index, e.depth, e.rank) for e in entries[:2]] == [
+            (int(i), float(table.depths[i]), int(table.ranks[i])) for i in order[:2]]
+
     def test_methods_agree_with_depth_values(self, hpp_sample, hpp_params):
         for method in ("product", "marginal", "conditional", "hpp-conditional", "mahalanobis"):
             table = rank(hpp_sample, hpp_params, method)
@@ -441,6 +455,8 @@ class TestNearBoundary:
         sample = SampleSet(0.0, [[1.0, 2.0], [1.1, 2.3], [0.9, 1.8]])
         summary = near_boundary_comparison(sample, hpp_params, 0.01)
         assert summary.subset_size == 0
+        assert summary.indices.dtype == np.int64 and summary.indices.shape == (0,)
+        assert not summary.indices.flags.writeable
         assert math.isnan(summary.mean_product_rank)
         assert math.isnan(summary.mean_mahalanobis_rank)
 
@@ -463,7 +479,9 @@ class TestNearBoundary:
         with np.errstate(divide="ignore", invalid="ignore"):
             fractions = np.where(durations > 0, np.diff(sample.times, axis=1, prepend=start) / durations, 0.0)
         expected = np.flatnonzero(fractions.min(axis=1) < threshold)
-        assert near_boundary_comparison(sample, params, threshold).indices == tuple(expected.tolist())
+        indices = near_boundary_comparison(sample, params, threshold).indices
+        assert indices.dtype == np.int64 and not indices.flags.writeable
+        assert indices.tolist() == expected.tolist()
 
     @pytest.mark.parametrize("n", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 5])
     def test_subset_across_blocks_is_the_fraction_minimum(self, n):
@@ -485,7 +503,7 @@ class TestNearBoundary:
             fractions = np.where(durations > 0, np.minimum.reduce(sample.gaps().T / durations), 0.0)
         for threshold in (0.05, float(np.sort(fractions)[n // 2]), 1.0):
             expected = np.flatnonzero(fractions < threshold)
-            assert near_boundary_comparison(sample, params, threshold).indices == tuple(expected.tolist())
+            assert near_boundary_comparison(sample, params, threshold).indices.tolist() == expected.tolist()
 
     def test_a_warm_comparison_takes_the_smallest_gap_block_by_block(self):
         # After rank, the comparison reads both rankings from the memo and
@@ -565,7 +583,7 @@ def result_bits(result):
     if isinstance(result, analysis.RankTable):
         return (result.method, result.n, result_bits(result.depths), result_bits(result.ranks),
                 result_bits(result.order))
-    return (result.threshold, result.sample_size, result.indices,
+    return (result.threshold, result.sample_size, result_bits(result.indices),
             np.array([result.mean_product_rank, result.mean_mahalanobis_rank]).tobytes())
 
 
@@ -863,12 +881,11 @@ class TestVerifyProperties:
         assert report.passed
 
     def test_scale_shift_depth_invariance_via_refit(self, hpp_sample, hpp_params):
-        seq = hpp_sample.sequence(5)
-        reference = product_depth(seq, hpp_params)["product"]
+        reference = product_depth(hpp_sample.times[5], hpp_params)["product"]
         assert reference > 0
         for a, b in ((2.0, 0.0), (0.5, 3.0), (7.5, -4.0), (0.1, 10.0)):
             moved_sample = SampleSet(a * hpp_sample.start + b, a * hpp_sample.times + b)
-            moved = product_depth(moved_sample.sequence(5), fit_params(moved_sample))["product"]
+            moved = product_depth(moved_sample.times[5], fit_params(moved_sample))["product"]
             assert moved == pytest.approx(reference, rel=1e-10)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -812,3 +813,77 @@ class TestTopLevel:
         run("rank", "--in", sample_csv, "--params", params_json, "--method", "product", "--out", out)
         assert sample_csv.read_bytes() == before_sample
         assert params_json.read_bytes() == before_params
+
+
+# The tracemalloc peak of each CLI step, in-process, may grow with n by at
+# most its slope measured here (bytes of peak per byte of the (n, 5)
+# matrix, between n=1e4 and n=4e4; numpy 2.4.6) plus MEMORY_SLOPE_MARGIN,
+# half of one more (n, k) array: a step that keeps one more per-row copy
+# fails. The slopes differ from those at n=1e5..5e5 where a fixed cost,
+# such as one block of CSV text or the compare-boundary JSON line, holds
+# the peak at the smaller size.
+MEMORY_SIZES = (10_000, 40_000)
+MEMORY_SLOPE_MARGIN = 0.5
+MEMORY_STEPS = {
+    "simulate": ("simulate --kind state-dependent --rates 1 2 3 2 1 --k 5 --n {n} --seed 7 --out {out}", 1.00),
+    "fit": ("fit --in {sample} --params-out {out}", 2.23),
+    "depth product": ("depth --in {sample} --params {params} --method product --out {out}", 3.60),
+    "rank product": ("rank --in {sample} --params {params} --method product --out {out}", 3.20),
+    "rank mahalanobis": ("rank --in {sample} --params {params} --method mahalanobis --out {out}", 2.41),
+    "compare-boundary": ("compare-boundary --in {sample} --threshold 0.1", 5.60),
+    "verify --in": ("verify --params {params} --trials 100 --rays 10 --seed 1 --in {sample}", 3.61),
+}
+# contour at the resolution cap: 2001**2 nodes, a 30.5 MiB values matrix.
+# Measured 224.2 MiB, all of it in contour_grid; the bound leaves room for
+# half of one more values-sized array.
+CONTOUR_CAP_PEAK_MIB = 240
+
+
+def step_argv(template: str, fields: dict) -> list[str]:
+    return [token.format(**fields) for token in template.split()]
+
+
+def traced_peak(argv) -> int:
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0, argv
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def memory_inputs(tmp_path_factory):
+    """A sample CSV and its params at a warm-up size and at each measured size."""
+    work = tmp_path_factory.mktemp("memory")
+    inputs = {}
+    for n in (50, *MEMORY_SIZES):
+        sample, params = work / f"s{n}.csv", work / f"p{n}.json"
+        assert main(step_argv(MEMORY_STEPS["simulate"][0], {"n": n, "out": sample})) == 0
+        assert run("fit", "--in", sample, "--params-out", params) == 0
+        inputs[n] = {"n": n, "sample": sample, "params": params, "out": work / "out"}
+    return inputs
+
+
+class TestMemoryContract:
+    @pytest.mark.parametrize("step", list(MEMORY_STEPS))
+    def test_peak_grows_no_faster_than_measured(self, step, memory_inputs, monkeypatch):
+        monkeypatch.delenv("TPPDEPTH_OUT_DIR", raising=False)
+        template, slope = MEMORY_STEPS[step]
+        # A warm-up run first, so imports and one-time tables count at neither size.
+        peaks = [traced_peak(step_argv(template, memory_inputs[n])) for n in (50, *MEMORY_SIZES)][1:]
+        measured = (peaks[1] - peaks[0]) / ((MEMORY_SIZES[1] - MEMORY_SIZES[0]) * 5 * 8)
+        assert measured < slope + MEMORY_SLOPE_MARGIN, (step, peaks, measured)
+
+    def test_contour_at_the_resolution_cap(self, tmp_path, params_json, monkeypatch):
+        # Only the grid is kept: its 4e6 CSV rows (212 MB of text) would take
+        # seconds, and the writer, which holds one block at a time, has its own
+        # bound (test_io). With the writer, the peak was the same.
+        grids = []
+        monkeypatch.setattr(cli.tio, "save_contour", lambda grid, path, fmt: grids.append(grid.values.shape))
+        argv = ["contour", "--params", str(params_json), "--method", "product", "--xmin", "0", "--xmax", "2",
+                "--ymin", "0", "--ymax", "2.5", "--resolution", str(COUNT_CAPS["resolution"]),
+                "--out", str(tmp_path / "c.csv")]
+        peak = traced_peak(argv)
+        assert grids == [(COUNT_CAPS["resolution"],) * 2]
+        assert peak < CONTOUR_CAP_PEAK_MIB * 2**20, peak / 2**20

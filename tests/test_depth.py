@@ -16,7 +16,6 @@ from hypothesis.extra.numpy import arrays
 from tppdepth import (
     DataError,
     DepthParams,
-    EventSequence,
     SampleSet,
     conditional_depth,
     hpp_conditional_depth,
@@ -71,10 +70,10 @@ def bits(values):
 
 
 def interior_sequences(k=2):
-    """Strategy for valid interior sequences starting at 0."""
+    """Strategy for valid interior realizations from 0: (k,) vectors of event times."""
     return st.lists(
         st.floats(min_value=1e-3, max_value=10.0), min_size=k, max_size=k
-    ).map(lambda gaps: EventSequence(0.0, tuple(np.cumsum(gaps))))
+    ).map(lambda gaps: tuple(np.cumsum(gaps)))
 
 
 class TestMarginalDepth:
@@ -164,31 +163,31 @@ class TestScalarArguments:
 
 class TestConditionalDepth:
     def test_spot_value(self, params):
-        value = conditional_depth(EventSequence(0.0, (0.3, 1.0)), params)
+        value = conditional_depth((0.3, 1.0), params)
         assert value == pytest.approx(math.sqrt(0.84), abs=1e-12)
         assert value == pytest.approx(0.91652, abs=5e-6)
 
     def test_zero_on_boundary(self, params):
-        assert conditional_depth(EventSequence(0.0, (0.0, 1.0)), params) == 0.0
-        assert conditional_depth(EventSequence(0.0, (0.5, 0.5)), params) == 0.0
-        assert conditional_depth(EventSequence(0.0, (0.0, 0.0)), params) == 0.0
+        assert conditional_depth((0.0, 1.0), params) == 0.0
+        assert conditional_depth((0.5, 0.5), params) == 0.0
+        assert conditional_depth((0.0, 0.0), params) == 0.0
 
     def test_unit_at_matching_proportions(self, params):
-        assert conditional_depth(EventSequence(0.0, (0.5, 1.0)), params) == 1.0
-        assert conditional_depth(EventSequence(0.0, (2.0, 4.0)), params) == 1.0
+        assert conditional_depth((0.5, 1.0), params) == 1.0
+        assert conditional_depth((2.0, 4.0), params) == 1.0
 
     def test_near_zero_gap_stays_positive(self, params):
         # Gaps are "zero" only when exactly zero; no epsilon snapping,
         # so near-boundary points keep a tiny positive depth.
-        assert conditional_depth(EventSequence(0.0, (1e-12, 1.0)), params) > 0.0
+        assert conditional_depth((1e-12, 1.0), params) > 0.0
 
     def test_length_mismatch(self, params):
         with pytest.raises(DataError):
-            conditional_depth(EventSequence(0.0, (1.0,)), params)
+            conditional_depth((1.0,), params)
 
     def test_scale_free(self, params):
-        a = conditional_depth(EventSequence(0.0, (0.3, 1.0)), params)
-        b = conditional_depth(EventSequence(0.0, (3.0, 10.0)), params)
+        a = conditional_depth((0.3, 1.0), params)
+        b = conditional_depth((3.0, 10.0), params)
         assert a == pytest.approx(b, rel=1e-12)
 
     @given(interior_sequences())
@@ -204,31 +203,31 @@ class TestConditionalDepth:
         u_bar = (0.3, 0.7)
         p = DepthParams(start=0.0, mu_last=1.0, var_last=0.25, u_bar=u_bar)
         assert conditional_depth(seq, p) == pytest.approx(
-            direct_conditional(0.0, seq.times, u_bar), rel=1e-9, abs=1e-300
+            direct_conditional(0.0, seq, u_bar), rel=1e-9, abs=1e-300
         )
 
 
 class TestHppConditionalDepth:
     def test_equally_spaced_is_unit(self):
-        assert hpp_conditional_depth(EventSequence(0.0, (0.25, 0.5))) == 1.0
-        assert hpp_conditional_depth(EventSequence(0.0, (0.25, 0.5, 0.75, 1.0))) == 1.0
+        assert hpp_conditional_depth((0.25, 0.5), 0.0) == 1.0
+        assert hpp_conditional_depth((0.25, 0.5, 0.75, 1.0), 0.0) == 1.0
 
     def test_single_event_is_unit_interior(self):
         # With one event the only gap is the whole duration, so every
         # interior realization scores 1 conditionally.
         p = DepthParams(start=0.0, mu_last=1.0, var_last=0.5, u_bar=(1.0,))
-        assert hpp_conditional_depth(EventSequence(0.0, (0.7,))) == 1.0
-        assert conditional_depth(EventSequence(0.0, (0.7,)), p) == 1.0
-        assert hpp_conditional_depth(EventSequence(0.0, (0.0,))) == 0.0
+        assert hpp_conditional_depth((0.7,), 0.0) == 1.0
+        assert conditional_depth((0.7,), p) == 1.0
+        assert hpp_conditional_depth((0.0,), 0.0) == 0.0
 
     def test_spot_value(self):
-        value = hpp_conditional_depth(EventSequence(0.0, (0.25, 1.0)))
+        value = hpp_conditional_depth((0.25, 1.0), 0.0)
         assert value == pytest.approx(2 * math.sqrt(0.1875), abs=1e-12)
         assert value == pytest.approx(0.86603, abs=5e-6)
 
     def test_zero_on_boundary(self):
-        assert hpp_conditional_depth(EventSequence(0.0, (0.0, 1.0))) == 0.0
-        assert hpp_conditional_depth(EventSequence(0.0, (0.7, 0.7))) == 0.0
+        assert hpp_conditional_depth((0.0, 1.0), 0.0) == 0.0
+        assert hpp_conditional_depth((0.7, 0.7), 0.0) == 0.0
 
     @given(interior_sequences(k=3))
     @settings(max_examples=300)
@@ -236,21 +235,21 @@ class TestHppConditionalDepth:
         uniform = DepthParams(
             start=0.0, mu_last=1.0, var_last=0.25, u_bar=(1 / 3, 1 / 3, 1 / 3)
         )
-        closed = hpp_conditional_depth(seq)
+        closed = hpp_conditional_depth(seq, 0.0)
         general = conditional_depth(seq, uniform)
         assert closed == pytest.approx(general, rel=1e-12, abs=1e-300)
 
     @given(interior_sequences(k=2))
     @settings(max_examples=200)
     def test_matches_oracle(self, seq):
-        assert hpp_conditional_depth(seq) == pytest.approx(
-            direct_hpp_conditional(0.0, seq.times), rel=1e-9, abs=1e-300
+        assert hpp_conditional_depth(seq, 0.0) == pytest.approx(
+            direct_hpp_conditional(0.0, seq), rel=1e-9, abs=1e-300
         )
 
 
 class TestProductDepth:
     def test_composed_spot_value(self, params):
-        breakdown = product_depth(EventSequence(0.0, (0.3, 1.5)), params)
+        breakdown = product_depth((0.3, 1.5), params)
         assert breakdown["marginal_factor"] == pytest.approx(0.70711, abs=5e-6)
         assert breakdown["conditional"] == pytest.approx(0.8, rel=1e-12)
         assert breakdown["product"] == pytest.approx(0.56569, abs=5e-6)
@@ -259,29 +258,25 @@ class TestProductDepth:
         )
 
     def test_breakdown_consistency(self, params):
-        breakdown = product_depth(EventSequence(0.0, (0.4, 2.0)), params)
+        breakdown = product_depth((0.4, 2.0), params)
         assert breakdown["product"] == breakdown["marginal_factor"] * breakdown["conditional"]
         assert 0.0 <= breakdown["omega"] <= 1.0
         assert breakdown["exponent"] >= 0.0
 
     def test_center_is_exactly_one(self, params):
-        breakdown = product_depth(EventSequence(params.start, params.center), params)
+        breakdown = product_depth(params.center, params)
         assert breakdown["product"] == 1.0
         assert breakdown["omega"] == 1.0
         assert breakdown["exponent"] == 0.0
         assert breakdown["conditional"] == 1.0
 
     def test_boundary_is_exactly_zero(self, params):
-        assert product_depth(EventSequence(0.0, (0.0, 1.2)), params)["product"] == 0.0
-        assert product_depth(EventSequence(0.0, (0.6, 0.6)), params)["product"] == 0.0
-
-    def test_start_mismatch_rejected(self, params):
-        with pytest.raises(DataError):
-            product_depth(EventSequence(1.0, (1.3, 2.0)), params)
+        assert product_depth((0.0, 1.2), params)["product"] == 0.0
+        assert product_depth((0.6, 0.6), params)["product"] == 0.0
 
     def test_length_mismatch_rejected(self, params):
         with pytest.raises(DataError):
-            product_depth(EventSequence(0.0, (1.0,)), params)
+            product_depth((1.0,), params)
 
     @given(interior_sequences())
     @settings(max_examples=300)
@@ -289,11 +284,11 @@ class TestProductDepth:
         p = DepthParams(start=0.0, mu_last=1.0, var_last=0.25, u_bar=(0.5, 0.5))
         value = product_depth(seq, p)["product"]
         assert 0.0 <= value <= 1.0
-        assert value <= product_depth(EventSequence(p.start, p.center), p)["product"]
+        assert value <= product_depth(p.center, p)["product"]
 
     def test_vanishing_proxy_far_out(self, params):
         far = params.start + params.mu_last + 100 * math.sqrt(params.var_last)
-        seq = EventSequence(0.0, (far / 2, far))
+        seq = (far / 2, far)
         assert product_depth(seq, params)["product"] < 1e-6
 
 
@@ -503,11 +498,8 @@ class TestDepthParams:
         p = DepthParams(start=0.5, mu_last=1.5, var_last=0.4, u_bar=(0.25, 0.75))
         q = DepthParams(**vars(affine_fields(p, 1.0, 0.0)))
         assert q == p
-        sample = SampleSet(0.5, [[1.0, 2.5]])
-        assert (
-            product_depth(SampleSet(1.0 * sample.start + 0.0, 1.0 * sample.times + 0.0).sequence(0), q)["product"]
-            == product_depth(sample.sequence(0), p)["product"]
-        )
+        times = np.array([1.0, 2.5])
+        assert product_depth(1.0 * times + 0.0, q)["product"] == product_depth(times, p)["product"]
 
     @pytest.mark.parametrize("fields", [
         (1e308, 1e307, 1.0, (0.5, 0.5), 1e308),
@@ -668,7 +660,7 @@ class TestShiftInvariance:
     @pytest.mark.parametrize("start", [1.5, 1e6, 1.7e9])
     def test_center_is_exactly_one_at_any_start(self, start):
         p = DepthParams(start=start, mu_last=1.7, var_last=0.3, u_bar=(0.2, 0.3, 0.5))
-        breakdown = product_depth(EventSequence(p.start, p.center), p)
+        breakdown = product_depth(p.center, p)
         assert (breakdown["product"], breakdown["exponent"]) == (1.0, 0.0)
 
 
@@ -679,7 +671,7 @@ class TestBatchKernel:
         sample, params = case
         columns = depth_columns(sample.times, params)
         for i in range(sample.n):
-            breakdown = product_depth(sample.sequence(i), params)
+            breakdown = product_depth(sample.times[i], params)
             for name in BREAKDOWN_FIELDS:
                 assert bits(breakdown[name]) == bits(columns[name][i]), (i, name)
         on_boundary = np.any(sample.gaps() == 0.0, axis=1)
@@ -689,18 +681,24 @@ class TestBatchKernel:
         assert center == {"omega": 1.0, "exponent": 0.0, "marginal_factor": 1.0,
                           "conditional": 1.0, "product": 1.0}
 
-    @given(samples_with_params())
+    @given(samples_with_params(), st.sampled_from([0.0, 1.5, 1e6]))
     @settings(max_examples=50, deadline=None)
-    def test_scalar_is_the_breakdown_row(self, case):
-        # One float per breakdown name, in BREAKDOWN_FIELDS order, with the
-        # bits of the realization's row of depth_breakdown.
+    def test_scalar_is_the_breakdown_row(self, case, start):
+        # A row of sample.times, as a (k,) vector of absolute times, gives
+        # one float per breakdown name, in BREAKDOWN_FIELDS order, with the
+        # bits of the realization's row of depth_breakdown; the conditional
+        # and the uniform-proportion depths give the bits of their columns.
         sample, params = case
+        sample, params = SampleSet(start, start + sample.times), replace(params, start=start)
         columns = depth_breakdown(sample, params)
-        for i in range(sample.n):
-            breakdown = product_depth(sample.sequence(i), params)
+        hpp = depth_values(sample, None, "hpp-conditional")
+        for i, times in enumerate(sample.times):
+            breakdown = product_depth(times, params)
             assert tuple(breakdown) == BREAKDOWN_FIELDS
             assert all(type(v) is float for v in breakdown.values())
             assert [bits(v) for v in breakdown.values()] == [bits(columns[name][i]) for name in BREAKDOWN_FIELDS]
+            assert bits(conditional_depth(times, params)) == bits(columns["conditional"][i])
+            assert bits(hpp_conditional_depth(times, sample.start)) == bits(hpp[i])
 
     @pytest.mark.parametrize("n", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
     def test_depth_values_unchanged_across_block_size(self, n):
@@ -711,13 +709,13 @@ class TestBatchKernel:
         params = DepthParams(start=0.0, mu_last=3.0, var_last=3.0, u_bar=(0.2, 0.3, 0.5))
         baseline = (full.times.mean(axis=0), np.cov(full.times, rowvar=False))
         sample = SampleSet(0.0, full.times[:n])
-        last = sample.sequence(n - 1)
+        last = sample.times[n - 1]
         scalar = {
             "product": product_depth(last, params)["product"],
-            "marginal": marginal_factor(last.times[-1], params),
+            "marginal": marginal_factor(last[-1], params),
             "conditional": conditional_depth(last, params),
-            "hpp-conditional": hpp_conditional_depth(last),
-            "mahalanobis": mahalanobis_depth(last.times, *baseline),
+            "hpp-conditional": hpp_conditional_depth(last, sample.start),
+            "mahalanobis": mahalanobis_depth(last, *baseline),
         }
         for method in METHODS:
             reference = depth_values(full, params, method, baseline=baseline)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tppdepth import DataError, EventSequence, SampleSet, depth, depth_values, fit_params, hpp_conditional_depth
+from tppdepth import DataError, SampleSet, depth, depth_values, fit_params, hpp_conditional_depth
 from tppdepth.analysis import METHODS
 from tppdepth.sequences import EventTimeError, check_times
 
@@ -31,33 +31,33 @@ def samples(draw):
 
 
 class TestEventSequence:
+    """One realization is a (k,) vector of absolute times, checked by
+    EventSequence from its start wherever a scalar depth takes it."""
+
     def test_basic_fields(self):
-        seq = EventSequence(0, [0.3, 1])
-        assert seq.k == 2
-        assert seq.start == 0.0 and type(seq.start) is float
-        assert seq.times == (0.3, 1.0) and all(type(t) is float for t in seq.times)
+        assert hpp_conditional_depth([0.3, 1], 0) == hpp_conditional_depth((0.3, 1.0), 0.0)
 
     def test_ties_are_boundary(self):
         # A tie is a zero gap: allowed, and it puts the realization on the
         # boundary, where every depth is zero.
         for times in ((0.0, 1.0), (0.5, 0.5)):
-            assert hpp_conditional_depth(EventSequence(0.0, times)) == 0.0
+            assert hpp_conditional_depth(times, 0.0) == 0.0
 
     def test_rejects_empty(self):
         with pytest.raises(DataError):
-            EventSequence(0.0, ())
+            hpp_conditional_depth((), 0.0)
 
     def test_rejects_decreasing(self):
         with pytest.raises(DataError):
-            EventSequence(0.0, (2.0, 1.0))
+            hpp_conditional_depth((2.0, 1.0), 0.0)
         with pytest.raises(DataError):
-            EventSequence(1.0, (0.5,))
+            hpp_conditional_depth((0.5,), 1.0)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(DataError):
-            EventSequence(0.0, (1.0, float("inf")))
+            hpp_conditional_depth((1.0, float("inf")), 0.0)
         with pytest.raises(DataError):
-            EventSequence(float("nan"), (1.0,))
+            hpp_conditional_depth((1.0,), float("nan"))
 
     @pytest.mark.parametrize("start, times, message", [
         ("0", ("1", "2"), "start must be a number, got '0'"),
@@ -68,7 +68,7 @@ class TestEventSequence:
     ], ids=["start-text", "start-huge", "times-text", "times-bool", "times-number"])
     def test_every_time_is_a_number_that_fits_in_a_float(self, start, times, message):
         with pytest.raises(DataError) as caught:
-            EventSequence(start, times)
+            hpp_conditional_depth(times, start)
         assert str(caught.value) == message
 
 
@@ -77,7 +77,7 @@ class TestSampleSet:
         sample = SampleSet(0.0, [[1.0, 2.0], [3.0, 6.0]])
         assert sample.n == 2
         assert sample.k == 2
-        assert sample.sequence(1).times == (3.0, 6.0)
+        assert sample.times[1].tolist() == [3.0, 6.0]
         np.testing.assert_allclose(sample.durations(), [2.0, 6.0])
         np.testing.assert_allclose(sample.gaps(), [[1.0, 1.0], [3.0, 3.0]])
 
