@@ -103,8 +103,7 @@ class ContourGrid:
 
 @dataclass(frozen=True, eq=False)
 class NearBoundarySummary:
-    """Mean ranks of the near-boundary subset under both depths; ``indices``
-    is the subset's rows, a read-only int64 array."""
+    """Mean ranks of the near-boundary subset under both depths; ``indices`` is a read-only int64 array."""
 
     threshold: float
     sample_size: int

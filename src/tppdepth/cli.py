@@ -180,8 +180,9 @@ def _cmd_contour(args) -> int:
 def _cmd_compare_boundary(args) -> int:
     sample = tio.load_csv(args.input, t0=args.t0)
     params = fit_params(sample)
-    summary = near_boundary_comparison(sample, params, args.threshold)
-    print(tio.json_text(tio.summary_to_dict(summary)))
+    # Only the JSON fields outlive this line: the subset array is freed before the text is built.
+    fields = tio.summary_to_dict(near_boundary_comparison(sample, params, args.threshold))
+    print(tio.json_text(fields))
     return 0
 
 

@@ -329,7 +329,6 @@ def require_match(data, params: DepthParams) -> None:
 
 
 def _row(times, params: DepthParams) -> np.ndarray:
-    # One realization as a (1, k) matrix, checked by EventSequence from the params' start and against their k.
     seq = EventSequence(params.start, times)
     require_match(seq, params)
     return np.array([seq.times])

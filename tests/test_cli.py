@@ -830,7 +830,7 @@ MEMORY_STEPS = {
     "depth product": ("depth --in {sample} --params {params} --method product --out {out}", 3.60),
     "rank product": ("rank --in {sample} --params {params} --method product --out {out}", 3.20),
     "rank mahalanobis": ("rank --in {sample} --params {params} --method mahalanobis --out {out}", 2.41),
-    "compare-boundary": ("compare-boundary --in {sample} --threshold 0.1", 5.60),
+    "compare-boundary": ("compare-boundary --in {sample} --threshold 0.1", 5.41),
     "verify --in": ("verify --params {params} --trials 100 --rays 10 --seed 1 --in {sample}", 3.61),
 }
 # contour at the resolution cap: 2001**2 nodes, a 30.5 MiB values matrix.
