@@ -164,6 +164,19 @@ class TestRank:
         assert [(e.index, e.depth, e.rank) for e in entries[:2]] == [
             (int(i), float(table.depths[i]), int(table.ranks[i])) for i in order[:2]]
 
+    def test_a_loop_over_entries_yields_each_record_as_python_numbers(self, hpp_sample, hpp_params):
+        entries = rank(hpp_sample, hpp_params, "product").entries
+        rows = list(entries)
+        assert len(rows) == entries.size == 100
+        for i, row in enumerate(rows):
+            assert (type(row.index), type(row.depth), type(row.rank)) == (int, float, int)
+            assert row == (entries[i].index, entries[i].depth, entries[i].rank)
+        assert list(entries[5:8]) == rows[5:8]
+        n = 2 * BLOCK_ROWS + 1  # three blocks, the last of one row
+        depths = np.linspace(1.0, 0.0, n)
+        table = analysis.RankTable("product", depths, np.arange(1, n + 1))
+        assert list(table.entries) == list(zip(range(n), depths.tolist(), range(1, n + 1)))
+
     def test_methods_agree_with_depth_values(self, hpp_sample, hpp_params):
         for method in ("product", "marginal", "conditional", "hpp-conditional", "mahalanobis"):
             table = rank(hpp_sample, hpp_params, method)
