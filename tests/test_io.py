@@ -1,11 +1,16 @@
 import csv
+import gzip
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import textwrap
 import tracemalloc
 from dataclasses import replace
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,8 +207,7 @@ class TestCsvReader:
     def test_fast_reader_matches_row_parser(self, tmp_path, text):
         path = tmp_path / "data.csv"
         path.write_bytes(text.encode())
-        with path.open(newline="") as handle:
-            fast = _read_matrix(handle)
+        fast = _read_matrix(path)
         slow = _load_csv_rows(path, -1.0).times
         assert fast.shape == slow.shape
         assert fast.tobytes() == slow.tobytes()
@@ -223,9 +227,100 @@ class TestCsvReader:
     def test_row_parser_reads_what_numpy_refuses(self, tmp_path, text, expected):
         path = tmp_path / "data.csv"
         path.write_bytes(text.encode())
-        with path.open(newline="") as handle, pytest.raises(ValueError):
-            _read_matrix(handle)
+        with pytest.raises(ValueError):
+            _read_matrix(path)
         np.testing.assert_array_equal(load_csv(path).times, expected)
+
+
+def _piped(text: str):
+    # The read end of a pipe that holds ``text``, closed at its write end.
+    read, write = os.pipe()
+    os.write(write, text.encode())
+    os.close(write)
+    return read
+
+
+# A FIFO given to load_csv in a fresh process while a thread writes text
+# into it once: the process prints the loaded matrix, or the error line.
+FIFO_SCRIPT = """
+import sys, threading
+from tppdepth import DataError, load_csv
+
+fifo, text = sys.argv[1:]
+
+def feed():
+    with open(fifo, "w", newline="") as handle:
+        handle.write(text)
+
+threading.Thread(target=feed, daemon=True).start()
+try:
+    print(load_csv(fifo).times.tolist())
+except DataError as exc:
+    print(exc)
+"""
+
+
+class TestStreamAndSuffixInputs:
+    """Inputs that cannot be opened again as the same plain text."""
+
+    @pytest.mark.parametrize("text, expected", ROW_PARSER_ONLY)
+    def test_pipe_read_by_the_row_parser(self, text, expected):
+        read = _piped(text)
+        try:
+            np.testing.assert_array_equal(load_csv(f"/dev/fd/{read}").times, expected)
+        finally:
+            os.close(read)
+
+    @pytest.mark.parametrize("case", ["mixed-first-row", "underscore"])
+    def test_pipe_error_names_line_and_column(self, case):
+        _, text, t0, expected = next(c for c in MALFORMED_CSV if c[0] == case)
+        read = _piped(text)
+        try:
+            with pytest.raises(DataError) as info:
+                load_csv(f"/dev/fd/{read}", t0=t0)
+        finally:
+            os.close(read)
+        assert str(info.value) == expected.replace("{path}", f"/dev/fd/{read}")
+
+    def test_pipe_read_by_numpy(self, tmp_path, sample):
+        path = tmp_path / "sample.csv"
+        save_sample_csv(sample, path)
+        read = _piped(path.read_text())
+        try:
+            assert load_csv(f"/dev/fd/{read}", t0=sample.start).times.tobytes() == sample.times.tobytes()
+        finally:
+            os.close(read)
+
+    @pytest.mark.parametrize("text, expected", [
+        ('"1","2"\n3,4\n', "[[1.0, 2.0], [3.0, 4.0]]"),
+        ("0.5,abc\n1,2\n", "{path}: row at line 1, column 2: 'abc' is not a number"),
+    ])
+    def test_fifo_is_read_once(self, tmp_path, text, expected):
+        fifo = tmp_path / "sample.csv"
+        os.mkfifo(fifo)
+        package_root = str(Path(sys.modules["tppdepth"].__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])}
+        # A second open of the FIFO would wait for a writer forever.
+        done = subprocess.run([sys.executable, "-c", FIFO_SCRIPT, str(fifo), text], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, expected.replace("{path}", str(fifo)) + "\n", "")
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    @pytest.mark.parametrize("header", ["", "s1,s2\r\n"])
+    def test_compressed_suffix_is_plain_text(self, tmp_path, sample, suffix, header):
+        twin = tmp_path / "s.csv"
+        save_sample_csv(sample, twin)
+        twin.write_bytes(header.encode() + twin.read_bytes())
+        path = tmp_path / f"s.csv{suffix}"
+        path.write_bytes(twin.read_bytes())
+        assert load_csv(path, t0=sample.start).times.tobytes() == load_csv(twin, t0=sample.start).times.tobytes()
+
+    def test_gzip_file_is_not_text(self, tmp_path):
+        path = tmp_path / "s.csv.gz"
+        path.write_bytes(gzip.compress(b"1,2\n3,4\n"))
+        with pytest.raises(DataError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}: not UTF-8 text (byte 0x8b: invalid start byte)"
 
 
 class TestSampleRoundTrip:
