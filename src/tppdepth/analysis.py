@@ -455,7 +455,7 @@ def _check_boundary_vanishing(rng, params, trials) -> PropertyCheck:
 
 
 def _check_vanishing_at_infinity(rng, params, trials) -> PropertyCheck:
-    far_duration = params.mu_last + 100.0 * math.sqrt(params.var_last)
+    far_duration = params.mu_last + 100.0 * max(math.sqrt(params.var_last), params.horizon)
     times = cumulative_times(far_duration, _proportions(rng, (trials, params.k)))
     return _tally("P1-infinity", trials, _product(times, params) - INFINITY_DEPTH_TOL)
 
@@ -471,7 +471,7 @@ def _check_maximality(rng, params, trials) -> PropertyCheck:
 
 def _check_scale_shift(rng, params, trials, offsets) -> PropertyCheck:
     a = rng.uniform(0.1, 10.0, size=trials)
-    b = rng.uniform(-10.0, 10.0, size=trials)
+    b = params.mu_last * rng.uniform(-10.0, 10.0, size=trials)
     times = _interior_times(rng, params, trials, moderate=True)
     if offsets is None:
         base, moved_params = params, affine_fields(params, a, b)

@@ -133,10 +133,9 @@ def _float_cells(values, cells, keep) -> None:
         zeros = np.take(t.zeros, chunk) + (chunk == 0) * zeros
     notation = np.take(t.notation, row) + 25 * (values < 0)
     keep[:] = np.take(t.masks, notation * 17 + zeros, axis=0)
-    present = np.flatnonzero(np.bincount(notation))
-    for c in present:
-        rows = np.flatnonzero(notation == c) if len(present) > 1 else slice(None)
-        cells[rows] = source[rows][:, t.patterns[c]]
+    picks = np.take(t.patterns, notation, axis=0)
+    picks += np.arange(0, source.size, source.shape[1])[:, None]  # as indices into the flat source
+    cells[:] = np.take(source, picks)
     rows = np.flatnonzero(~certain)
     if rows.size:
         text = ["%.17g" % v for v in values[rows].tolist()]

@@ -62,11 +62,11 @@ _PARAMS_TYPES = {
 }
 
 
-def _label_cell(label: str) -> str:
-    # The label cell as the csv module writes it, quoted where it needs quotes.
+def _csv_row(cells) -> bytes:
+    # One row as the csv module's default dialect writes it, as UTF-8.
     buffer = StringIO()
-    csv.writer(buffer).writerow([label, None])
-    return buffer.getvalue()[:-3]
+    csv.writer(buffer).writerow(cells)
+    return buffer.getvalue().encode()
 
 
 def json_text(doc: dict, indent: int | None = None) -> str:
@@ -91,7 +91,7 @@ def _write(path, fmt: str, header=None, columns=(), document=None, version: int 
     spelled by numpy (:mod:`tppdepth.csvtext`; Python formats only the
     float cells it cannot certify) into byte matrices, joined with ``,``
     and ``\\r\\n`` and compacted into one ``bytes``, which bounds the text
-    held at once.
+    held at once. Both formats are written in binary, as UTF-8 text.
     ``json``: ``schema_version`` (``version``), each label under its name,
     then ``entries``: one object per row, keyed by the numeric names
     (``null`` for a ``None`` column); or, given ``document``, the fields
@@ -103,16 +103,16 @@ def _write(path, fmt: str, header=None, columns=(), document=None, version: int 
 
         names = None if header is None else [name for name, c in zip(header, columns) if c is not None]
         columns = [c for c in columns if c is not None]
-        with path.open("w", newline="") as handle:
+        with path.open("wb") as handle:
             if names is not None:
-                csv.writer(handle).writerow(names)
-            handle.flush()
-            columns = [_label_cell(c).encode(handle.encoding) if isinstance(c, str)
+                handle.write(_csv_row(names))
+            # A label cell: the row (label, None), quoted as in a table, less its ",\r\n".
+            columns = [_csv_row([c, None])[:-3] if isinstance(c, str)
                        else c.astype(np.int64, casting="safe", copy=False) if c.dtype.kind in "iu"
                        else c.astype(float, copy=False) for c in columns]
             rows = len(next(c for c in columns if not isinstance(c, bytes)))
             for lo in range(0, rows, BLOCK_ROWS):
-                handle.buffer.write(csv_block(columns, slice(lo, lo + BLOCK_ROWS)))
+                handle.write(csv_block(columns, slice(lo, lo + BLOCK_ROWS)))
     elif fmt == "json":
         if document is None:
             doc = {name: c for name, c in zip(header, columns) if isinstance(c, str)}
@@ -121,7 +121,7 @@ def _write(path, fmt: str, header=None, columns=(), document=None, version: int 
             doc["entries"] = [dict(zip(numeric, row)) for row in zip(*numeric.values())]
         else:
             doc = document()
-        path.write_text(json_text({"schema_version": version, **doc}, indent=2) + "\n")
+        path.write_bytes((json_text({"schema_version": version, **doc}, indent=2) + "\n").encode())
     else:
         raise DataError(f"unknown format {fmt!r}")
 

@@ -876,6 +876,30 @@ class TestVerifyProperties:
         assert all(math.isfinite(c.worst_margin) for c in report.checks)
         assert _check(report, "P3").violations == 0
 
+    def test_p3_shift_follows_the_time_scale(self):
+        # A shift drawn in absolute time swamps a mean duration of 1e-4:
+        # the moved depths lose digits and P3 read 26 false violations.
+        report = verify_properties(DepthParams(0.0, 1e-4, 1e-9, (0.3, 0.3, 0.4)), 10000, 1, 100)
+        assert _check(report, "P3").violations == 0 and report.passed, report
+
+    def test_p1_infinity_far_point_follows_the_time_scale(self):
+        # A coefficient of variation of 1 %: at mean + 100 SD the depth is
+        # still about 1e-4, so every trial read as a violation.
+        report = verify_properties(DepthParams(0.0, 1.0, 1e-4, (0.5, 0.5)), 1000, 1, 10)
+        assert _check(report, "P1-infinity").violations == 0 and report.passed, report
+
+    @pytest.mark.parametrize("mu_last", [1e-9, 1e-4, 1.0, 1e4, 1e9])
+    def test_valid_params_pass_at_every_scale(self, mu_last):
+        # The depth is scale-free, so no check may fail on valid params
+        # because of their time scale or their duration's spread.
+        failing = []
+        for cv in (1e-4, 1e-2, 0.3, 10.0):
+            for k in (1, 2, 5, 12):
+                params = DepthParams(0.0, mu_last, (cv * mu_last) ** 2, (1.0 / k,) * k)
+                report = verify_properties(params, trials=2000, seed=1, rays=50)
+                failing += [(cv, k, c.name, c.violations) for c in report.checks if c.violations]
+        assert failing == []
+
     def test_nan_margin_is_a_violation(self):
         assert analysis._tally("P3", 2, np.array([-1.0, math.nan])).violations == 1
 

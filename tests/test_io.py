@@ -240,6 +240,12 @@ def _piped(text: str):
     return read
 
 
+def _child_env(**extra) -> dict:
+    # The environment of a fresh Python process that imports this tppdepth.
+    package_root = str(Path(sys.modules["tppdepth"].__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")]), **extra}
+
+
 # A FIFO given to load_csv in a fresh process while a thread writes text
 # into it once: the process prints the loaded matrix, or the error line.
 FIFO_SCRIPT = """
@@ -298,10 +304,8 @@ class TestStreamAndSuffixInputs:
     def test_fifo_is_read_once(self, tmp_path, text, expected):
         fifo = tmp_path / "sample.csv"
         os.mkfifo(fifo)
-        package_root = str(Path(sys.modules["tppdepth"].__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])}
         # A second open of the FIFO would wait for a writer forever.
-        done = subprocess.run([sys.executable, "-c", FIFO_SCRIPT, str(fifo), text], env=env,
+        done = subprocess.run([sys.executable, "-c", FIFO_SCRIPT, str(fifo), text], env=_child_env(),
                               capture_output=True, text=True, timeout=60)
         assert (done.returncode, done.stdout, done.stderr) == (0, expected.replace("{path}", str(fifo)) + "\n", "")
 
@@ -587,7 +591,7 @@ class TestSeventeenDigits:
 
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072009e-308, 1e308, -1e308, math.inf, -math.inf,
                   math.nan, 0.1, 1 / 3]
-CELL_TEXT = st.text(alphabet=["a", ",", '"', "\n", "\r", " ", "%", "1"], max_size=4)
+CELL_TEXT = st.text(alphabet=["a", ",", '"', "\n", "\r", " ", "%", "1", "é"], max_size=4)
 
 
 @st.composite
@@ -616,7 +620,7 @@ def _reference_csv(path, header, columns):
     rows = next(len(c) for c in columns if not isinstance(c, str))
     cells = [[c] * rows if isinstance(c, str) else [format(v, ".17g") for v in c.tolist()]
              if c.dtype.kind == "f" else c.tolist() for c in columns]
-    with path.open("w", newline="") as handle:
+    with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         if header is not None:
             writer.writerow(header)
@@ -633,6 +637,17 @@ class TestCsvWriter:
         _write(tmp_path / "out.csv", "csv", header, columns)
         _reference_csv(tmp_path / "ref.csv", header, columns)
         assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_text_is_utf8_whatever_the_locale(self, tmp_path):
+        # Every reader names UTF-8, so the writer encodes its text itself:
+        # under an ASCII locale the header and the label are UTF-8 too.
+        env = _child_env(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        script = ("import sys, numpy; from tppdepth.io import _write; "
+                  "_write(sys.argv[1], 'csv', ['\\u00fc', 'v'], ['\\u00e9,', numpy.array([0.5, 2.0])])")
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out.csv")], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert (tmp_path / "out.csv").read_bytes() == 'ü,v\r\n"é,",0.5\r\n"é,",2\r\n'.encode()
 
 
 def _float_corpus(rng):
