@@ -49,9 +49,10 @@ RAY_SLACK = 1e-9
 HPP_CONSISTENCY_RTOL = 1e-12
 FRACTION_SLACK = 1e-9
 DEFAULT_RAYS = 1000
-# Caps on the counts that size an allocation (resolution**2 contour nodes,
-# trials x k draws, 101 points per ray); the CLI caps its flags at these too.
-COUNT_CAPS = {"resolution": 2001, "trials": 10**6, "rays": 10**5}
+# The (least, most) values of the counts that size an allocation
+# (resolution**2 contour nodes, trials x k draws, 101 points per ray); the
+# CLI bounds its flags by these too.
+COUNT_CAPS = {"resolution": (2, 2001), "trials": (1, 10**6), "rays": (1, 10**5)}
 ALPHA_GRID_POINTS = 101
 _ENTRY = namedtuple("Entry", "index depth rank")
 
@@ -295,7 +296,7 @@ def contour_grid(
     baseline: tuple | None = None,
 ) -> ContourGrid:
     """Evaluate a depth on a k=2 rectangle of (s1, s2) nodes, ``resolution``
-    per axis: an integer from 2 to ``COUNT_CAPS["resolution"]`` (``3.0`` is
+    per axis: an integer within ``COUNT_CAPS["resolution"]`` (``3.0`` is
     one; ``2.5`` and ``True`` are not). Each range is a (low, high) pair of
     finite numbers, low below high. Every method reads ``params`` (the
     start masks the nodes)."""
@@ -303,7 +304,7 @@ def contour_grid(
         raise DataError(f"unknown method {shown(method)}; expected one of {METHODS}")
     if params is None:
         raise DataError(f"method {method!r} needs fitted parameters")
-    resolution = check_count("resolution", resolution, least=2, most=COUNT_CAPS["resolution"])
+    resolution = check_count("resolution", resolution, *COUNT_CAPS["resolution"])
     ranges = []
     for name, ends in (("s1", x_range), ("s2", y_range)):
         try:
@@ -566,12 +567,12 @@ def verify_properties(
     A transformed field that overflows (a horizon or variance near the
     float maximum, scaled) becomes inf, the limit the depth formulas take.
     ``seed``, ``trials`` and ``rays`` must be integers (``1e3`` is one;
-    ``True`` and ``2.5`` are not), ``trials`` and ``rays`` at least 1 and at
-    most their ``COUNT_CAPS``.
+    ``True`` and ``2.5`` are not), ``trials`` and ``rays`` within their
+    ``COUNT_CAPS``.
     """
     seed = check_seed(seed)
-    trials = check_count("trials", trials, most=COUNT_CAPS["trials"])
-    rays = check_count("rays", rays, most=COUNT_CAPS["rays"])
+    trials = check_count("trials", trials, *COUNT_CAPS["trials"])
+    rays = check_count("rays", rays, *COUNT_CAPS["rays"])
     offsets = None
     if sample is not None:
         require_match(sample, params)

@@ -6,9 +6,9 @@ Subcommands compose through files: ``simulate`` writes a sample CSV,
 Only ``simulate``, ``fit`` and ``compare-boundary`` take a start time
 (``--t0``); the other commands use the one stored in the params file.
 
-Exit codes: 0 success, 1 usage error (also a flag above its cap in
-``analysis.COUNT_CAPS``), 2 data or file error (also an allocation that fails),
-3 property violations found by ``verify``.
+Exit codes: 0 success, 1 usage error (also a flag outside its (least, most)
+pair in ``analysis.COUNT_CAPS``), 2 data or file error (also an allocation
+that fails), 3 property violations found by ``verify``.
 
 The only environment override is ``TPPDEPTH_OUT_DIR``: when set, output
 paths given without a directory component are placed there.
@@ -214,9 +214,11 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        for flag, cap in COUNT_CAPS.items():  # before anything is read or allocated
-            if getattr(args, flag, 0) > cap:
-                raise _UsageError(f"--{flag} must be at most {cap}, got {getattr(args, flag)}")
+        for flag, (least, most) in COUNT_CAPS.items():  # before anything is read or allocated
+            value = getattr(args, flag, least)
+            if not least <= value <= most:
+                word, bound = ("least", least) if value < least else ("most", most)
+                raise _UsageError(f"--{flag} must be at {word} {bound}, got {value}")
         return _COMMANDS[args.command](args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)

@@ -25,27 +25,21 @@ from .sequences import SampleSet
 # temporaries whatever the number of moved samples.
 REFIT_ROWS = 4 * BLOCK_ROWS
 
-# Bytes of the buffer that fit_params' u_bar sum copies one chunk of
-# normalized gaps into: it stays in cache, and it is no larger than
-# malloc's default mmap threshold, so it is reused heap memory, not a
-# fresh mapping per fit.
-U_BAR_CHUNK_BYTES = 1 << 17
-
 
 @np.errstate(all="ignore")
-def _moments(times, start, gaps, scratch, u_buffer):
+def _moments(times, start, gaps, scratch):
     """The one formula of the fitted moments of c stacked samples, unchecked:
     ``mu_last``, ``var_last`` and the (c, k) ``u_bar``.
 
     ``times`` is an event-major (k, c, n) stack. The normalized gaps go to
     ``gaps``, which may be ``times`` itself (each gap is written one event
     at a time from the last); ``scratch`` holds the (c, n) durations and
-    their squared deviations (which may be ``gaps[0]``), and ``u_buffer``
-    is :func:`_row_axis_mean`'s. The bits are those of a fit of one sample:
-    the duration moments are pairwise sums over one contiguous row per
-    sample (the variance by numpy's own ``_var`` steps, from the mean's
-    sum), and ``u_bar`` is the sequential mean over the rows that numpy
-    takes of an (n, c, k) array.
+    their squared deviations (which may be ``gaps[0]``). The bits are those
+    of a fit of one sample: every moment is numpy's pairwise sum over one
+    contiguous row per sample and event (the variance by numpy's own
+    ``_var`` steps, from the mean's sum), so ``u_bar`` has the bits of
+    ``np.ascontiguousarray(fractions.T).mean(axis=1)`` of the (n, k)
+    fractions, within a few ulp of their exact mean.
     """
     k, c, n = times.shape
     durations, deviations = scratch
@@ -58,33 +52,8 @@ def _moments(times, start, gaps, scratch, u_buffer):
         np.subtract(times[j], times[j - 1], out=gaps[j])
     np.subtract(times[0], start[:, None], out=gaps[0])
     gaps /= durations
-    u_bar = np.ascontiguousarray(_row_axis_mean(gaps.reshape(k * c, n), u_buffer).reshape(k, c).T)
+    u_bar = np.ascontiguousarray((np.add.reduce(gaps.reshape(k * c, n), axis=1) / n).reshape(k, c).T)
     return mu_last, var_last, u_bar
-
-
-def _row_axis_mean(columns: np.ndarray, buffer: np.ndarray) -> np.ndarray:
-    """``np.ascontiguousarray(columns.T).mean(axis=0)`` of an (m, n) array,
-    bit for bit, without that (n, m) copy.
-
-    numpy sums a C-contiguous (n, m) array over its rows one row at a
-    time, each column in row order. So each chunk of ``columns`` is copied,
-    transposed, into rows 1.. of ``buffer`` (a flat array of at least 2m
-    entries, as many rows as fit); row 0 carries the running sum (-0.0 at
-    first, which adds exactly), and ``np.add.reduce`` continues the sum
-    over the chunk. At m = 1 numpy sums pairwise instead, but there (k = 1,
-    one sample) every normalized gap is 1 or NaN, which any order sums
-    exactly.
-    """
-    m, n = columns.shape
-    rows = min(n, buffer.size // m - 1)
-    total = np.full(m, -0.0)
-    for lo in range(0, n, rows):
-        chunk = columns[:, lo:lo + rows].T
-        part = buffer[:(chunk.shape[0] + 1) * m].reshape(-1, m)
-        part[0] = total
-        part[1:] = chunk
-        np.add.reduce(part, axis=0, out=total)
-    return total / n
 
 
 def affine_fields(params, a, b) -> SimpleNamespace:
@@ -112,20 +81,19 @@ def fit_moved(times: np.ndarray, start: float, a: np.ndarray, b: np.ndarray) -> 
     its stack and fills (c, n) scale and shift operands, so the multiply
     and the add run in place, one contiguous loop per event rather than
     one per sample; the operands then hold the durations and their
-    deviations, and the gaps replace the times in the stack. The stack,
-    the operands and the buffer of ``u_bar``'s sum (one chunk per block)
-    are allocated once per call: fresh block-sized arrays would often come
-    from new pages, one page fault per 4 KiB each time. The fields' rules
-    (:func:`~tppdepth.depth.broken_rules`) are checked after the last
-    block, ``BLOCK_ROWS`` moved samples at a time; the first failing one is
-    refitted alone by :func:`fit_params`, which raises its error.
+    deviations, and the gaps replace the times in the stack. The stack and
+    the operands are allocated once per call: fresh block-sized arrays
+    would often come from new pages, one page fault per 4 KiB each time.
+    The fields' rules (:func:`~tppdepth.depth.broken_rules`) are checked
+    after the last block, ``BLOCK_ROWS`` moved samples at a time; the first
+    failing one is refitted alone by :func:`fit_params`, which raises its
+    error.
     """
     k, n = times.shape
     trials = a.size
     per_block = max(1, REFIT_ROWS // n)
     width = min(per_block, trials)  # samples in the widest block
     buffer, operands = np.empty(k * width * n), np.empty((2, width * n))
-    u_buffer = np.empty((min(n, REFIT_ROWS) + 1) * k * width)
     starts = a * start + b
     mu_last, var_last, u_bar, ok = np.empty(trials), np.empty(trials), np.empty((trials, k)), np.empty(trials, bool)
     for lo in range(0, trials, per_block):
@@ -138,8 +106,7 @@ def fit_moved(times: np.ndarray, start: float, a: np.ndarray, b: np.ndarray) -> 
         stack[...] = times[:, None]
         stack *= scale
         stack += shift
-        mu_last[block], var_last[block], u_bar[block] = _moments(
-            stack, starts[block], stack, (scale, shift), u_buffer)
+        mu_last[block], var_last[block], u_bar[block] = _moments(stack, starts[block], stack, (scale, shift))
     for lo in range(0, trials, BLOCK_ROWS):  # BLOCK_ROWS trials at a time bound the temporaries
         rows = slice(lo, lo + BLOCK_ROWS)
         ok[rows] = broken_rules(*(f[rows] for f in (starts, mu_last, var_last, u_bar, mu_last)))[0] == len(RULES)
@@ -160,14 +127,13 @@ def fit_params(sample: SampleSet) -> DepthParams:
     default, ``mu_last``; ``dataclasses.replace(params, horizon=h)`` gives
     the params with another.
     """
-    n, k = sample.times.shape
+    n = sample.n
     if n < 2:
         raise DataError(f"need at least 2 realizations to fit, got {n}")
     times, start = sample.times.T[:, None], np.array([sample.start])  # an event-major (k, 1, n) stack
     gaps, durations = np.empty(times.shape), np.empty((1, n))
     # The deviations go in gaps[0], which holds no gap until they are summed.
-    u_buffer = np.empty(max(U_BAR_CHUNK_BYTES // gaps.itemsize, 2 * k))
-    (mu_last,), (var_last,), (u_bar,) = _moments(times, start, gaps, (durations, gaps[0]), u_buffer)
+    (mu_last,), (var_last,), (u_bar,) = _moments(times, start, gaps, (durations, gaps[0]))
     bad = np.flatnonzero(durations <= 0)
     if bad.size:
         raise DataError(f"realization {int(bad[0])} has zero duration; normalized gaps are undefined")

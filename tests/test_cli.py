@@ -262,9 +262,9 @@ class TestParamsTypes:
 
 
 class TestFlagCaps:
-    """--resolution, --trials and --rays are capped before anything is allocated."""
+    """--resolution, --trials and --rays are bounded before anything is allocated."""
 
-    @pytest.mark.parametrize("flag, cap", sorted(COUNT_CAPS.items()))
+    @pytest.mark.parametrize("flag, cap", [(flag, most) for flag, (_, most) in sorted(COUNT_CAPS.items())])
     def test_cap(self, tmp_path, params_json, monkeypatch, capsys, flag, cap):
         def library(*args, **kwargs):
             raise DataError("reached the library")
@@ -277,10 +277,15 @@ class TestFlagCaps:
                     "--ymin", "0", "--ymax", "2", "--out", out]
         else:
             argv = ["verify", "--params", params_json, "--out", out]
-        assert run(*argv, f"--{flag}", cap) == 2
-        assert _single_error_line(capsys, "reached the library")
+        least = COUNT_CAPS[flag][0]
+        for value in (least, cap):
+            assert run(*argv, f"--{flag}", value) == 2
+            assert _single_error_line(capsys, "reached the library")
         assert run(*argv, f"--{flag}", cap + 1) == 1
         assert _single_error_line(capsys, f"error: --{flag} must be at most {cap}, got {cap + 1}")
+        # The floor is a usage error too, as the cap is, not the library's data error.
+        assert run(*argv, f"--{flag}", least - 1) == 1
+        assert _single_error_line(capsys, f"error: --{flag} must be at least {least}, got {least - 1}")
         assert not out.exists()
 
 
@@ -450,8 +455,8 @@ class TestFuzz:
             assert load_csv(out, t0=load_sim_config_json(config).get("start", 0.0)).n >= 1
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(resolution=_flag_value(COUNT_CAPS["resolution"]), trials=_flag_value(COUNT_CAPS["trials"]),
-           rays=_flag_value(COUNT_CAPS["rays"]), method=st.sampled_from(METHODS))
+    @given(resolution=_flag_value(COUNT_CAPS["resolution"][1]), trials=_flag_value(COUNT_CAPS["trials"][1]),
+           rays=_flag_value(COUNT_CAPS["rays"][1]), method=st.sampled_from(METHODS))
     def test_flag_values(self, tmp_path, params_json, capsys, resolution, trials, rays, method):
         out = tmp_path / "contour.csv"
         out.unlink(missing_ok=True)
@@ -897,8 +902,8 @@ class TestMemoryContract:
         grids = []
         monkeypatch.setattr(cli.tio, "save_contour", lambda grid, path, fmt: grids.append(grid.values.shape))
         argv = ["contour", "--params", str(params_json), "--method", "product", "--xmin", "0", "--xmax", "2",
-                "--ymin", "0", "--ymax", "2.5", "--resolution", str(COUNT_CAPS["resolution"]),
+                "--ymin", "0", "--ymax", "2.5", "--resolution", str(COUNT_CAPS["resolution"][1]),
                 "--out", str(tmp_path / "c.csv")]
         peak = traced_peak(argv)
-        assert grids == [(COUNT_CAPS["resolution"],) * 2]
+        assert grids == [(COUNT_CAPS["resolution"][1],) * 2]
         assert peak < CONTOUR_CAP_PEAK_MIB * 2**20, peak / 2**20

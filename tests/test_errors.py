@@ -21,11 +21,11 @@ _INTEGER_SITES = {
     "seed": (lambda v: SimConfig(kind="hpp", rates=(2.0,), k=1, n=2, seed=v), "seed must fit in 64 unsigned bits",
              "seed must fit in 64 unsigned bits"),
     "trials": (lambda v: verify_properties(_PARAMS, trials=v, seed=1, rays=2), "trials must be at least 1",
-               f"trials must be at most {COUNT_CAPS['trials']}"),
+               f"trials must be at most {COUNT_CAPS['trials'][1]}"),
     "rays": (lambda v: verify_properties(_PARAMS, trials=2, seed=1, rays=v), "rays must be at least 1",
-             f"rays must be at most {COUNT_CAPS['rays']}"),
+             f"rays must be at most {COUNT_CAPS['rays'][1]}"),
     "resolution": (lambda v: contour_grid(_PARAMS, "product", (0, 1), (0, 1), v), "resolution must be at least 2",
-                   f"resolution must be at most {COUNT_CAPS['resolution']}"),
+                   f"resolution must be at most {COUNT_CAPS['resolution'][1]}"),
 }
 
 
@@ -142,7 +142,7 @@ class TestCheckCount:
     def test_the_library_caps_the_counts_the_cli_caps(self, site, over):
         # Before anything is allocated: beyond the cap, numpy would raise its
         # own ValueError (or try to allocate the grid).
-        cap = COUNT_CAPS[site]
+        cap = COUNT_CAPS[site][1]
         value = cap + 1 if over == "cap+1" else 10**400
         with pytest.raises(DataError, match=f"^{re.escape(f'{site} must be at most {cap}, got {shown(value)}')}$"):
             _INTEGER_SITES[site][0](value)

@@ -1,5 +1,7 @@
+import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from unittest.mock import patch
 
 import numpy as np
@@ -19,7 +21,6 @@ from tppdepth import (
     verify_properties,
 )
 from tppdepth.depth import PARAM_FIELDS
-from tppdepth.estimation import U_BAR_CHUNK_BYTES
 
 
 @pytest.fixture
@@ -228,9 +229,9 @@ class TestFitStack:
             assert np.array_equal(_bits(getattr(fields, name)), _bits([getattr(params, name)] * trials)), name
 
     def test_refit_allocates_its_buffers_once(self):
-        # The stack, the operands and the buffer of u_bar's sum (2.4 stacks
-        # of one block here) are allocated once per call, and a block adds
-        # no allocation of a stack's size, such as a fresh gap matrix.
+        # The stack and the operands (1.4 stacks of one block here) are
+        # allocated once per call, and a block adds no allocation of a
+        # stack's size, such as a fresh gap matrix.
         sample = simulate(SimConfig(kind="state-dependent", rates=(2.5, 4.0, 6.0, 8.0, 10.0), k=5, n=1000,
                                     seed=17))
         times = np.ascontiguousarray(sample.times.T)
@@ -249,7 +250,8 @@ class TestFitStack:
     @pytest.mark.parametrize("n", [100, 1000, 20000, 200000])
     def test_batch_of_one_is_an_independent_fit(self, n):
         # fit_params against plain numpy on the sample's own arrays: the
-        # duration moments over one contiguous vector, u_bar a row-axis mean.
+        # duration moments over one contiguous vector, u_bar the mean over
+        # one contiguous row per event (numpy's pairwise sum, as for mu_last).
         sample = simulate(SimConfig(kind="state-dependent", rates=(2.5, 4.0, 6.0, 8.0, 10.0), k=5, n=n,
                                     seed=n, start=1.5))
         params = fit_params(sample)
@@ -257,19 +259,36 @@ class TestFitStack:
         gaps = np.diff(sample.times, axis=1, prepend=sample.start)
         assert params.mu_last == durations.mean()
         assert params.var_last == durations.var(ddof=1)
-        assert np.array_equal(_bits(params.u_bar), _bits((gaps / durations[:, None]).mean(axis=0)))
+        fractions = gaps / durations[:, None]
+        assert np.array_equal(_bits(params.u_bar), _bits(np.ascontiguousarray(fractions.T).mean(axis=1)))
+
+    def test_u_bar_is_within_a_few_ulp_of_the_exact_mean(self):
+        # A pairwise sum stays within a few ulp of the correctly rounded mean
+        # of the same float fractions; a sequential sum over the rows is up
+        # to about a hundred ulp off at this n.
+        n = 200_000
+        sample = simulate(SimConfig(kind="state-dependent", rates=(2.5, 4.0, 6.0, 8.0, 10.0), k=5, n=n,
+                                    seed=n, start=1.5))
+        params = fit_params(sample)
+        fractions = np.diff(sample.times, axis=1, prepend=sample.start) / sample.durations()[:, None]
+        for j, u in enumerate(params.u_bar):
+            exact = float(Fraction(math.fsum(fractions[:, j])) / n)
+            assert abs(u - exact) <= 4 * math.ulp(exact), (j, (u - exact) / math.ulp(exact))
 
     @pytest.mark.parametrize("c", [1, 2, 16])
-    @pytest.mark.parametrize("at", ["two", "rows-1", "rows", "rows+1", "3*rows+2"])
+    @pytest.mark.parametrize("at", ["two", "seven", "eight", "nine", "rows-1", "rows", "rows+1", "3*rows+2",
+                                    "REFIT_ROWS/2", "REFIT_ROWS/2+1"])
     def test_stack_bits_across_u_bar_chunks(self, c, at):
-        # fit_params sums u_bar a chunk of `rows` realizations at a time,
-        # fit_moved one stack of moved samples at a time: sample sizes on
-        # both sides of one and three chunk boundaries keep, for each of c
-        # moved samples, the fields of its own fit and the plain row-axis
-        # mean as u_bar.
+        # numpy sums each event's row pairwise: below 8 entries one by one,
+        # then 8 at a time, and beyond a chunk of `rows` = 128 by halves.
+        # fit_moved stacks two samples per block up to REFIT_ROWS / 2 rows
+        # and one beyond. Sample sizes on both sides of each edge keep, for
+        # each of c moved samples, the fields of its own fit and, as u_bar,
+        # the plain mean over one contiguous row per event.
         k = 3
-        rows = U_BAR_CHUNK_BYTES // (8 * k) - 1
-        n = {"two": 2, "rows-1": rows - 1, "rows": rows, "rows+1": rows + 1, "3*rows+2": 3 * rows + 2}[at]
+        rows, half = 128, estimation.REFIT_ROWS // 2
+        n = {"two": 2, "seven": 7, "eight": 8, "nine": 9, "rows-1": rows - 1, "rows": rows, "rows+1": rows + 1,
+             "3*rows+2": 3 * rows + 2, "REFIT_ROWS/2": half, "REFIT_ROWS/2+1": half + 1}[at]
         rng = np.random.default_rng([c, n])
         start = rng.uniform(-5.0, 5.0)
         times = start + np.cumsum(rng.exponential(1.0, (n, k)) * 10.0 ** rng.integers(-2, 3, k), axis=1)
@@ -281,11 +300,11 @@ class TestFitStack:
             for name in PARAM_FIELDS:
                 assert np.array_equal(_bits(getattr(fields, name)[i]), _bits(getattr(expected, name))), (i, name)
             fractions = np.diff(moved.times, axis=1, prepend=moved.start) / moved.durations()[:, None]
-            assert np.array_equal(_bits(expected.u_bar), _bits(fractions.mean(axis=0))), i
+            assert np.array_equal(_bits(expected.u_bar), _bits(np.ascontiguousarray(fractions.T).mean(axis=1))), i
 
     def test_fit_holds_no_copy_of_the_gaps(self):
-        # The normalized gaps are one matrix's worth; u_bar's sum adds a
-        # cache-sized chunk, not a second (n, k) copy.
+        # The normalized gaps are one matrix's worth; u_bar's sum adds no
+        # second (n, k) copy.
         sample = simulate(SimConfig(kind="state-dependent", rates=(2.5, 4.0, 6.0, 8.0, 10.0), k=5, n=200_000,
                                     seed=17))
         tracemalloc.start()
